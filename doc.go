@@ -17,17 +17,39 @@
 // ml.Forest.PredictProbBatch fanning samples across goroutines;
 // core.Bank is safe for concurrent use (Enroll may race Identify) and
 // core.Bank.IdentifyBatch pipelines a whole fingerprint batch through
-// the bank — one forest at a time over all samples, then a worker pool
-// for edit-distance discrimination with reused scratch buffers —
-// returning results bit-identical to the sequential path. The Security
-// Gateway never blocks its packet path on identification: completed
-// setup captures enter a bounded queue drained by identifier workers
-// under a context deadline, devices wait in strict quarantine until the
-// asynchronous verdict is applied (Gateway.Tick/Drain), and failures,
-// timeouts and queue overflows surface as user Notifications. The
-// throughput experiment (experiments.RunThroughput) and the Throughput*
-// benchmarks measure fingerprints/sec across batch sizes and worker
-// counts.
+// the bank — one fused ml.ForestSet pass answering every enrolled
+// forest × every sample (described below), then a worker pool for
+// edit-distance discrimination with reused scratch buffers — returning
+// results bit-identical to the sequential path. The throughput experiment
+// (experiments.RunThroughput) and the Throughput* benchmarks measure
+// fingerprints/sec across batch sizes and worker counts.
+//
+// The Security Gateway never blocks its packet path on identification:
+// completed setup captures enter a bounded queue drained by identifier
+// workers under a context deadline, devices wait in strict quarantine
+// until the asynchronous verdict is applied (Gateway.Tick/Drain), and
+// failures, timeouts and queue overflows surface as user Notifications.
+// Enforcement is the engine's rule cache (enforce.Engine, the authority
+// on every decision) compiled into the OVS-style flow table in front of
+// it: per device the control-traffic exemptions, one pair entry per
+// direction for each peer in its overlay (enforce.PairRules is the one
+// definition of a pair entry), its permitted cloud endpoints, and a
+// final drop — or, for a Trusted device, a forward scoped to the
+// gateway MAC, so WAN-bound traffic is forwarded and any other frame
+// that matches nothing falls to the table default and is punted to the
+// engine. A quarantine or a verdict is installed incrementally
+// (Gateway.installRule): only the entries that name the device change —
+// the ones compiled for the rule it replaces and the pair entries its
+// overlay peers hold for it — so the device is compiled once against
+// its current peers, each of those peers gains its pair for it, and
+// flowtable.Table.Update takes the lot as one batch (one lock, one
+// compaction, one priority-ordered merge behind the installed rules,
+// one microflow-cache invalidation), O(devices) entries per install.
+// The invariant is that after every install the table holds exactly the
+// entries a whole-table recompile of every rule against its overlay
+// peers would; that recompile lives in internal/gateway's tests as the
+// oracle, next to a property test that the table never forwards what
+// the engine denies.
 //
 // The IoT Security Service itself is built for multi-gateway load. The
 // iotssp.Server runs a bounded accept loop with a read and a write pump
@@ -207,13 +229,12 @@
 // BENCH_ci.json, and FuzzUnpackRef/FuzzFrameRead smoke the new
 // decoders.
 //
-// Stage one is a fused classification engine. Instead of answering a
-// batch one forest at a time — T sequential goroutine fan-outs, each
-// with its own join barrier — every enrolled forest's flattened node
-// arrays are fused into one contiguous multi-forest arena
+// Stage one is a fused classification engine. Every enrolled forest's
+// flattened node arrays are fused into one contiguous multi-forest arena
 // (ml.ForestSet: shared feature/threshold/left/right arrays with
 // per-forest root ranges) and a single ForestSet.Votes pass answers all
-// types × all samples. Work is tiled into (forest-block × sample-block)
+// types × all samples, with one join barrier per batch rather than one
+// per forest. Work is tiled into (forest-block × sample-block)
 // units handed out through an atomic cursor to one persistent
 // package-level worker pool, which single-fingerprint Identify rides
 // too; batch inputs are dense row-major ml.SampleMatrix rows filled in

@@ -5,9 +5,10 @@
 package enforce
 
 import (
+	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/flowtable"
@@ -64,24 +65,40 @@ type Rule struct {
 }
 
 // Hash returns the rule's storage hash (Fig. 2 shows rules stored hashed
-// in the cache). It covers the MAC, level and permitted endpoints.
+// in the cache): FNV-1a over the MAC, "/<decimal level>/" and the
+// permitted endpoints in ascending order. Every flow entry compiled for
+// the rule carries it as its cookie, and an install hashes each overlay
+// peer's rule, so it is computed inline without allocating.
 func (r *Rule) Hash() uint64 {
-	h := fnv.New64a()
-	h.Write(r.DeviceMAC[:])
-	fmt.Fprintf(h, "/%d/", r.Level)
-	ips := append([]packet.IP4(nil), r.PermittedIPs...)
-	sort.Slice(ips, func(i, j int) bool {
-		for k := 0; k < 4; k++ {
-			if ips[i][k] != ips[j][k] {
-				return ips[i][k] < ips[j][k]
-			}
+	var scratch [24]byte
+	h := fnv1a(14695981039346656037, r.DeviceMAC[:])
+	h = fnv1a(h, append(strconv.AppendInt(append(scratch[:0], '/'), int64(r.Level), 10), '/'))
+
+	// Sorting the endpoints as big-endian integers is sorting them
+	// bytewise; rules carry a handful, so the buffer stays on the stack.
+	var buf [8]uint32
+	ips := buf[:0]
+	for _, ip := range r.PermittedIPs {
+		v := binary.BigEndian.Uint32(ip[:])
+		i := len(ips)
+		ips = append(ips, v)
+		for ; i > 0 && ips[i-1] > v; i-- {
+			ips[i] = ips[i-1]
 		}
-		return false
-	})
-	for _, ip := range ips {
-		h.Write(ip[:])
+		ips[i] = v
 	}
-	return h.Sum64()
+	for _, v := range ips {
+		h = fnv1a(h, binary.BigEndian.AppendUint32(scratch[:0], v))
+	}
+	return h
+}
+
+// fnv1a folds p into the 64-bit FNV-1a state h.
+func fnv1a(h uint64, p []byte) uint64 {
+	for _, b := range p {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	return h
 }
 
 // permits reports whether the rule permits the external destination ip.
@@ -347,16 +364,41 @@ func (e *Engine) MemoryFootprint() int {
 	return total
 }
 
+// pairPriority is the flow-table priority of overlay pair entries.
+const pairPriority = 300
+
+// PairRules is the single definition of a pair entry: the two entries,
+// one per direction, that let owner and its overlay peer exchange
+// frames, stamped with the cookie of owner's rule. CompileFlowRules
+// emits one pair per peer; an incremental install emits the pairs the
+// peers of a changed device hold for it.
+func PairRules(owner, peer packet.MAC, cookie uint64) [2]flowtable.Rule {
+	o, p := flowtable.MACPtr(owner), flowtable.MACPtr(peer)
+	return [2]flowtable.Rule{
+		{Priority: pairPriority, Match: flowtable.Match{EthSrc: o, EthDst: p}, Action: flowtable.ActionForward, Cookie: cookie},
+		{Priority: pairPriority, Match: flowtable.Match{EthSrc: p, EthDst: o}, Action: flowtable.ActionForward, Cookie: cookie},
+	}
+}
+
+// IsPairWith reports whether fr is a pair entry with mac at either end,
+// whichever device's rule owns it.
+func IsPairWith(fr *flowtable.Rule, mac packet.MAC) bool {
+	m := &fr.Match
+	return fr.Priority == pairPriority && m.EthSrc != nil && m.EthDst != nil &&
+		(*m.EthSrc == mac || *m.EthDst == mac)
+}
+
 // CompileFlowRules translates an enforcement rule into OVS flow-table
 // entries, as the custom Floodlight module does in the paper. The overlay
 // peers are the other local devices in the same overlay at compile time;
-// SDN controllers recompile when membership changes. Traffic routed
-// *through* the gateway toward the WAN carries the gateway's MAC too, so
-// the control-traffic exemptions are scoped to ARP and to the gateway's
-// own IP — never to the gateway MAC alone.
+// when membership changes the controller adds or drops the peers' pair
+// entries (PairRules). Traffic routed *through* the gateway toward the
+// WAN carries the gateway's MAC too, so the control-traffic exemptions
+// are scoped to ARP and to the gateway's own IP — never to the gateway
+// MAC alone.
 func CompileFlowRules(r Rule, overlayPeers []packet.MAC, gatewayMAC packet.MAC, gatewayIP packet.IP4) []flowtable.Rule {
 	cookie := r.Hash()
-	var out []flowtable.Rule
+	out := make([]flowtable.Rule, 0, 4+2*len(overlayPeers)+len(r.PermittedIPs))
 
 	// Always allow link-local control traffic (ARP to the gateway, DHCP/
 	// DNS/NTP served by the gateway itself) and broadcast/multicast
@@ -392,20 +434,8 @@ func CompileFlowRules(r Rule, overlayPeers []packet.MAC, gatewayMAC packet.MAC, 
 
 	// Overlay peers, both directions.
 	for _, peer := range overlayPeers {
-		out = append(out,
-			flowtable.Rule{
-				Priority: 300,
-				Match:    flowtable.Match{EthSrc: flowtable.MACPtr(r.DeviceMAC), EthDst: flowtable.MACPtr(peer)},
-				Action:   flowtable.ActionForward,
-				Cookie:   cookie,
-			},
-			flowtable.Rule{
-				Priority: 300,
-				Match:    flowtable.Match{EthSrc: flowtable.MACPtr(peer), EthDst: flowtable.MACPtr(r.DeviceMAC)},
-				Action:   flowtable.ActionForward,
-				Cookie:   cookie,
-			},
-		)
+		pair := PairRules(r.DeviceMAC, peer, cookie)
+		out = append(out, pair[:]...)
 	}
 
 	// Permitted cloud endpoints for Restricted devices.
@@ -420,7 +450,11 @@ func CompileFlowRules(r Rule, overlayPeers []packet.MAC, gatewayMAC packet.MAC, 
 		}
 	}
 
-	// Trusted devices get a blanket forward; everyone else a final drop.
+	// Everyone but a Trusted device gets a final drop. A Trusted device's
+	// WAN-bound traffic, which is routed through the gateway MAC, is
+	// forwarded; any other frame from it matches nothing here and is
+	// punted to the controller, where the engine decides — a blanket
+	// forward on its source MAC would carry it across overlays.
 	last := flowtable.Rule{
 		Priority: 100,
 		Match:    flowtable.Match{EthSrc: flowtable.MACPtr(r.DeviceMAC)},
@@ -428,10 +462,10 @@ func CompileFlowRules(r Rule, overlayPeers []packet.MAC, gatewayMAC packet.MAC, 
 		Cookie:   cookie,
 	}
 	if r.Level == Trusted {
+		last.Match.EthDst = flowtable.MACPtr(gatewayMAC)
 		last.Action = flowtable.ActionForward
 	}
-	out = append(out, last)
-	return out
+	return append(out, last)
 }
 
 // etherTypePtr returns a pointer to t, for Match literals.

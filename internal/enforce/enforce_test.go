@@ -81,6 +81,45 @@ func TestRuleHashStability(t *testing.T) {
 	}
 }
 
+// TestRuleHashGolden pins Hash to the values the fmt/sort/hash-based
+// implementation produced: cookies of installed flow entries and hashes
+// shown to operators must not move when the function is optimised.
+func TestRuleHashGolden(t *testing.T) {
+	mac := packet.MustParseMAC("02:de:ad:be:ef:40")
+	ips := []packet.IP4{
+		packet.MustParseIP4("52.28.1.9"), packet.MustParseIP4("8.8.8.8"),
+		packet.MustParseIP4("52.28.1.7"), packet.MustParseIP4("8.8.4.4"),
+	}
+	// More endpoints than Hash sorts on the stack.
+	var many []packet.IP4
+	for i := 0; i < 20; i++ {
+		many = append(many, packet.IP4{10, byte(200 - 7*i), byte(i * 13), byte(i)})
+	}
+	tests := []struct {
+		rule Rule
+		want uint64
+	}{
+		{Rule{DeviceMAC: mac, Level: Strict}, 0x1f75aaaaa448e1c2},
+		{Rule{DeviceMAC: mac, Level: Restricted, PermittedIPs: ips}, 0xd0f393ce06f5ff5b},
+		{Rule{DeviceMAC: mac, Level: Trusted, DeviceType: "Aria"}, 0x1f6eaaaaa442c314},
+		{Rule{DeviceMAC: mac, Level: Restricted, PermittedIPs: many}, 0xb84a008d459065ad},
+		// Levels SetRule rejects still hash (installRule never gets here,
+		// but Hash is exported).
+		{Rule{DeviceMAC: mac, Level: 0}, 0x1f720aaaa4459c0b},
+		{Rule{DeviceMAC: mac, Level: -12, PermittedIPs: ips[:1]}, 0xb0eea8c3d8959cb9},
+		{Rule{DeviceMAC: mac, Level: 1234567}, 0x6f53eda52673aec3},
+	}
+	for _, tt := range tests {
+		if got := tt.rule.Hash(); got != tt.want {
+			t.Errorf("Hash(level %d, %d endpoints) = %#x, want %#x", tt.rule.Level, len(tt.rule.PermittedIPs), got, tt.want)
+		}
+	}
+	r := tests[1].rule
+	if allocs := testing.AllocsPerRun(100, func() { r.Hash() }); allocs != 0 {
+		t.Errorf("Hash allocates %v times per call, want 0", allocs)
+	}
+}
+
 func TestDecideLocalOverlays(t *testing.T) {
 	e := engineFixture(t)
 	tests := []struct {
@@ -302,6 +341,46 @@ func TestCompileFlowRulesTrustedForwards(t *testing.T) {
 	b.SetIP(packet.MustParseIP4("192.168.1.12"))
 	if got := tbl.LookupPacket(b.TCPSynPkt(gwMAC, other, 49152, 443, t0)); got != flowtable.ActionForward {
 		t.Errorf("trusted internet flow = %v, want forward", got)
+	}
+}
+
+// TestCompileFlowRulesTrustedStaysInOverlay: a trusted device's compiled
+// entries forward only what the engine allows; a local frame to a device
+// outside its overlay is left to the controller, not forwarded.
+func TestCompileFlowRulesTrustedStaysInOverlay(t *testing.T) {
+	trusted := Rule{DeviceMAC: devC, Level: Trusted}
+	tbl := flowtable.New(flowtable.WithDefaultAction(flowtable.ActionController))
+	for _, fr := range CompileFlowRules(trusted, []packet.MAC{devD}, gwMAC, packet.MustParseIP4("192.168.1.1")) {
+		tbl.Add(fr)
+	}
+	b := packet.NewBuilder(devC)
+	b.SetIP(packet.MustParseIP4("192.168.1.12"))
+	if got := tbl.LookupPacket(b.TCPSynPkt(devD, packet.MustParseIP4("192.168.1.13"), 49152, 80, t0)); got != flowtable.ActionForward {
+		t.Errorf("trusted -> trusted peer = %v, want forward", got)
+	}
+	for _, dst := range []packet.MAC{devA, devB} {
+		if got := tbl.LookupPacket(b.TCPSynPkt(dst, ipA, 49152, 80, t0)); got != flowtable.ActionController {
+			t.Errorf("trusted -> untrusted %s = %v, want controller", dst, got)
+		}
+	}
+}
+
+func TestPairRules(t *testing.T) {
+	pair := PairRules(devA, devB, 42)
+	for i, ends := range [][2]packet.MAC{{devA, devB}, {devB, devA}} {
+		fr := pair[i]
+		if *fr.Match.EthSrc != ends[0] || *fr.Match.EthDst != ends[1] || fr.Action != flowtable.ActionForward || fr.Cookie != 42 {
+			t.Errorf("pair[%d] = %+v, want forward %s -> %s cookie 42", i, fr, ends[0], ends[1])
+		}
+		if !IsPairWith(&fr, devA) || !IsPairWith(&fr, devB) || IsPairWith(&fr, devC) {
+			t.Errorf("pair[%d]: IsPairWith wrong for its ends or a bystander", i)
+		}
+	}
+	// Only pair entries qualify, whatever else names the device.
+	for _, fr := range CompileFlowRules(Rule{DeviceMAC: devA, Level: Strict}, nil, gwMAC, packet.MustParseIP4("192.168.1.1")) {
+		if IsPairWith(&fr, devA) || IsPairWith(&fr, gwMAC) {
+			t.Errorf("non-pair entry %+v reported as a pair", fr)
+		}
 	}
 }
 

@@ -149,6 +149,10 @@ type Stats struct {
 	CacheHits uint64
 	Misses    uint64 // lookups resolved by the rule scan
 	NoMatch   uint64 // lookups matching no rule
+	// RulesAdded and RulesRemoved count the entries every Add, Update and
+	// RemoveByCookie installed and dropped.
+	RulesAdded   uint64
+	RulesRemoved uint64
 }
 
 // Table is the flow table. All methods are safe for concurrent use.
@@ -202,35 +206,65 @@ func (t *Table) Add(r Rule) {
 	t.rules = append(t.rules, Rule{})
 	copy(t.rules[i+1:], t.rules[i:])
 	t.rules[i] = r
+	t.stats.RulesAdded++
 	t.invalidateLocked()
+}
+
+// Update applies one batch change under one lock: it removes every rule
+// drop reports true for (nil drops nothing), then installs add, and
+// returns how many rules were removed. Among equal priorities installed
+// rules stay ahead of added ones and added ones keep their order in add,
+// exactly as a sequence of Adds would leave them. The microflow cache is
+// invalidated once, and only if a rule was removed or added. drop runs
+// with the table locked and must not call back into it.
+func (t *Table) Update(drop func(*Rule) bool, add []Rule) (removed int) {
+	sorted := append([]Rule(nil), add...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Priority > sorted[j].Priority })
+
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if drop != nil {
+		for i := range t.rules {
+			if drop(&t.rules[i]) {
+				removed++
+			} else if removed > 0 {
+				t.rules[i-removed] = t.rules[i]
+			}
+		}
+		t.rules = t.rules[:len(t.rules)-removed]
+	}
+	if removed == 0 && len(sorted) == 0 {
+		return 0
+	}
+
+	// Merge from the back, so the rules ahead of the lowest insertion
+	// point never move; on equal priority the added rule goes behind.
+	i, j := len(t.rules)-1, len(sorted)-1
+	t.rules = append(t.rules, sorted...)
+	for w := len(t.rules) - 1; j >= 0; w-- {
+		if i >= 0 && t.rules[i].Priority < sorted[j].Priority {
+			t.rules[w] = t.rules[i]
+			i--
+		} else {
+			t.rules[w] = sorted[j]
+			j--
+		}
+	}
+	t.stats.RulesAdded += uint64(len(sorted))
+	t.stats.RulesRemoved += uint64(removed)
+	t.invalidateLocked()
+	return removed
 }
 
 // RemoveByCookie removes every rule with the given cookie and returns how
 // many were removed.
 func (t *Table) RemoveByCookie(cookie uint64) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	kept := t.rules[:0]
-	removed := 0
-	for _, r := range t.rules {
-		if r.Cookie == cookie {
-			removed++
-			continue
-		}
-		kept = append(kept, r)
-	}
-	t.rules = kept
-	if removed > 0 {
-		t.invalidateLocked()
-	}
-	return removed
+	return t.Update(func(r *Rule) bool { return r.Cookie == cookie }, nil)
 }
 
 // invalidateLocked clears the microflow cache. Callers hold mu.
 func (t *Table) invalidateLocked() {
-	if len(t.cache) > 0 {
-		t.cache = make(map[Key]cacheEntry, len(t.cache))
-	}
+	clear(t.cache)
 }
 
 // Lookup resolves the action for a flow key: first the exact-match cache,

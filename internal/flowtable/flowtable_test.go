@@ -1,6 +1,7 @@
 package flowtable
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -166,6 +167,116 @@ func TestRemoveByCookie(t *testing.T) {
 	}
 	if n := tbl.RemoveByCookie(99); n != 0 {
 		t.Errorf("RemoveByCookie(absent) = %d, want 0", n)
+	}
+}
+
+// cookies lists the table's rule cookies in table order.
+func cookies(tbl *Table) []uint64 {
+	var out []uint64
+	for _, r := range tbl.Rules() {
+		out = append(out, r.Cookie)
+	}
+	return out
+}
+
+func TestUpdateOrderAndCounters(t *testing.T) {
+	rule := func(priority int, cookie uint64) Rule {
+		return Rule{Priority: priority, Match: Match{EthSrc: MACPtr(devMAC)}, Action: ActionForward, Cookie: cookie}
+	}
+	tbl := New()
+	for _, r := range []Rule{rule(30, 1), rule(20, 2), rule(20, 3), rule(10, 4)} {
+		tbl.Add(r)
+	}
+
+	// Unsorted batch: installed rules stay ahead at equal priority, added
+	// ones keep their batch order, and the caller's slice is not reordered.
+	add := []Rule{rule(20, 5), rule(40, 6), rule(20, 7), rule(5, 8), rule(30, 9)}
+	removed := tbl.Update(func(r *Rule) bool { return r.Cookie == 2 }, add)
+	if removed != 1 {
+		t.Errorf("Update removed %d, want 1", removed)
+	}
+	want := []uint64{6, 1, 9, 3, 5, 7, 4, 8}
+	if got := cookies(tbl); !slices.Equal(got, want) {
+		t.Errorf("table order = %v, want %v", got, want)
+	}
+	if add[0].Cookie != 5 || add[1].Cookie != 6 || add[4].Cookie != 9 {
+		t.Errorf("Update reordered the caller's slice: %v", add)
+	}
+
+	// The same rules through Add, one at a time, land in the same order.
+	ref := New()
+	for _, r := range []Rule{rule(30, 1), rule(20, 3), rule(10, 4)} {
+		ref.Add(r)
+	}
+	for _, r := range add {
+		ref.Add(r)
+	}
+	if got := cookies(ref); !slices.Equal(got, want) {
+		t.Errorf("Add order = %v, want %v", got, want)
+	}
+
+	st := tbl.Stats()
+	if st.RulesAdded != 9 || st.RulesRemoved != 1 {
+		t.Errorf("RulesAdded, RulesRemoved = %d, %d, want 9, 1", st.RulesAdded, st.RulesRemoved)
+	}
+	if n := tbl.RemoveByCookie(7); n != 1 {
+		t.Errorf("RemoveByCookie removed %d, want 1", n)
+	}
+	if st := tbl.Stats(); st.RulesAdded != 9 || st.RulesRemoved != 2 {
+		t.Errorf("after RemoveByCookie: RulesAdded, RulesRemoved = %d, %d, want 9, 2", st.RulesAdded, st.RulesRemoved)
+	}
+
+	// Into an empty table, and dropping everything.
+	empty := New()
+	empty.Update(nil, add)
+	if got, want := cookies(empty), []uint64{6, 9, 5, 7, 8}; !slices.Equal(got, want) {
+		t.Errorf("empty table order = %v, want %v", got, want)
+	}
+	if n := empty.Update(func(*Rule) bool { return true }, nil); n != 5 || empty.Len() != 0 {
+		t.Errorf("drop-all removed %d leaving %d, want 5 leaving 0", n, empty.Len())
+	}
+}
+
+// TestUpdateInvalidatesCacheOnlyOnChange: the microflow cache survives a
+// batch that changes nothing (nil or never-true drop, empty add) and is
+// wiped by one that removes or adds a rule.
+func TestUpdateInvalidatesCacheOnlyOnChange(t *testing.T) {
+	tbl := New(WithDefaultAction(ActionDrop))
+	tbl.Add(Rule{Priority: 10, Match: Match{EthSrc: MACPtr(devMAC)}, Action: ActionForward, Cookie: 7})
+	warm := func() {
+		t.Helper()
+		tbl.Lookup(tcpKey(devMAC, gwMAC, devIP, cloud, 443))
+		tbl.Lookup(tcpKey(devMAC, gwMAC, devIP, cloud, 80))
+		if tbl.CacheLen() != 2 {
+			t.Fatalf("CacheLen = %d after two lookups, want 2", tbl.CacheLen())
+		}
+	}
+	warm()
+	before := tbl.Stats()
+	tbl.Update(nil, nil)
+	tbl.Update(nil, []Rule{})
+	tbl.Update(func(r *Rule) bool { return r.Cookie == 99 }, nil)
+	if tbl.CacheLen() != 2 {
+		t.Errorf("CacheLen = %d after no-op updates, want 2", tbl.CacheLen())
+	}
+	if tbl.Stats() != before {
+		t.Errorf("no-op updates moved the counters: %+v -> %+v", before, tbl.Stats())
+	}
+
+	tbl.Update(nil, []Rule{{Priority: 20, Match: Match{IPDst: IPPtr(cloud)}, Action: ActionDrop, Cookie: 8}})
+	if tbl.CacheLen() != 0 {
+		t.Errorf("CacheLen = %d after an add-only update, want 0", tbl.CacheLen())
+	}
+	if got := tbl.Lookup(tcpKey(devMAC, gwMAC, devIP, cloud, 443)); got != ActionDrop {
+		t.Errorf("lookup after update = %v, want the new rule's drop", got)
+	}
+	warm()
+	tbl.Update(func(r *Rule) bool { return r.Cookie == 8 }, nil)
+	if tbl.CacheLen() != 0 {
+		t.Errorf("CacheLen = %d after a drop-only update, want 0", tbl.CacheLen())
+	}
+	if got := tbl.Lookup(tcpKey(devMAC, gwMAC, devIP, cloud, 443)); got != ActionForward {
+		t.Errorf("lookup after removal = %v, want forward", got)
 	}
 }
 

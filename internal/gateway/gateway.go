@@ -259,10 +259,6 @@ type Gateway struct {
 	// (Fig. 6a) and utilization is a true busy fraction (Fig. 6b).
 	busyUntil time.Time
 
-	// deviceIPs records the source IPs observed per device MAC, for
-	// operator display and rule compilation.
-	deviceIPs map[packet.IP4]packet.MAC
-
 	// Identification queue state. jobs feeds the worker pool; done
 	// collects finished identifications until the gateway goroutine
 	// applies them. inFlight counts enqueued-but-unapplied jobs so
@@ -281,14 +277,13 @@ type Gateway struct {
 func New(cfg Config, ident Identifier) *Gateway {
 	cfg = cfg.withDefaults()
 	g := &Gateway{
-		cfg:       cfg,
-		monitor:   sniff.NewMonitor(cfg.SetupEnd),
-		engine:    enforce.NewEngine(cfg.LocalNet),
-		table:     flowtable.New(flowtable.WithDefaultAction(flowtable.ActionController)),
-		ident:     ident,
-		psk:       NewPSKManager(cfg.PSKSeed),
-		deviceIPs: make(map[packet.IP4]packet.MAC),
-		jobs:      make(chan identJob, cfg.IdentQueue),
+		cfg:     cfg,
+		monitor: sniff.NewMonitor(cfg.SetupEnd),
+		engine:  enforce.NewEngine(cfg.LocalNet),
+		table:   flowtable.New(flowtable.WithDefaultAction(flowtable.ActionController)),
+		ident:   ident,
+		psk:     NewPSKManager(cfg.PSKSeed),
+		jobs:    make(chan identJob, cfg.IdentQueue),
 	}
 	g.monitor.IgnoreMACs[cfg.MAC] = true
 	g.monitor.OnSetupComplete = g.onSetupComplete
@@ -525,10 +520,16 @@ func (g *Gateway) Close() {
 	close(g.jobs)
 }
 
-// installRule stores the enforcement rule and recompiles the flow table.
-// Overlay membership may shift with every new rule, so all device rules
-// are recompiled with their current peers, as the controller module
-// revalidates flows after a table change.
+// installRule stores the enforcement rule and brings the flow table in
+// line with it, touching only the entries that name the device: the ones
+// compiled for the rule it replaces, and the pair entries its overlay
+// peers hold for it. The device is compiled once against its current
+// peers, each of those peers gains its pair entries for the device, and
+// the table takes the lot as one batch. Afterwards the table holds
+// exactly the entries a compile of every rule against its peers yields,
+// given that every rule reached the engine through here; a rule set on
+// the engine directly has no entries of its own and is enforced by the
+// controller path alone.
 func (g *Gateway) installRule(r enforce.Rule) {
 	old, hadOld := g.engine.RuleFor(r.DeviceMAC)
 	if err := g.engine.SetRule(r); err != nil {
@@ -536,20 +537,23 @@ func (g *Gateway) installRule(r enforce.Rule) {
 		// were, still consistent with each other.
 		return
 	}
-	// Drop the flow rules compiled for the rule this one replaced: a
-	// quarantine rule's cookie differs from its successor's, so the
-	// recompile loop below would never remove its entries and the
-	// device would keep its quarantine-overlay reachability.
-	if hadOld {
-		g.table.RemoveByCookie(old.Hash())
-	}
-	for _, rule := range g.engine.Rules() {
-		g.table.RemoveByCookie(rule.Hash())
-		peers := g.engine.OverlayPeers(rule.Level, rule.DeviceMAC)
-		for _, fr := range enforce.CompileFlowRules(rule, peers, g.cfg.MAC, g.cfg.IP) {
-			g.table.Add(fr)
+	mac := r.DeviceMAC
+	peers := g.engine.OverlayPeers(r.Level, mac)
+	add := enforce.CompileFlowRules(r, peers, g.cfg.MAC, g.cfg.IP)
+	for _, peer := range peers {
+		if pr, ok := g.engine.RuleFor(peer); ok {
+			pair := enforce.PairRules(peer, mac, pr.Hash())
+			add = append(add, pair[:]...)
 		}
 	}
+	// A device without a rule has no entries and no peer holds a pair
+	// for it, so a first install drops nothing.
+	var drop func(*flowtable.Rule) bool
+	if hadOld {
+		cookie := old.Hash()
+		drop = func(fr *flowtable.Rule) bool { return fr.Cookie == cookie || enforce.IsPairWith(fr, mac) }
+	}
+	g.table.Update(drop, add)
 }
 
 // Bridge returns the netsim bridge function implementing the gateway
@@ -560,9 +564,6 @@ func (g *Gateway) Bridge() netsim.BridgeFunc {
 
 		// Monitoring: track new devices' setup phases.
 		g.monitor.Observe(p)
-		if p.IPv4 != nil && p.IPv4.Src != packet.IP4Zero && g.engine.IsLocal(p.IPv4.Src) {
-			g.deviceIPs[p.IPv4.Src] = p.Eth.Src
-		}
 
 		deliver := true
 		var procDelay time.Duration
