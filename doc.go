@@ -54,10 +54,11 @@
 // The IoT Security Service itself is built for multi-gateway load. The
 // iotssp.Server runs a bounded accept loop with a read and a write pump
 // per connection; a micro-batching dispatcher aggregates requests
-// across every connection and flushes them into the bank's
-// IdentifyBatch on a size threshold or a small time budget, answering
-// overload with retryable backpressure responses instead of unbounded
-// queues. Verdicts are cached in an LRU keyed by the canonical
+// across every connection and flushes whatever is queued into the
+// bank's IdentifyBatch as soon as the previous flush returns (no
+// timer: batches grow with load, a lone request leaves at once),
+// answering overload with retryable backpressure responses instead of
+// unbounded queues. Verdicts are cached in an LRU keyed by the canonical
 // fingerprint hash (fingerprint.Hash), with singleflight collapsing of
 // duplicate in-flight fingerprints — the fleet's repeat device models
 // cost a cache probe instead of a forest pass. On the client side,

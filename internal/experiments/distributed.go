@@ -48,15 +48,14 @@ type DistributedConfig struct {
 	// index Types mod Shards — is served remotely; the rest stay
 	// in-process.
 	Shards int
-	// BatchSize, FlushInterval and Workers tune the front server's
-	// dispatcher as in ServiceConfig. CacheSize sizes the verdict cache
-	// of the invalidation phase (0 selects the default); the two timed
+	// BatchSize and Workers tune the front server's dispatcher as in
+	// ServiceConfig. CacheSize sizes the verdict cache of the
+	// invalidation phase (0 selects the default); the two timed
 	// phases always run uncached so every request exercises the bank —
 	// and therefore the wire — rather than the front cache.
-	BatchSize     int
-	FlushInterval time.Duration
-	CacheSize     int
-	Workers       int
+	BatchSize int
+	CacheSize int
+	Workers   int
 	// NoKill disables the mid-run remote-shard restart drill; NoRestart
 	// leaves the killed shard down (which also skips the enrolment
 	// phase — the canary's shard would be unreachable).
@@ -108,9 +107,6 @@ func (c DistributedConfig) withDefaults() (DistributedConfig, error) {
 	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 16
-	}
-	if c.FlushInterval == 0 {
-		c.FlushInterval = 500 * time.Microsecond
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = iotssp.DefaultCacheSize
@@ -387,9 +383,8 @@ func RunDistributed(cfg DistributedConfig) (*DistributedResult, error) {
 		CanaryShard:   -1,
 	}
 	scfg := iotssp.ServerConfig{
-		BatchSize:     cfg.BatchSize,
-		FlushInterval: cfg.FlushInterval,
-		Workers:       cfg.Workers,
+		BatchSize: cfg.BatchSize,
+		Workers:   cfg.Workers,
 	}
 
 	// Phase 1 — all-local baseline. Training is deterministic in

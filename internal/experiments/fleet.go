@@ -51,12 +51,11 @@ type FleetConfig struct {
 	// baseline phase always runs one backend over an unsharded bank —
 	// the PR 2 service mode.
 	Backends int
-	// BatchSize, FlushInterval, CacheSize and Workers tune the serving
-	// loop as in ServiceConfig.
-	BatchSize     int
-	FlushInterval time.Duration
-	CacheSize     int
-	Workers       int
+	// BatchSize, CacheSize and Workers tune the serving loop as in
+	// ServiceConfig.
+	BatchSize int
+	CacheSize int
+	Workers   int
 	// NoKill disables the mid-run backend kill (the failover drill runs
 	// by default whenever Backends > 1).
 	NoKill bool
@@ -103,9 +102,6 @@ func (c FleetConfig) withDefaults() (FleetConfig, error) {
 	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 32
-	}
-	if c.FlushInterval == 0 {
-		c.FlushInterval = 500 * time.Microsecond
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = iotssp.DefaultCacheSize
@@ -431,9 +427,8 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	}
 	coreCfg := core.BankConfig{Forest: ml.ForestConfig{Trees: cfg.Trees}, Seed: cfg.Seed}
 	scfg := iotssp.ServerConfig{
-		BatchSize:     cfg.BatchSize,
-		FlushInterval: cfg.FlushInterval,
-		Workers:       cfg.Workers,
+		BatchSize: cfg.BatchSize,
+		Workers:   cfg.Workers,
 	}
 
 	// Phase 1 — single-backend baseline (PR 2 service mode).

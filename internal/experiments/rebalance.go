@@ -41,14 +41,13 @@ type RebalanceConfig struct {
 	// Replicas is the remote target partition's shard-group member count
 	// (0 means 2; must be >= 2 so a member can be replaced live).
 	Replicas int
-	// BatchSize, FlushInterval and Workers tune the front server's
-	// dispatcher as in ServiceConfig. CacheSize sizes the verdict cache
-	// of the invalidation phase (0 selects the default); the timed
+	// BatchSize and Workers tune the front server's dispatcher as in
+	// ServiceConfig. CacheSize sizes the verdict cache of the
+	// invalidation phase (0 selects the default); the timed
 	// phases run uncached so every request exercises the topology.
-	BatchSize     int
-	FlushInterval time.Duration
-	CacheSize     int
-	Workers       int
+	BatchSize int
+	CacheSize int
+	Workers   int
 	// Mint selects the minting strategy of every member replacement the
 	// experiment runs (controlplane.MintAuto, MintSnapshot or
 	// MintReplay); sentinel-eval's -mint flag maps onto it. Whatever the
@@ -106,9 +105,6 @@ func (c RebalanceConfig) withDefaults() (RebalanceConfig, error) {
 	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 16
-	}
-	if c.FlushInterval == 0 {
-		c.FlushInterval = 500 * time.Microsecond
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = iotssp.DefaultCacheSize
@@ -280,9 +276,8 @@ func RunRebalance(cfg RebalanceConfig) (*RebalanceResult, error) {
 	}
 	coreCfg := core.BankConfig{Forest: ml.ForestConfig{Trees: cfg.Trees}, Seed: cfg.Seed}
 	scfg := iotssp.ServerConfig{
-		BatchSize:     cfg.BatchSize,
-		FlushInterval: cfg.FlushInterval,
-		Workers:       cfg.Workers,
+		BatchSize: cfg.BatchSize,
+		Workers:   cfg.Workers,
 	}
 
 	res := &RebalanceResult{

@@ -46,15 +46,14 @@ type ReplicatedConfig struct {
 	Shards int
 	// Replicas is the shard group's member count (0 means 2).
 	Replicas int
-	// BatchSize, FlushInterval and Workers tune the front server's
-	// dispatcher as in ServiceConfig. CacheSize sizes the verdict cache
-	// of the invalidation phase (0 selects the default); the timed
+	// BatchSize and Workers tune the front server's dispatcher as in
+	// ServiceConfig. CacheSize sizes the verdict cache of the
+	// invalidation phase (0 selects the default); the timed
 	// phases always run uncached so every request exercises the bank —
 	// and therefore the group — rather than the front cache.
-	BatchSize     int
-	FlushInterval time.Duration
-	CacheSize     int
-	Workers       int
+	BatchSize int
+	CacheSize int
+	Workers   int
 	// NoKill disables the mid-run member restart drill.
 	NoKill bool
 	// MaxP99Ratio fails the experiment unless the kill run's p99 latency
@@ -115,9 +114,6 @@ func (c ReplicatedConfig) withDefaults() (ReplicatedConfig, error) {
 	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 16
-	}
-	if c.FlushInterval == 0 {
-		c.FlushInterval = 500 * time.Microsecond
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = iotssp.DefaultCacheSize
@@ -261,9 +257,8 @@ func RunReplicatedShards(cfg ReplicatedConfig) (*ReplicatedResult, error) {
 		CanaryShard:     -1,
 	}
 	scfg := iotssp.ServerConfig{
-		BatchSize:     cfg.BatchSize,
-		FlushInterval: cfg.FlushInterval,
-		Workers:       cfg.Workers,
+		BatchSize: cfg.BatchSize,
+		Workers:   cfg.Workers,
 	}
 
 	// Phase 1 — single-replica reference: the remote partition behind

@@ -49,14 +49,8 @@ type ServiceConfig struct {
 	// InFlight is each gateway's concurrent in-flight requests (0 means
 	// 16) — the pipelining that feeds the server's micro-batches.
 	InFlight int
-	// BatchSize is the server's micro-batch flush threshold (0 means
-	// 32).
+	// BatchSize caps the server's micro-batch flush (0 means 32).
 	BatchSize int
-	// FlushInterval is the server's micro-batch time budget (0 means
-	// 500µs — tighter than the server default because a warm-cache
-	// closed-loop workload is latency-bound: requests answered sooner
-	// come back sooner to fill the next batch).
-	FlushInterval time.Duration
 	// CacheSize is the server's verdict cache capacity (0 means
 	// iotssp.DefaultCacheSize).
 	CacheSize int
@@ -94,9 +88,6 @@ func (c ServiceConfig) withDefaults() ServiceConfig {
 	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 32
-	}
-	if c.FlushInterval == 0 {
-		c.FlushInterval = 500 * time.Microsecond
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = iotssp.DefaultCacheSize
@@ -399,9 +390,8 @@ func RunService(cfg ServiceConfig) (*ServiceResult, error) {
 	cl, err := controlplane.Assemble(controlplane.ClusterConfig{
 		Core: coreCfg,
 		Server: iotssp.ServerConfig{
-			BatchSize:     cfg.BatchSize,
-			FlushInterval: cfg.FlushInterval,
-			Workers:       cfg.Workers,
+			BatchSize: cfg.BatchSize,
+			Workers:   cfg.Workers,
 		},
 		CacheSize: cfg.CacheSize,
 		DB:        vulndb.Seeded(),

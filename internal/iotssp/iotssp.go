@@ -36,11 +36,12 @@
 // The Server runs a bounded accept loop (at most MaxConns live
 // connections) with one read pump and one write pump per connection. A
 // micro-batching dispatcher aggregates decoded requests across all
-// connections and flushes them into the bank's IdentifyBatch when the
-// batch reaches BatchSize or FlushInterval elapses, whichever is first
-// — so one busy gateway or many idle ones both see low latency, and
-// the service amortizes forest inference across the fleet. Served from
-// a core.ShardedBank, each flush scatters across the bank's shards
+// connections into the bank's IdentifyBatch: each flush takes whatever
+// is queued when the previous one returns, up to BatchSize, and never
+// waits for more — so a lone request is identified at once, while
+// under load the requests that queue during one flush form the next,
+// and the service amortizes forest inference across the fleet. Served
+// from a core.ShardedBank, each flush scatters across the bank's shards
 // concurrently and gathers the merged verdicts. Duplicate in-flight
 // fingerprints collapse to a single computation (singleflight); repeat
 // setups of the same device model — the common fleet pattern — cost

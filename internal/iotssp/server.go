@@ -24,14 +24,11 @@ type ServerConfig struct {
 	// attempts beyond it are answered with a retryable error response
 	// and closed. 0 selects 256.
 	MaxConns int
-	// BatchSize is the dispatcher's flush threshold: a batch is handed
-	// to Bank.IdentifyBatch as soon as it holds this many requests.
-	// 1 disables micro-batching (every request is identified alone —
-	// the per-request baseline). 0 selects 32.
+	// BatchSize caps a dispatcher flush: a batch is whatever is queued
+	// when the dispatcher is free, up to this many requests. 1 disables
+	// micro-batching (every request is identified alone — the
+	// per-request baseline). 0 selects 32.
 	BatchSize int
-	// FlushInterval is the longest a pending request waits for the
-	// batch to fill before the dispatcher flushes anyway. 0 selects 2ms.
-	FlushInterval time.Duration
 	// QueueCapacity bounds the dispatcher's request queue, summed across
 	// all connections. A request arriving with the queue full is
 	// answered with a retryable "overloaded" error instead of growing an
@@ -59,9 +56,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 32
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = 2 * time.Millisecond
 	}
 	if c.QueueCapacity <= 0 {
 		c.QueueCapacity = 1024
@@ -506,52 +500,56 @@ func (s *Server) handleConn(conn net.Conn) {
 }
 
 // dispatch is the micro-batching loop: it blocks for the first pending
-// request, then fills the batch until BatchSize requests are aggregated
-// or FlushInterval elapses, and flushes through the service.
+// request, takes whatever else is already queued without waiting (up to
+// BatchSize), and flushes through the service. A lone request leaves at
+// once; under load, requests that queue while a batch is in the bank
+// form the next one, so batches grow with load and no timer is needed.
+// The batch and the macs/fps columns it is split into are reused
+// across flushes; batch and fps are cleared after each, so no
+// fingerprint or connection is retained past its flush.
 func (s *Server) dispatch() {
 	defer s.dwg.Done()
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	batch := make([]dispatchItem, 0, s.cfg.BatchSize)
+	macs := make([]string, 0, s.cfg.BatchSize)
+	fps := make([]*fingerprint.Fingerprint, 0, s.cfg.BatchSize)
 	for {
 		first, ok := <-s.queue
 		if !ok {
 			return
 		}
 		batch = append(batch[:0], first)
-		timer.Reset(s.cfg.FlushInterval)
 		open := true
-	fill:
+	drain:
 		for len(batch) < s.cfg.BatchSize {
 			select {
 			case item, more := <-s.queue:
 				if !more {
 					open = false
-					break fill
+					break drain
 				}
 				batch = append(batch, item)
-			case <-timer.C:
-				break fill
-			}
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
 			default:
+				break drain
 			}
 		}
-		s.processBatch(batch)
+		macs, fps = macs[:0], fps[:0]
+		for _, item := range batch {
+			macs = append(macs, item.mac)
+			fps = append(fps, item.fp)
+		}
+		s.processBatch(batch, macs, fps)
+		clear(batch)
+		clear(fps)
 		if !open {
 			return
 		}
 	}
 }
 
-// processBatch identifies one flush worth of requests and routes each
-// verdict back to its connection.
-func (s *Server) processBatch(batch []dispatchItem) {
+// processBatch identifies one flush worth of requests — macs and fps
+// are the batch's columns — and routes each verdict back to its
+// connection.
+func (s *Server) processBatch(batch []dispatchItem, macs []string, fps []*fingerprint.Fingerprint) {
 	s.batches.Add(1)
 	s.batchedReqs.Add(uint64(len(batch)))
 	for {
@@ -559,12 +557,6 @@ func (s *Server) processBatch(batch []dispatchItem) {
 		if uint64(len(batch)) <= cur || s.maxBatch.CompareAndSwap(cur, uint64(len(batch))) {
 			break
 		}
-	}
-	macs := make([]string, len(batch))
-	fps := make([]*fingerprint.Fingerprint, len(batch))
-	for i, item := range batch {
-		macs[i] = item.mac
-		fps[i] = item.fp
 	}
 	resps := s.svc.IdentifyBatch(macs, fps, s.cfg.Workers)
 	for i, item := range batch {

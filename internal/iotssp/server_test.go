@@ -6,11 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/devices"
 	"repro/internal/fingerprint"
 )
 
@@ -104,47 +107,181 @@ func TestServerMalformedLinesKeepConnectionAlive(t *testing.T) {
 	}
 }
 
-// TestServerBatchesAcrossConnections drives eight one-shot clients
-// concurrently against a BatchSize-4 server with a generous flush
-// budget: the dispatcher must aggregate requests from different
-// connections into shared flushes.
-func TestServerBatchesAcrossConnections(t *testing.T) {
-	svc, ds := testService(t)
-	srv, addr := startServer(t, svc, ServerConfig{
-		BatchSize:     4,
-		FlushInterval: 500 * time.Millisecond,
-	})
+// gatedBank is a Bank stub whose IdentifyBatch reports each flush's
+// size on entered and then blocks until release is closed, so a test
+// can hold the dispatcher inside a flush while it queues requests
+// behind it. Every fingerprint comes back unknown.
+type gatedBank struct {
+	entered chan int
+	release chan struct{}
+	once    sync.Once
+}
 
-	const clients = 8
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c := NewClient(addr)
-			defer c.Close()
-			mac := fmt.Sprintf("02:00:00:00:01:%02x", i)
-			resp, err := c.Identify(context.Background(), mac, ds["Aria"][i%len(ds["Aria"])])
-			if err != nil {
-				t.Errorf("client %d: %v", i, err)
-				return
-			}
-			if resp.MAC != mac {
-				t.Errorf("client %d: MAC echo %q", i, resp.MAC)
-			}
-		}(i)
-	}
-	wg.Wait()
+func (b *gatedBank) open() { b.once.Do(func() { close(b.release) }) }
 
-	st := srv.Counters()
-	if st.Requests != clients {
-		t.Fatalf("requests = %d, want %d", st.Requests, clients)
+func (b *gatedBank) Identify(*fingerprint.Fingerprint) core.Result { return core.Result{} }
+
+func (b *gatedBank) IdentifyBatch(fps []*fingerprint.Fingerprint, _ int) []core.Result {
+	b.entered <- len(fps)
+	<-b.release
+	return make([]core.Result, len(fps))
+}
+
+func (b *gatedBank) Versions() []uint64 { return []uint64{0} }
+
+func (b *gatedBank) ShardOf(string) (int, bool) { return 0, false }
+
+// startGatedServer serves an uncached service over a gatedBank with the
+// default ServerConfig (BatchSize 32). The gate opens at cleanup, ahead
+// of the server's Close.
+func startGatedServer(t *testing.T) (*Server, *gatedBank, string) {
+	t.Helper()
+	bank := &gatedBank{entered: make(chan int, 8), release: make(chan struct{})}
+	srv, addr := startServer(t, NewService(bank, ServiceConfig{CacheSize: -1}), ServerConfig{})
+	t.Cleanup(bank.open)
+	return srv, bank, addr
+}
+
+// dispatchFingerprint is the one fingerprint every dispatcher test sends.
+func dispatchFingerprint(t *testing.T) *fingerprint.Fingerprint {
+	t.Helper()
+	traces, err := devices.GenerateRuns("Aria", devices.DefaultEnv(), 1, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.MaxBatch < 4 {
-		t.Errorf("max batch = %d, want >= 4 (batches=%d, mean=%.1f)", st.MaxBatch, st.Batches, st.MeanBatch())
+	return traces[0].Fingerprint()
+}
+
+// dispatchLines returns request lines first..last (MACs derived from
+// the line number) carrying dispatchFingerprint.
+func dispatchLines(t *testing.T, first, last int) []byte {
+	t.Helper()
+	fp := dispatchFingerprint(t)
+	var payload []byte
+	for i := first; i <= last; i++ {
+		payload = append(payload, requestLine(t, fmt.Sprintf("02:00:00:00:%02x:%02x", i>>8, i&0xff), fp)...)
 	}
-	if st.ConnsAccepted != clients {
-		t.Errorf("conns accepted = %d", st.ConnsAccepted)
+	return payload
+}
+
+// waitQueued yields until n requests wait in the dispatcher's queue.
+func waitQueued(srv *Server, n int) {
+	for len(srv.queue) < n {
+		runtime.Gosched()
+	}
+}
+
+// wantFlushes checks the sizes of the next flushes to enter the bank.
+func wantFlushes(t *testing.T, bank *gatedBank, sizes ...int) {
+	t.Helper()
+	for i, want := range sizes {
+		if got := <-bank.entered; got != want {
+			t.Fatalf("flush %d: %d requests, want %d", i, got, want)
+		}
+	}
+}
+
+// TestDispatchLoneRequestFlushesAlone sends one request to an idle
+// server: it must reach the bank as a batch of one and be answered,
+// with no timer to wait out for a batch that will never fill.
+func TestDispatchLoneRequestFlushesAlone(t *testing.T) {
+	srv, bank, addr := startGatedServer(t)
+	bank.open()
+
+	c := NewClient(addr)
+	defer c.Close()
+	const mac = "02:00:00:00:01:01"
+	resp, err := c.Identify(context.Background(), mac, dispatchFingerprint(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Error != "" || resp.MAC != mac || resp.Known {
+		t.Errorf("response = %+v, want an unknown verdict for %s", resp, mac)
+	}
+	wantFlushes(t, bank, 1)
+	if st := srv.Counters(); st.Batches != 1 || st.BatchedRequests != 1 || st.MaxBatch != 1 {
+		t.Errorf("batches=%d batched=%d max=%d, want 1/1/1", st.Batches, st.BatchedRequests, st.MaxBatch)
+	}
+}
+
+// TestDispatchDrainsQueueIntoFullBatches holds a first flush in the
+// bank while 64 more requests queue behind it: once released, the
+// queued requests must leave as exactly two full batches of 32, and
+// every request must be answered with its own line.
+func TestDispatchDrainsQueueIntoFullBatches(t *testing.T) {
+	srv, bank, addr := startGatedServer(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	if _, err := conn.Write(dispatchLines(t, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	wantFlushes(t, bank, 1)
+	if _, err := conn.Write(dispatchLines(t, 2, 65)); err != nil {
+		t.Fatal(err)
+	}
+	waitQueued(srv, 64)
+	bank.open()
+
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(conn)
+	seen := make(map[uint64]bool)
+	for i := 0; i < 65; i++ {
+		raw, err := br.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		var resp Response
+		if err := json.Unmarshal(raw, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Error != "" || resp.Line < 1 || resp.Line > 65 || seen[resp.Line] {
+			t.Fatalf("response %d = %+v", i, resp)
+		}
+		seen[resp.Line] = true
+	}
+	wantFlushes(t, bank, 32, 32)
+	if st := srv.Counters(); st.Batches != 3 || st.BatchedRequests != 65 || st.MaxBatch != 32 {
+		t.Errorf("batches=%d batched=%d max=%d, want 3/65/32", st.Batches, st.BatchedRequests, st.MaxBatch)
+	}
+}
+
+// TestDispatchCloseFlushesQueuedRequests closes the server while one
+// flush is held in the bank and 40 requests are still queued: Close
+// must not return before every queued request has been flushed through
+// the bank, the last ones in a short batch taken as the queue closes.
+func TestDispatchCloseFlushesQueuedRequests(t *testing.T) {
+	srv, bank, addr := startGatedServer(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	if _, err := conn.Write(dispatchLines(t, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	wantFlushes(t, bank, 1)
+	if _, err := conn.Write(dispatchLines(t, 2, 41)); err != nil {
+		t.Fatal(err)
+	}
+	waitQueued(srv, 40)
+
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	for srv.Healthy() {
+		runtime.Gosched()
+	}
+	bank.open()
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	wantFlushes(t, bank, 32, 8)
+	if st := srv.Counters(); st.Batches != 3 || st.BatchedRequests != 41 {
+		t.Errorf("batches=%d batched=%d, want 3/41", st.Batches, st.BatchedRequests)
 	}
 }
 
@@ -279,7 +416,7 @@ func TestServerConnectionLimit(t *testing.T) {
 // matched to its request by MAC and line, whatever the arrival order.
 func TestServerOutOfOrderResponsesCarryCorrelation(t *testing.T) {
 	svc, ds := testService(t)
-	_, addr := startServer(t, svc, ServerConfig{BatchSize: 4, FlushInterval: 20 * time.Millisecond})
+	_, addr := startServer(t, svc, ServerConfig{BatchSize: 4})
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
