@@ -105,6 +105,9 @@ func run(args []string) error {
 	cfg := experiments.IdentConfig{
 		Runs: *runs, Folds: *folds, Repeats: *repeats, Trees: *trees, Seed: *seed,
 	}
+	// The serving experiments train on half the runs and hold the rest of
+	// their workload shape at each experiment's defaults.
+	load := experiments.Load{Runs: *runs / 2, Trees: *trees, Seed: *seed}
 
 	wantCV := false
 	for _, e := range []string{"fig5", "table3", "all"} {
@@ -154,9 +157,7 @@ func run(args []string) error {
 
 	if *experiment == "service" || *experiment == "all" {
 		fmt.Println()
-		res, err := experiments.RunService(experiments.ServiceConfig{
-			Runs: *runs / 2, Trees: *trees, Seed: *seed,
-		})
+		res, err := experiments.RunService(experiments.ServiceConfig{Load: load})
 		if err != nil {
 			return err
 		}
@@ -166,12 +167,10 @@ func run(args []string) error {
 	if *experiment == "fleet" || *experiment == "all" {
 		fmt.Println()
 		res, err := experiments.RunFleet(experiments.FleetConfig{
-			Runs:       *runs / 2,
-			Trees:      *trees,
+			Load:       load,
 			Shards:     *shards,
 			Backends:   *backends,
 			MinScaling: *minScaling,
-			Seed:       *seed,
 		})
 		if err != nil {
 			return err
@@ -182,10 +181,8 @@ func run(args []string) error {
 	if *experiment == "distributed" || *experiment == "all" {
 		fmt.Println()
 		res, err := experiments.RunDistributed(experiments.DistributedConfig{
-			Runs:        *runs / 2,
-			Trees:       *trees,
+			Load:        load,
 			Shards:      *shards,
-			Seed:        *seed,
 			Wire:        wireMode,
 			MinWireGain: wireGain,
 		})
@@ -208,12 +205,10 @@ func run(args []string) error {
 			}
 		}
 		res, err := experiments.RunReplicatedShards(experiments.ReplicatedConfig{
-			Runs:        *runs / 2,
-			Trees:       *trees,
+			Load:        load,
 			Shards:      *shards,
 			Replicas:    *replicas,
 			MaxP99Ratio: ratio,
-			Seed:        *seed,
 			Wire:        wireMode,
 			MinWireGain: wireGain,
 		})
@@ -234,12 +229,10 @@ func run(args []string) error {
 			}
 		}
 		res, err := experiments.RunRebalance(experiments.RebalanceConfig{
-			Runs:        *runs / 2,
-			Trees:       *trees,
+			Load:        load,
 			Replicas:    *replicas,
 			MaxP99Ratio: ratio,
 			Mint:        mintStrategy,
-			Seed:        *seed,
 			Wire:        wireMode,
 		})
 		if err != nil {

@@ -58,10 +58,13 @@
 // bank's IdentifyBatch as soon as the previous flush returns (no
 // timer: batches grow with load, a lone request leaves at once),
 // answering overload with retryable backpressure responses instead of
-// unbounded queues. Verdicts are cached in an LRU keyed by the canonical
-// fingerprint hash (fingerprint.Hash), with singleflight collapsing of
-// duplicate in-flight fingerprints — the fleet's repeat device models
-// cost a cache probe instead of a forest pass. On the client side,
+// unbounded queues. Identification results are cached in an LRU keyed
+// by the canonical fingerprint hash (fingerprint.Hash), with
+// singleflight collapsing of duplicate in-flight fingerprints — the
+// fleet's repeat device models cost a cache probe instead of a forest
+// pass — while the isolation level is assessed against the
+// vulnerability repository on every request, so a new advisory
+// re-levels the next verdict. On the client side,
 // gateway.Pool multiplexes pipelined requests over N persistent
 // connections (correlated by MAC and line, reconnecting with jittered
 // backoff from a per-pool seeded source), and the compact packed wire
@@ -69,7 +72,12 @@
 // The load experiment (experiments.RunService) replays a multi-gateway
 // fleet workload over TCP and reports throughput against the
 // per-request baseline, cache hit rate, latency percentiles and a
-// single JSON metrics snapshot.
+// single JSON metrics snapshot. It and the four serving drills below
+// (fleet, distributed, replicated, rebalance) share one replay harness:
+// one workload builder, one closed-loop phase runner over gateway
+// pools that records verdicts in request order, counts lost requests
+// and fires each drill from the request that crosses its threshold,
+// and one experiments.Load shape embedded in every config.
 //
 // The identification path scales horizontally. core.ShardedBank
 // partitions the per-type classifiers across N independent shards —
@@ -92,8 +100,8 @@
 //
 // Every wire client rides one transport. internal/lineconn owns the
 // pipelined line-correlated connection that gateway.Pool (and so
-// FleetPool), iotssp.RemoteShard, iotssp.ShardGroup and the legacy
-// iotssp.Client all used to hand-roll: request lines are counted per
+// FleetPool), iotssp.RemoteShard and iotssp.ShardGroup each used to
+// hand-roll: request lines are counted per
 // connection, responses correlate to waiters by the server's line echo,
 // a generation guard keeps responses buffered from a severed connection
 // from resolving waiters on its replacement, and any transport failure

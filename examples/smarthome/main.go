@@ -63,11 +63,11 @@ func main() {
 		Filtering: true,
 		PSKSeed:   11,
 	}
-	// The TCP client satisfies the gateway's Identifier interface
-	// directly: fingerprints travel to the IoTSSP over a real socket.
-	client := iotssp.NewClient(lis.Addr().String())
-	defer client.Close()
-	gw := gateway.New(gwCfg, client)
+	// The pooled TCP client satisfies the gateway's Identifier interface
+	// directly: fingerprints travel to the IoTSSP over real sockets.
+	pool := gateway.NewPool(lis.Addr().String(), gateway.PoolConfig{})
+	defer pool.Close()
+	gw := gateway.New(gwCfg, pool)
 
 	start := time.Date(2016, 3, 1, 10, 0, 0, 0, time.UTC)
 	n := netsim.New(3, start)

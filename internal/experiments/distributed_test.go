@@ -14,16 +14,18 @@ import (
 // errors if any of those properties fail).
 func TestRunDistributedTinyConfig(t *testing.T) {
 	res, err := RunDistributed(DistributedConfig{
-		Types:       5,
-		Runs:        5,
-		Trees:       15,
-		ProbeModels: 1,
-		Requests:    96,
-		Gateways:    2,
-		InFlight:    4,
-		Shards:      2,
-		BatchSize:   8,
-		Seed:        13,
+		Load: Load{
+			Types:       5,
+			Runs:        5,
+			Trees:       15,
+			ProbeModels: 1,
+			Requests:    96,
+			Gateways:    2,
+			InFlight:    4,
+			BatchSize:   8,
+			Seed:        13,
+		},
+		Shards: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,16 +74,18 @@ func TestRunDistributedWireDict(t *testing.T) {
 	for _, wire := range []iotssp.WireMode{iotssp.WireDict, iotssp.WireDictFlate} {
 		t.Run(wire.String(), func(t *testing.T) {
 			res, err := RunDistributed(DistributedConfig{
-				Types:       5,
-				Runs:        5,
-				Trees:       15,
-				ProbeModels: 1,
-				Requests:    512,
-				Gateways:    2,
-				InFlight:    8,
+				Load: Load{
+					Types:       5,
+					Runs:        5,
+					Trees:       15,
+					ProbeModels: 1,
+					Requests:    512,
+					Gateways:    2,
+					InFlight:    8,
+					BatchSize:   16,
+					Seed:        13,
+				},
 				Shards:      2,
-				BatchSize:   16,
-				Seed:        13,
 				Wire:        wire,
 				MinWireGain: 5,
 			})
@@ -111,7 +115,7 @@ func TestRunDistributedWireDict(t *testing.T) {
 // TestRunDistributedRejectsFullCatalog: the canary type must exist
 // beyond the enrolled set.
 func TestRunDistributedRejectsFullCatalog(t *testing.T) {
-	if _, err := RunDistributed(DistributedConfig{Types: 27}); err == nil {
+	if _, err := RunDistributed(DistributedConfig{Load: Load{Types: 27}}); err == nil {
 		t.Error("full-catalog distributed config accepted despite having no canary type left")
 	}
 }

@@ -1,110 +1,47 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/controlplane"
-	"repro/internal/core"
 	"repro/internal/devices"
-	"repro/internal/fingerprint"
 	"repro/internal/gateway"
 	"repro/internal/iotssp"
-	"repro/internal/ml"
-	"repro/internal/vulndb"
 )
 
 // FleetConfig parameterizes the replicated-fleet experiment: a
 // sharded classifier bank served by several IoTSSP replicas behind
 // health-aware, consistent-hashing gateway clients, with one backend
-// killed (and revived) mid-run.
+// killed (and revived) mid-run. Load's zero fields default to 9 types
+// (the next catalog type is the canary enrolment of the
+// shard-scoped cache-invalidation check), 512 requests per phase, 4
+// gateways — each with its own FleetPool and health view — with 16
+// requests in flight each, and batch 32.
 type FleetConfig struct {
-	// Types is the number of enrolled device-types (0 means 9). It must
-	// stay below the full catalog: the next catalog type is held out as
-	// the canary enrolment for the shard-scoped cache-invalidation
-	// check.
-	Types int
-	// Runs is the number of training fingerprints per type (0 means 8).
-	Runs int
-	// Trees is the per-type forest size (0 means 100).
-	Trees int
-	// ProbeModels is the number of distinct probe fingerprints per type
-	// the fleet workload draws from (0 means 2).
-	ProbeModels int
-	// Requests is the total identification requests replayed per phase
-	// (0 means 512).
-	Requests int
-	// Gateways is the number of concurrent gateway clients (0 means 4),
-	// each with its own FleetPool and health view.
-	Gateways int
-	// InFlight is each gateway's concurrent in-flight requests (0 means
-	// 16).
-	InFlight int
+	Load
 	// Shards is the classifier-bank shard count (0 means 2).
 	Shards int
 	// Backends is the replica count of the fleet phase (0 means 2). The
 	// baseline phase always runs one backend over an unsharded bank —
 	// the PR 2 service mode.
 	Backends int
-	// BatchSize, CacheSize and Workers tune the serving loop as in
-	// ServiceConfig.
-	BatchSize int
-	CacheSize int
-	Workers   int
-	// NoKill disables the mid-run backend kill (the failover drill runs
-	// by default whenever Backends > 1).
-	NoKill bool
-	// NoRestart leaves the killed backend down instead of reviving it at
-	// two-thirds of the run.
-	NoRestart bool
 	// MinScaling, when positive, makes RunFleet fail unless fleet
 	// throughput reaches MinScaling × the single-backend baseline.
 	MinScaling float64
-	// Seed drives dataset generation, training and workload sampling.
-	Seed int64
 }
 
 func (c FleetConfig) withDefaults() (FleetConfig, error) {
-	if c.Types == 0 {
-		c.Types = 9
-	}
+	c.Load = c.Load.withDefaults(Load{Types: 9, Requests: 512, Gateways: 4, InFlight: 16, BatchSize: 32})
 	if c.Types < 2 || c.Types >= len(devices.Names()) {
 		return c, fmt.Errorf("experiments: fleet Types must be in [2, %d) to leave a canary type", len(devices.Names()))
-	}
-	if c.Runs == 0 {
-		c.Runs = 8
-	}
-	if c.Trees == 0 {
-		c.Trees = 100
-	}
-	if c.ProbeModels == 0 {
-		c.ProbeModels = 2
-	}
-	if c.Requests == 0 {
-		c.Requests = 512
-	}
-	if c.Gateways == 0 {
-		c.Gateways = 4
-	}
-	if c.InFlight == 0 {
-		c.InFlight = 16
 	}
 	if c.Shards == 0 {
 		c.Shards = 2
 	}
 	if c.Backends == 0 {
 		c.Backends = 2
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 32
-	}
-	if c.CacheSize == 0 {
-		c.CacheSize = iotssp.DefaultCacheSize
 	}
 	return c, nil
 }
@@ -125,8 +62,9 @@ type FleetResult struct {
 	FleetPerSec    float64
 	Scaling        float64
 
-	// KilledBackend is the replica stopped mid-run (-1 when the drill
-	// was disabled); Restarted reports whether it was revived.
+	// KilledBackend is the replica stopped mid-run (-1 with a single
+	// backend: nothing to fail over to); Restarted reports whether it
+	// was revived.
 	KilledBackend int
 	Restarted     bool
 	// Lost counts requests that returned no verdict — the zero-loss
@@ -153,176 +91,34 @@ type FleetResult struct {
 	Metrics *MetricsSnapshot
 }
 
-// buildFleetWorkload samples the training corpus and the shared
-// workload; it also returns the canary type's training prints for the
-// invalidation check.
-func buildFleetWorkload(cfg FleetConfig) (map[string][]*fingerprint.Fingerprint, *serviceWorkload, string, []*fingerprint.Fingerprint, error) {
-	env := devices.DefaultEnv()
-	ds, err := devices.GenerateDataset(env, cfg.Seed, cfg.Runs+cfg.ProbeModels)
-	if err != nil {
-		return nil, nil, "", nil, err
-	}
-	names := devices.Names()[:cfg.Types]
-	canary := devices.Names()[cfg.Types]
-	train := make(map[string][]*fingerprint.Fingerprint, len(names))
-	var probes []*fingerprint.Fingerprint
-	for _, name := range names {
-		prints := ds[name]
-		train[name] = prints[:cfg.Runs]
-		probes = append(probes, prints[cfg.Runs:]...)
-	}
-
-	w := &serviceWorkload{probes: probes}
-	w.model = make([]int, cfg.Requests)
-	w.macs = make([]string, cfg.Requests)
-	state := uint64(cfg.Seed)*6364136223846793005 + 1442695040888963407
-	for i := range w.model {
-		state = state*6364136223846793005 + 1442695040888963407
-		w.model[i] = int(state>>33) % len(probes)
-		w.macs[i] = fmt.Sprintf("02:f2:%02x:%02x:%02x:%02x", (i>>24)&0xff, (i>>16)&0xff, (i>>8)&0xff, i&0xff)
-	}
-	return train, w, canary, ds[canary][:cfg.Runs], nil
-}
-
-// localTopology deals the training set's types round-robin over shards
-// local partitions — the TrainSharded placement, assembled declaratively.
-func localTopology(train map[string][]*fingerprint.Fingerprint, shards int) controlplane.Topology {
-	names := make([]string, 0, len(train))
-	for name := range train {
-		names = append(names, name)
-	}
-	parts := make([]controlplane.PartitionSpec, 0, shards)
-	for _, types := range controlplane.RoundRobin(names, shards) {
-		parts = append(parts, controlplane.PartitionSpec{Types: types, Local: true})
-	}
-	return controlplane.Topology{Partitions: parts}
-}
-
-// runFleetPhase replays the workload through per-gateway FleetPools
-// against the cluster's frontends, optionally killing (and reviving)
-// one as the request cursor crosses a third (two-thirds) of the run.
-// It returns the elapsed wall time, per-request latencies, each
-// gateway's fleet-pool stats, the number of lost requests, and whether
-// the killed frontend was revived.
-func runFleetPhase(cl *controlplane.Cluster, w *serviceWorkload, cfg FleetConfig, kill int) (time.Duration, []time.Duration, []gateway.FleetPoolStats, int, bool) {
-	addrs := cl.Addrs()
-	pools := make([]*gateway.FleetPool, cfg.Gateways)
-	for g := range pools {
-		pools[g] = gateway.NewFleetPool(addrs, gateway.FleetPoolConfig{
+// fleetPools opens one health-aware FleetPool per gateway over the
+// fleet's backend addresses.
+func fleetPools(addrs []string, l Load) []*gateway.FleetPool {
+	out := make([]*gateway.FleetPool, l.Gateways)
+	for g := range out {
+		out[g] = gateway.NewFleetPool(addrs, gateway.FleetPoolConfig{
 			Pool: gateway.PoolConfig{
 				Conns:        2,
 				MaxRetries:   2,
 				RetryBackoff: 2 * time.Millisecond,
-				Seed:         cfg.Seed + int64(g),
+				Seed:         l.Seed + int64(g),
 			},
 			FailureThreshold: 2,
 			ProbeBackoff:     5 * time.Millisecond,
 			MaxProbeBackoff:  100 * time.Millisecond,
 		})
 	}
-	defer func() {
-		for _, p := range pools {
-			p.Close()
-		}
-	}()
-
-	var cursor atomic.Int64
-	var lost atomic.Int64
-	restarted := false
-	killDone := make(chan struct{})
-	if kill >= 0 {
-		go func() {
-			defer close(killDone)
-			killAt := int64(cfg.Requests / 3)
-			reviveAt := int64(2 * cfg.Requests / 3)
-			for cursor.Load() < killAt {
-				time.Sleep(200 * time.Microsecond)
-			}
-			cl.Frontend(kill).Stop()
-			if cfg.NoRestart {
-				return
-			}
-			for cursor.Load() < reviveAt {
-				time.Sleep(200 * time.Microsecond)
-			}
-			if err := cl.Frontend(kill).Start(); err == nil {
-				restarted = true
-			}
-		}()
-	} else {
-		close(killDone)
-	}
-
-	lats := make([][]time.Duration, cfg.Gateways*cfg.InFlight)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for g := 0; g < cfg.Gateways; g++ {
-		for k := 0; k < cfg.InFlight; k++ {
-			wg.Add(1)
-			go func(g, slot int) {
-				defer wg.Done()
-				pool := pools[g]
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(w.model) {
-						return
-					}
-					t0 := time.Now()
-					resp, err := pool.Identify(context.Background(), w.macs[i], w.probes[w.model[i]])
-					if err != nil || resp.MAC != w.macs[i] {
-						lost.Add(1)
-						continue
-					}
-					lats[slot] = append(lats[slot], time.Since(t0))
-				}
-			}(g, g*cfg.InFlight+k)
-		}
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	<-killDone
-
-	var all []time.Duration
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	poolStats := make([]gateway.FleetPoolStats, len(pools))
-	for g, p := range pools {
-		poolStats[g] = p.Counters()
-	}
-	return elapsed, all, poolStats, int(lost.Load()), restarted
-}
-
-// warmFleetCache pushes every distinct probe model through one backend
-// so the shared verdict cache is warm before a timed phase.
-func warmFleetCache(addr string, w *serviceWorkload, seed int64) error {
-	warm := gateway.NewPool(addr, gateway.PoolConfig{Conns: 2, Seed: seed})
-	defer warm.Close()
-	for i, fp := range w.probes {
-		if _, err := warm.Identify(context.Background(), fmt.Sprintf("02:f3:00:00:00:%02x", i), fp); err != nil {
-			return fmt.Errorf("warming cache: %w", err)
-		}
-	}
-	return nil
+	return out
 }
 
 // checkShardScopedInvalidation enrolls the canary type through the
 // cluster's control plane and verifies with cache counters that exactly
 // the cached verdicts depending on the enrolled shard were invalidated.
 // Returns (shard, dependent, independent).
-func checkShardScopedInvalidation(svc *iotssp.Service, cl *controlplane.Cluster, w *serviceWorkload, canary string, prints []*fingerprint.Fingerprint) (int, int, int, error) {
+func checkShardScopedInvalidation(svc *iotssp.Service, cl *controlplane.Cluster, w *workload) (int, int, int, error) {
 	bank := cl.Bank()
-	// Distinct probe fingerprints only: device setup runs can repeat
-	// bit-identically, and duplicates would share one cache entry and
-	// double-count in the expectations below.
-	var probes []*fingerprint.Fingerprint
-	seenFP := make(map[uint64]bool)
-	for _, fp := range w.probes {
-		if h := fp.Hash(); !seenFP[h] {
-			seenFP[h] = true
-			probes = append(probes, fp)
-		}
-	}
+	canary := w.canary
+	probes := w.distinctProbes()
 
 	// Record each probe's pre-enrolment shard dependencies and make
 	// sure its verdict is cached.
@@ -346,7 +142,7 @@ func checkShardScopedInvalidation(svc *iotssp.Service, cl *controlplane.Cluster,
 	}
 	st0 := svc.CacheStats()
 
-	if err := cl.Enroll(canary, prints); err != nil {
+	if err := cl.Enroll(canary, w.canaryPrints); err != nil {
 		return 0, 0, 0, fmt.Errorf("enrolling canary %q: %w", canary, err)
 	}
 	shard, ok := bank.ShardOf(canary)
@@ -411,7 +207,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	train, w, canary, canaryPrints, err := buildFleetWorkload(cfg)
+	w, err := buildWorkload(cfg.Load, 0xf2)
 	if err != nil {
 		return nil, err
 	}
@@ -423,94 +219,72 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		Requests:      cfg.Requests,
 		Gateways:      cfg.Gateways,
 		KilledBackend: -1,
-		CanaryType:    canary,
-	}
-	coreCfg := core.BankConfig{Forest: ml.ForestConfig{Trees: cfg.Trees}, Seed: cfg.Seed}
-	scfg := iotssp.ServerConfig{
-		BatchSize: cfg.BatchSize,
-		Workers:   cfg.Workers,
+		CanaryType:    w.canary,
 	}
 
 	// Phase 1 — single-backend baseline (PR 2 service mode).
-	baseCl, err := controlplane.Assemble(controlplane.ClusterConfig{
-		Core:      coreCfg,
-		Server:    scfg,
-		CacheSize: cfg.CacheSize,
-		DB:        vulndb.Seeded(),
-	}, localTopology(train, 1), train)
+	baseCl, err := controlplane.Assemble(cfg.cluster(cfg.CacheSize), topology(w.train, 1, -1, 0), w.train)
 	if err != nil {
 		return nil, err
 	}
-	if err := warmFleetCache(baseCl.Addr(), w, cfg.Seed); err != nil {
+	if err := warmCache(baseCl.Addr(), w, cfg.Seed); err != nil {
 		baseCl.Close()
 		return nil, err
 	}
-	baseElapsed, _, _, baseLost, _ := runFleetPhase(baseCl, w, cfg, -1)
+	base := replay(fleetPools(baseCl.Addrs(), cfg.Load), w, cfg.InFlight)
 	baseCl.Close()
-	if baseLost > 0 {
-		return nil, fmt.Errorf("baseline phase lost %d verdicts with no failure injected", baseLost)
+	if base.lost > 0 {
+		return nil, fmt.Errorf("baseline phase lost %d verdicts with no failure injected", base.lost)
 	}
-	res.BaselinePerSec = float64(cfg.Requests) / baseElapsed.Seconds()
+	res.BaselinePerSec = base.perSec
 
 	// Phase 2 — the replicated fleet over the sharded bank, with the
-	// mid-run kill.
-	cl, err := controlplane.Assemble(controlplane.ClusterConfig{
-		Core:      coreCfg,
-		Server:    scfg,
-		CacheSize: cfg.CacheSize,
-		Frontends: cfg.Backends,
-		DB:        vulndb.Seeded(),
-	}, localTopology(train, cfg.Shards), train)
+	// mid-run kill: the last backend stops a third of the way in and is
+	// revived two-thirds in.
+	fleetCfg := cfg.cluster(cfg.CacheSize)
+	fleetCfg.Frontends = cfg.Backends
+	cl, err := controlplane.Assemble(fleetCfg, topology(w.train, cfg.Shards, -1, 0), w.train)
 	if err != nil {
 		return nil, err
 	}
 	defer cl.Close()
 	svc := cl.Service()
-	if err := warmFleetCache(cl.Addr(), w, cfg.Seed); err != nil {
+	if err := warmCache(cl.Addr(), w, cfg.Seed); err != nil {
 		return nil, err
 	}
-	warmStats := svc.CacheStats()
+	warm := svc.CacheStats()
 
-	kill := -1
-	if !cfg.NoKill && cfg.Backends > 1 {
-		kill = cfg.Backends - 1
+	var drills []drill
+	if cfg.Backends > 1 {
+		res.KilledBackend = cfg.Backends - 1
+		fe := cl.Frontend(res.KilledBackend)
+		drills = []drill{
+			{after: cfg.Requests / 3, fn: func() { fe.Stop() }},
+			{after: 2 * cfg.Requests / 3, fn: func() { res.Restarted = fe.Start() == nil }},
+		}
 	}
-	elapsed, lats, poolStats, lost, restarted := runFleetPhase(cl, w, cfg, kill)
-	res.FleetPerSec = float64(cfg.Requests) / elapsed.Seconds()
+	clients := fleetPools(cl.Addrs(), cfg.Load)
+	ph := replay(clients, w, cfg.InFlight, drills...)
+	res.FleetPerSec = ph.perSec
 	res.Scaling = res.FleetPerSec / res.BaselinePerSec
-	res.KilledBackend = kill
-	res.Restarted = restarted
-	res.Lost = lost
-	for _, ps := range poolStats {
-		res.Failovers += ps.Failovers
+	res.Lost = ph.lost
+	for _, c := range clients {
+		res.Failovers += c.Counters().Failovers
 	}
+	res.CacheHitRate = hitRate(warm, svc.CacheStats())
+	res.P50, res.P99 = ph.p50, ph.p99
+	res.Metrics = ph.metrics("fleet", cl)
 
-	c := svc.CacheStats()
-	served := (c.Hits + c.Shared) - (warmStats.Hits + warmStats.Shared)
-	computed := c.Misses - warmStats.Misses
-	if served+computed > 0 {
-		res.CacheHitRate = float64(served) / float64(served+computed)
+	if ph.lost > 0 {
+		return res, fmt.Errorf("fleet lost %d of %d verdicts across the backend kill (want zero: failed requests must retry onto healthy replicas)", ph.lost, cfg.Requests)
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	if len(lats) > 0 {
-		res.P50 = lats[len(lats)/2]
-		res.P99 = lats[len(lats)*99/100]
-	}
-	res.Metrics = &MetricsSnapshot{Experiment: "fleet", Components: cl.Snapshots()}
-	for _, ps := range poolStats {
-		res.Metrics.Components = append(res.Metrics.Components, ps.Snapshot())
-	}
-
-	if lost > 0 {
-		return res, fmt.Errorf("fleet lost %d of %d verdicts across the backend kill (want zero: failed requests must retry onto healthy replicas)", lost, cfg.Requests)
-	}
-	if kill >= 0 && res.Failovers == 0 {
-		return res, fmt.Errorf("backend %d was killed but no request failed over: the drill did not exercise failover", kill)
+	if res.KilledBackend >= 0 && res.Failovers == 0 {
+		return res, fmt.Errorf("backend %d was killed but no request failed over: the drill did not exercise failover", res.KilledBackend)
 	}
 
 	// Phase 3 — shard-scoped cache invalidation via the canary
 	// enrolment.
-	shard, dependent, independent, err := checkShardScopedInvalidation(svc, cl, w, canary, canaryPrints)
+	shard, dependent, independent, err := checkShardScopedInvalidation(svc, cl, w)
 	res.CanaryShard = shard
 	res.DependentProbes = dependent
 	res.IndependentProbes = independent

@@ -13,17 +13,19 @@ import (
 // properties fail).
 func TestRunFleetTinyConfig(t *testing.T) {
 	res, err := RunFleet(FleetConfig{
-		Types:       6,
-		Runs:        5,
-		Trees:       15,
-		ProbeModels: 1,
-		Requests:    96,
-		Gateways:    2,
-		InFlight:    4,
-		Shards:      2,
-		Backends:    2,
-		BatchSize:   8,
-		Seed:        11,
+		Load: Load{
+			Types:       6,
+			Runs:        5,
+			Trees:       15,
+			ProbeModels: 1,
+			Requests:    96,
+			Gateways:    2,
+			InFlight:    4,
+			BatchSize:   8,
+			Seed:        11,
+		},
+		Shards:   2,
+		Backends: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,10 +72,12 @@ func TestRunFleetScalesOverSingleBackend(t *testing.T) {
 		t.Skip("fleet load experiment in -short mode")
 	}
 	res, err := RunFleet(FleetConfig{
-		Runs:     6,
-		Trees:    100,
-		Requests: 4096,
-		Seed:     5,
+		Load: Load{
+			Runs:     6,
+			Trees:    100,
+			Requests: 4096,
+			Seed:     5,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +99,7 @@ func TestRunFleetScalesOverSingleBackend(t *testing.T) {
 // TestRunFleetRejectsFullCatalog: the canary type must exist beyond the
 // enrolled set.
 func TestRunFleetRejectsFullCatalog(t *testing.T) {
-	if _, err := RunFleet(FleetConfig{Types: 27}); err == nil {
+	if _, err := RunFleet(FleetConfig{Load: Load{Types: 27}}); err == nil {
 		t.Error("full-catalog fleet config accepted despite having no canary type left")
 	}
 }

@@ -10,53 +10,29 @@ import (
 	"repro/internal/devices"
 	"repro/internal/fingerprint"
 	"repro/internal/iotssp"
-	"repro/internal/ml"
 	"repro/internal/stats"
-	"repro/internal/vulndb"
 )
 
 // RebalanceConfig parameterizes the live-topology experiment: a
 // three-partition cluster (local source, replicated remote target,
 // local bystander) rebalanced mid-run by the control plane — two type
 // migrations and a rolling shard-group member replacement — while
-// gateway clients keep replaying the workload.
+// gateway clients keep replaying the workload. Load's zero fields
+// default to 9 types dealt round-robin over the three partitions, 384
+// requests per phase, 2 gateways with 8 in flight each, and batch 16;
+// Load.CacheSize sizes only the invalidation audit's cache, the timed
+// phases run uncached so every request exercises the topology.
 type RebalanceConfig struct {
-	// Types is the number of enrolled device-types (0 means 9); the
-	// partition deals them round-robin over the three partitions.
-	Types int
-	// Runs is the number of training fingerprints per type (0 means 8).
-	Runs int
-	// Trees is the per-type forest size (0 means 100).
-	Trees int
-	// ProbeModels is the number of distinct probe fingerprints per type
-	// the workload draws from (0 means 2).
-	ProbeModels int
-	// Requests is the total identification requests replayed per phase
-	// (0 means 384).
-	Requests int
-	// Gateways is the number of concurrent gateway clients (0 means 2),
-	// InFlight each gateway's concurrent requests (0 means 8).
-	Gateways int
-	InFlight int
+	Load
 	// Replicas is the remote target partition's shard-group member count
 	// (0 means 2; must be >= 2 so a member can be replaced live).
 	Replicas int
-	// BatchSize and Workers tune the front server's dispatcher as in
-	// ServiceConfig. CacheSize sizes the verdict cache of the
-	// invalidation phase (0 selects the default); the timed
-	// phases run uncached so every request exercises the topology.
-	BatchSize int
-	CacheSize int
-	Workers   int
 	// Mint selects the minting strategy of every member replacement the
 	// experiment runs (controlplane.MintAuto, MintSnapshot or
 	// MintReplay); sentinel-eval's -mint flag maps onto it. Whatever the
 	// roll uses, the mint audit times both paths and asserts them
 	// bit-identical.
 	Mint controlplane.MintStrategy
-	// NoRebalance replays the live phase without any topology change
-	// (debug escape hatch; the headline assertions are skipped).
-	NoRebalance bool
 	// MaxP99Ratio fails the experiment unless the rebalancing run's p99
 	// latency stays within this multiple of the steady run's p99. 0
 	// reports the ratio without asserting (callers gate the assertion on
@@ -68,34 +44,12 @@ type RebalanceConfig struct {
 	// distributed/replicated experiments own that assertion — but the
 	// drills then exercise dictionary resets across member replacement.
 	Wire iotssp.WireMode
-	// Seed drives dataset generation, training and workload sampling.
-	Seed int64
 }
 
 func (c RebalanceConfig) withDefaults() (RebalanceConfig, error) {
-	if c.Types == 0 {
-		c.Types = 9
-	}
+	c.Load = c.Load.withDefaults(Load{Types: 9, Requests: 384, Gateways: 2, InFlight: 8, BatchSize: 16})
 	if c.Types < 6 || c.Types >= len(devices.Names()) {
 		return c, fmt.Errorf("experiments: rebalance Types must be in [6, %d) so each of the three partitions keeps at least one type through the migrations", len(devices.Names()))
-	}
-	if c.Runs == 0 {
-		c.Runs = 8
-	}
-	if c.Trees == 0 {
-		c.Trees = 100
-	}
-	if c.ProbeModels == 0 {
-		c.ProbeModels = 2
-	}
-	if c.Requests == 0 {
-		c.Requests = 384
-	}
-	if c.Gateways == 0 {
-		c.Gateways = 2
-	}
-	if c.InFlight == 0 {
-		c.InFlight = 8
 	}
 	if c.Replicas == 0 {
 		c.Replicas = 2
@@ -103,18 +57,7 @@ func (c RebalanceConfig) withDefaults() (RebalanceConfig, error) {
 	if c.Replicas < 2 {
 		return c, fmt.Errorf("experiments: rebalance Replicas must be >= 2 (member replacement needs a group)")
 	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 16
-	}
-	if c.CacheSize == 0 {
-		c.CacheSize = iotssp.DefaultCacheSize
-	}
 	return c, nil
-}
-
-// phase shapes the experiment's replay phases.
-func (c RebalanceConfig) phase() wirePhase {
-	return wirePhase{Requests: c.Requests, Gateways: c.Gateways, InFlight: c.InFlight, Seed: c.Seed, Wire: c.Wire}
 }
 
 // rebalanceShards is the experiment's fixed partition count: a local
@@ -185,44 +128,6 @@ type RebalanceResult struct {
 	Metrics *MetricsSnapshot
 }
 
-// rebalanceTopology deals the types over the three partitions:
-// partition 1 is the remote shard group, 0 and 2 are local.
-func rebalanceTopology(train map[string][]*fingerprint.Fingerprint, replicas int) controlplane.Topology {
-	names := make([]string, 0, len(train))
-	for name := range train {
-		names = append(names, name)
-	}
-	parts := make([]controlplane.PartitionSpec, 0, rebalanceShards)
-	for s, types := range controlplane.RoundRobin(names, rebalanceShards) {
-		spec := controlplane.PartitionSpec{Types: types, Local: s != 1}
-		if s == 1 {
-			spec.Members = replicas
-		}
-		parts = append(parts, spec)
-	}
-	return controlplane.Topology{Partitions: parts}
-}
-
-// assembleRebalance starts one cluster of the experiment's shape.
-func assembleRebalance(cfg RebalanceConfig, coreCfg core.BankConfig, scfg iotssp.ServerConfig, train map[string][]*fingerprint.Fingerprint, cacheSize int) (*controlplane.Cluster, error) {
-	return controlplane.Assemble(controlplane.ClusterConfig{
-		Core:   coreCfg,
-		Server: scfg,
-		Group: iotssp.ShardGroupConfig{
-			Shard: iotssp.RemoteShardConfig{
-				MaxRetries:   1,
-				RetryBackoff: 200 * time.Microsecond,
-				MaxBackoff:   time.Millisecond,
-				Seed:         cfg.Seed + 211,
-				Wire:         cfg.Wire,
-			},
-			ProbeBackoff: 20 * time.Millisecond,
-		},
-		CacheSize: cacheSize,
-		DB:        vulndb.Seeded(),
-	}, rebalanceTopology(train, cfg.Replicas), train)
-}
-
 // applyRebalance runs the experiment's scripted topology change on a
 // cluster: migrate the source partition's first type to the group
 // (local→remote), migrate the group's first type to the source
@@ -270,14 +175,16 @@ func RunRebalance(cfg RebalanceConfig) (*RebalanceResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	train, w, _, _, err := buildWireWorkload(cfg.Types, cfg.Runs, cfg.ProbeModels, cfg.Requests, cfg.Seed)
+	w, err := buildWorkload(cfg.Load, 0xf5)
 	if err != nil {
 		return nil, err
 	}
-	coreCfg := core.BankConfig{Forest: ml.ForestConfig{Trees: cfg.Trees}, Seed: cfg.Seed}
-	scfg := iotssp.ServerConfig{
-		BatchSize: cfg.BatchSize,
-		Workers:   cfg.Workers,
+	// assemble starts one cluster of the experiment's shape: partition 1
+	// is the remote shard group, 0 and 2 are local.
+	assemble := func() (*controlplane.Cluster, error) {
+		cc := cfg.cluster(-1)
+		cc.Group = groupConfig(cfg.Seed+211, cfg.Wire)
+		return controlplane.Assemble(cc, topology(w.train, rebalanceShards, 1, cfg.Replicas), w.train)
 	}
 
 	res := &RebalanceResult{
@@ -289,7 +196,7 @@ func RunRebalance(cfg RebalanceConfig) (*RebalanceResult, error) {
 
 	// Phase 1 — steady topology: latency reference, first baseline, and
 	// afterwards the host of the invalidation audit.
-	steadyCl, err := assembleRebalance(cfg, coreCfg, scfg, train, -1)
+	steadyCl, err := assemble()
 	if err != nil {
 		return nil, err
 	}
@@ -299,18 +206,18 @@ func RunRebalance(cfg RebalanceConfig) (*RebalanceResult, error) {
 	res.MigratedOut = steadyCl.Bank().ShardTypes(0)[0]
 	res.MigratedIn = steadyCl.Bank().ShardTypes(1)[0]
 
-	steadyElapsed, steadyLats, steadyVerdicts, _, steadyLost := runWirePhase(steadyCl.Addr(), w, cfg.phase(), nil)
-	if steadyLost > 0 {
-		return nil, fmt.Errorf("steady phase lost %d verdicts with no topology change", steadyLost)
+	steady := replay(wirePools(steadyCl.Addr(), cfg.Load, cfg.Seed, cfg.Wire), w, cfg.InFlight)
+	if steady.lost > 0 {
+		return nil, fmt.Errorf("steady phase lost %d verdicts with no topology change", steady.lost)
 	}
-	res.SteadyPerSec = float64(cfg.Requests) / steadyElapsed.Seconds()
-	res.SteadyP50, res.SteadyP99 = latPercentiles(steadyLats)
+	res.SteadyPerSec = steady.perSec
+	res.SteadyP50, res.SteadyP99 = steady.p50, steady.p99
 
 	// Phase 2 — final topology: the whole rebalance applied up front,
 	// then the same replay. Migrations retrain the moved types on their
 	// targets, so post-flip verdicts differ from the steady baseline —
 	// this run pins down what they must be.
-	finalCl, err := assembleRebalance(cfg, coreCfg, scfg, train, -1)
+	finalCl, err := assemble()
 	if err != nil {
 		return nil, err
 	}
@@ -318,49 +225,43 @@ func RunRebalance(cfg RebalanceConfig) (*RebalanceResult, error) {
 		finalCl.Close()
 		return nil, fmt.Errorf("pre-applying the rebalance: %w", err)
 	}
-	finalElapsed, _, finalVerdicts, _, finalLost := runWirePhase(finalCl.Addr(), w, cfg.phase(), nil)
+	final := replay(wirePools(finalCl.Addr(), cfg.Load, cfg.Seed, cfg.Wire), w, cfg.InFlight)
 	finalCl.Close()
-	if finalLost > 0 {
-		return nil, fmt.Errorf("final-topology phase lost %d verdicts with no mid-run change", finalLost)
+	if final.lost > 0 {
+		return nil, fmt.Errorf("final-topology phase lost %d verdicts with no mid-run change", final.lost)
 	}
-	res.FinalPerSec = float64(cfg.Requests) / finalElapsed.Seconds()
+	res.FinalPerSec = final.perSec
 
-	// Phase 3 — live rebalance: same twin, topology changed mid-run.
-	liveCl, err := assembleRebalance(cfg, coreCfg, scfg, train, -1)
+	// Phase 3 — live rebalance: same twin, topology changed mid-run —
+	// both migrations a third of the way in, the member roll at
+	// two-thirds.
+	liveCl, err := assemble()
 	if err != nil {
 		return nil, err
 	}
 	defer liveCl.Close()
 	var rebalanceErr error
-	var drills []wireDrill
-	if !cfg.NoRebalance {
-		drills = []wireDrill{
-			{After: int64(cfg.Requests / 3), Fn: func() {
-				if err := applyRebalance(liveCl, res.MigratedOut, res.MigratedIn, false, cfg.Mint); err != nil {
-					rebalanceErr = err
-					return
-				}
+	live := replay(wirePools(liveCl.Addr(), cfg.Load, cfg.Seed, cfg.Wire), w, cfg.InFlight,
+		drill{after: cfg.Requests / 3, fn: func() {
+			if rebalanceErr = applyRebalance(liveCl, res.MigratedOut, res.MigratedIn, false, cfg.Mint); rebalanceErr == nil {
 				res.Rebalanced = true
-			}},
-			{After: int64(2 * cfg.Requests / 3), Fn: func() {
-				if rebalanceErr != nil {
-					return
-				}
-				if err := liveCl.ReplaceMemberWith(1, 0, cfg.Mint); err != nil {
-					rebalanceErr = err
-					return
-				}
+			}
+		}},
+		drill{after: 2 * cfg.Requests / 3, fn: func() {
+			if rebalanceErr != nil {
+				return
+			}
+			if rebalanceErr = liveCl.ReplaceMemberWith(1, 0, cfg.Mint); rebalanceErr == nil {
 				res.Replaced = true
-			}},
-		}
-	}
-	liveElapsed, liveLats, liveVerdicts, poolStats, liveLost := runWirePhase(liveCl.Addr(), w, cfg.phase(), drills)
+			}
+		}},
+	)
 	if rebalanceErr != nil {
 		return res, fmt.Errorf("mid-run rebalance failed: %w", rebalanceErr)
 	}
-	res.LivePerSec = float64(cfg.Requests) / liveElapsed.Seconds()
-	res.LiveP50, res.LiveP99 = latPercentiles(liveLats)
-	res.Lost = liveLost
+	res.LivePerSec = live.perSec
+	res.LiveP50, res.LiveP99 = live.p50, live.p99
+	res.Lost = live.lost
 	if res.SteadyP99 > 0 {
 		res.P99Ratio = float64(res.LiveP99) / float64(res.SteadyP99)
 	}
@@ -398,10 +299,7 @@ func RunRebalance(cfg RebalanceConfig) (*RebalanceResult, error) {
 		res.MintSpeedup = float64(res.ReplayMint) / float64(res.SnapshotMint)
 	}
 
-	res.Metrics = &MetricsSnapshot{Experiment: "rebalance", Components: liveCl.Snapshots()}
-	for _, ps := range poolStats {
-		res.Metrics.Components = append(res.Metrics.Components, ps.Snapshot())
-	}
+	res.Metrics = live.metrics("rebalance", liveCl)
 	res.Metrics.Components = append(res.Metrics.Components, stats.New("mint", struct {
 		Strategy     string  `json:"strategy"`
 		SnapshotNs   int64   `json:"snapshot_ns"`
@@ -413,32 +311,23 @@ func RunRebalance(cfg RebalanceConfig) (*RebalanceResult, error) {
 
 	// Dual-baseline bit-equality: each live verdict ran either before
 	// its flip (steady baseline) or after it (final baseline).
-	for i := range liveVerdicts {
-		if !verdictsEqual(liveVerdicts[i], steadyVerdicts[i]) && !verdictsEqual(liveVerdicts[i], finalVerdicts[i]) {
-			res.Mismatches++
-		}
-	}
+	res.Mismatches = live.mismatches(steady, final)
 
-	if liveLost > 0 {
-		return res, fmt.Errorf("live rebalance lost %d of %d verdicts (want zero: staged rollouts must never drop a request)", liveLost, cfg.Requests)
+	if live.lost > 0 {
+		return res, fmt.Errorf("live rebalance lost %d of %d verdicts (want zero: staged rollouts must never drop a request)", live.lost, cfg.Requests)
 	}
 	if res.Mismatches > 0 {
 		return res, fmt.Errorf("%d of %d live verdicts match neither the initial- nor the final-topology baseline (want every verdict bit-equal to one of them)", res.Mismatches, cfg.Requests)
 	}
-	if !cfg.NoRebalance {
-		if !res.Rebalanced || !res.Replaced {
-			return res, fmt.Errorf("rebalance drill incomplete: migrations=%v replacement=%v", res.Rebalanced, res.Replaced)
-		}
-		if cfg.MaxP99Ratio > 0 && res.P99Ratio > cfg.MaxP99Ratio {
-			return res, fmt.Errorf("live-rebalance p99 %s is %.2fx the steady p99 %s (max %.2fx): the rollout was not absorbed",
-				res.LiveP99, res.P99Ratio, res.SteadyP99, cfg.MaxP99Ratio)
-		}
-		// Invalidation audit on the still-steady cluster.
-		if err := res.auditInvalidation(steadyCl, w, cfg.CacheSize); err != nil {
-			return res, err
-		}
+	if !res.Rebalanced || !res.Replaced {
+		return res, fmt.Errorf("rebalance drill incomplete: migrations=%v replacement=%v", res.Rebalanced, res.Replaced)
 	}
-	return res, nil
+	if cfg.MaxP99Ratio > 0 && res.P99Ratio > cfg.MaxP99Ratio {
+		return res, fmt.Errorf("live-rebalance p99 %s is %.2fx the steady p99 %s (max %.2fx): the rollout was not absorbed",
+			res.LiveP99, res.P99Ratio, res.SteadyP99, cfg.MaxP99Ratio)
+	}
+	// Invalidation audit on the still-steady cluster.
+	return res, res.auditInvalidation(steadyCl, w, cfg.CacheSize)
 }
 
 // auditInvalidation warms a fresh cache over the cluster with probes of
@@ -447,20 +336,14 @@ func RunRebalance(cfg RebalanceConfig) (*RebalanceResult, error) {
 // dependent-entry count (one stale drop per entry, though the rollout
 // bumps versions on both partitions), dependents recompute as misses,
 // and bystander-only verdicts all survive as hits.
-func (r *RebalanceResult) auditInvalidation(cl *controlplane.Cluster, w *serviceWorkload, cacheSize int) error {
+func (r *RebalanceResult) auditInvalidation(cl *controlplane.Cluster, w *workload, cacheSize int) error {
 	bank := cl.Bank()
 	svc := cl.AuxService(cacheSize)
 
 	// Classify each distinct probe by which partitions its verdict
 	// depends on; unknown verdicts depend on every partition.
 	var dependents, independents []*fingerprint.Fingerprint
-	seenFP := make(map[uint64]bool)
-	for _, fp := range w.probes {
-		if h := fp.Hash(); seenFP[h] {
-			continue
-		} else {
-			seenFP[h] = true
-		}
+	for _, fp := range w.distinctProbes() {
 		res := bank.Identify(fp)
 		touches := map[int]bool{}
 		if !res.Known {

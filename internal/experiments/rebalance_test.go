@@ -21,17 +21,19 @@ func TestRunRebalanceTinyConfig(t *testing.T) {
 		ratio = 2.0
 	}
 	res, err := RunRebalance(RebalanceConfig{
-		Types:       6,
-		Runs:        5,
-		Trees:       15,
-		ProbeModels: 1,
-		Requests:    96,
-		Gateways:    2,
-		InFlight:    4,
+		Load: Load{
+			Types:       6,
+			Runs:        5,
+			Trees:       15,
+			ProbeModels: 1,
+			Requests:    96,
+			Gateways:    2,
+			InFlight:    4,
+			BatchSize:   8,
+			Seed:        13,
+		},
 		Replicas:    2,
-		BatchSize:   8,
 		MaxP99Ratio: ratio,
-		Seed:        13,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,17 +76,19 @@ func TestRunRebalanceTinyConfig(t *testing.T) {
 // dictionaries reset coherently through every sever.
 func TestRunRebalanceWireDict(t *testing.T) {
 	res, err := RunRebalance(RebalanceConfig{
-		Types:       6,
-		Runs:        5,
-		Trees:       15,
-		ProbeModels: 1,
-		Requests:    96,
-		Gateways:    2,
-		InFlight:    4,
-		Replicas:    2,
-		BatchSize:   8,
-		Seed:        13,
-		Wire:        iotssp.WireDict,
+		Load: Load{
+			Types:       6,
+			Runs:        5,
+			Trees:       15,
+			ProbeModels: 1,
+			Requests:    96,
+			Gateways:    2,
+			InFlight:    4,
+			BatchSize:   8,
+			Seed:        13,
+		},
+		Replicas: 2,
+		Wire:     iotssp.WireDict,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,10 +116,10 @@ func TestRunRebalanceWireDict(t *testing.T) {
 // keep at least one type through the migrations, and a one-member group
 // cannot roll a member.
 func TestRunRebalanceRejectsBadConfigs(t *testing.T) {
-	if _, err := RunRebalance(RebalanceConfig{Types: 5}); err == nil {
+	if _, err := RunRebalance(RebalanceConfig{Load: Load{Types: 5}}); err == nil {
 		t.Error("five-type rebalance config accepted despite emptying a partition mid-migration")
 	}
-	if _, err := RunRebalance(RebalanceConfig{Types: 27}); err == nil {
+	if _, err := RunRebalance(RebalanceConfig{Load: Load{Types: 27}}); err == nil {
 		t.Error("full-catalog rebalance config accepted")
 	}
 	if _, err := RunRebalance(RebalanceConfig{Replicas: 1}); err == nil {

@@ -3,42 +3,25 @@ package experiments
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/controlplane"
-	"repro/internal/core"
 	"repro/internal/devices"
 	"repro/internal/iotssp"
-	"repro/internal/ml"
-	"repro/internal/vulndb"
 )
 
 // ReplicatedConfig parameterizes the replicated-shard experiment: one
 // logical ShardedBank whose remote partition is served by a ShardGroup
 // of N identically trained shard servers, validated against the
-// single-replica remote shard it replaces.
+// single-replica remote shard it replaces. Load's zero fields default
+// as in DistributedConfig (9 types, the next one the canary of the
+// fan-out invalidation check; 1024 requests per phase; 2 gateways with
+// 8 in flight; batch 16), and Load.CacheSize likewise sizes only the
+// invalidation phase's cache: the timed phases run uncached so every
+// request exercises the bank — and therefore the group.
 type ReplicatedConfig struct {
-	// Types is the number of enrolled device-types (0 means 9). It must
-	// stay below the full catalog: the next catalog type is the canary
-	// enrolment for the fan-out invalidation check.
-	Types int
-	// Runs is the number of training fingerprints per type (0 means 8).
-	Runs int
-	// Trees is the per-type forest size (0 means 100).
-	Trees int
-	// ProbeModels is the number of distinct probe fingerprints per type
-	// the workload draws from (0 means 2).
-	ProbeModels int
-	// Requests is the total identification requests replayed per phase
-	// (0 means 1024: long enough that the v4 dictionary's one-time
-	// seeding misses amortize out of the steady-state bytes/verdict).
-	Requests int
-	// Gateways is the number of concurrent gateway clients (0 means 2),
-	// InFlight each gateway's concurrent requests (0 means 8).
-	Gateways int
-	InFlight int
+	Load
 	// Shards is the logical bank's shard count (0 means 2). One shard —
 	// the one the least-loaded router will hand the canary enrolment,
 	// index Types mod Shards — is served by the replicated group; the
@@ -46,16 +29,6 @@ type ReplicatedConfig struct {
 	Shards int
 	// Replicas is the shard group's member count (0 means 2).
 	Replicas int
-	// BatchSize and Workers tune the front server's dispatcher as in
-	// ServiceConfig. CacheSize sizes the verdict cache of the
-	// invalidation phase (0 selects the default); the timed
-	// phases always run uncached so every request exercises the bank —
-	// and therefore the group — rather than the front cache.
-	BatchSize int
-	CacheSize int
-	Workers   int
-	// NoKill disables the mid-run member restart drill.
-	NoKill bool
 	// MaxP99Ratio fails the experiment unless the kill run's p99 latency
 	// stays within this multiple of the no-kill run's p99 — the
 	// zero-added-latency claim, quantified. 0 reports the ratio without
@@ -71,34 +44,12 @@ type ReplicatedConfig struct {
 	// twin's steady-state bytes/verdict divided by the compressed run's
 	// reaches it (0 reports the gain without asserting).
 	MinWireGain float64
-	// Seed drives dataset generation, training and workload sampling.
-	Seed int64
 }
 
 func (c ReplicatedConfig) withDefaults() (ReplicatedConfig, error) {
-	if c.Types == 0 {
-		c.Types = 9
-	}
+	c.Load = c.Load.withDefaults(Load{Types: 9, Requests: 1024, Gateways: 2, InFlight: 8, BatchSize: 16})
 	if c.Types < 2 || c.Types >= len(devices.Names()) {
 		return c, fmt.Errorf("experiments: replicated Types must be in [2, %d) to leave a canary type", len(devices.Names()))
-	}
-	if c.Runs == 0 {
-		c.Runs = 8
-	}
-	if c.Trees == 0 {
-		c.Trees = 100
-	}
-	if c.ProbeModels == 0 {
-		c.ProbeModels = 2
-	}
-	if c.Requests == 0 {
-		c.Requests = 1024
-	}
-	if c.Gateways == 0 {
-		c.Gateways = 2
-	}
-	if c.InFlight == 0 {
-		c.InFlight = 8
 	}
 	if c.Shards == 0 {
 		c.Shards = 2
@@ -112,18 +63,7 @@ func (c ReplicatedConfig) withDefaults() (ReplicatedConfig, error) {
 	if c.Replicas < 2 {
 		return c, fmt.Errorf("experiments: replicated Replicas must be >= 2 (one member is the single-replica baseline)")
 	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 16
-	}
-	if c.CacheSize == 0 {
-		c.CacheSize = iotssp.DefaultCacheSize
-	}
 	return c, nil
-}
-
-// phase shapes the experiment's replay phases.
-func (c ReplicatedConfig) phase() wirePhase {
-	return wirePhase{Requests: c.Requests, Gateways: c.Gateways, InFlight: c.InFlight, Seed: c.Seed, Wire: c.Wire}
 }
 
 // ReplicatedResult is the outcome of the replicated-shard experiment.
@@ -179,21 +119,10 @@ type ReplicatedResult struct {
 	DependentProbes   int
 	IndependentProbes int
 
-	// BytesPerVerdict is the measured shard-plane steady-state wire cost
-	// per verdict across the two group phases (every member transport's
-	// bytes in both directions, off the lineconn byte counters,
-	// handshake and state-transfer bytes carved out).
-	BytesPerVerdict float64
-
-	// Wire is the run's wire-compression mode. With it on, the run adds
-	// an uncompressed twin of the no-kill group phase:
-	// BytesPerVerdictOff is that twin's cost, WireGain the off/on ratio
-	// and DictHitRate the fingerprint dictionaries' hit rate across the
-	// compressed phases.
-	Wire               iotssp.WireMode
-	BytesPerVerdictOff float64
-	WireGain           float64
-	DictHitRate        float64
+	// WireCost is the shard-plane wire cost across the two group phases
+	// and, with compression on, its gain over an uncompressed twin of
+	// the no-kill phase.
+	WireCost
 
 	// Metrics is the run's single JSON stats snapshot.
 	Metrics *MetricsSnapshot
@@ -235,13 +164,9 @@ func RunReplicatedShards(cfg ReplicatedConfig) (*ReplicatedResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	train, w, canary, canaryPrints, err := buildWireWorkload(cfg.Types, cfg.Runs, cfg.ProbeModels, cfg.Requests, cfg.Seed)
+	w, err := buildWorkload(cfg.Load, 0xf5)
 	if err != nil {
 		return nil, err
-	}
-	coreCfg := core.BankConfig{
-		Forest: ml.ForestConfig{Trees: cfg.Trees},
-		Seed:   cfg.Seed,
 	}
 	groupIdx := cfg.Types % cfg.Shards
 
@@ -252,60 +177,42 @@ func RunReplicatedShards(cfg ReplicatedConfig) (*ReplicatedResult, error) {
 		Replicas:        cfg.Replicas,
 		Requests:        cfg.Requests,
 		Gateways:        cfg.Gateways,
-		Wire:            cfg.Wire,
-		CanaryType:      canary,
+		WireCost:        WireCost{Wire: cfg.Wire},
+		CanaryType:      w.canary,
 		CanaryShard:     -1,
-	}
-	scfg := iotssp.ServerConfig{
-		BatchSize: cfg.BatchSize,
-		Workers:   cfg.Workers,
 	}
 
 	// Phase 1 — single-replica reference: the remote partition behind
 	// one shard server and one deep-retry RemoteShard.
-	singleCl, err := controlplane.Assemble(controlplane.ClusterConfig{
-		Core:   coreCfg,
-		Server: scfg,
-		Shard: iotssp.RemoteShardConfig{
-			RetryBackoff: 2 * time.Millisecond,
-			MaxBackoff:   50 * time.Millisecond,
-			Seed:         cfg.Seed + 101,
-		},
-		CacheSize: -1,
-		DB:        vulndb.Seeded(),
-	}, mixedTopology(train, cfg.Shards, groupIdx, 1), train)
+	singleCfg := cfg.cluster(-1)
+	singleCfg.Shard = iotssp.RemoteShardConfig{
+		RetryBackoff: 2 * time.Millisecond,
+		MaxBackoff:   50 * time.Millisecond,
+		Seed:         cfg.Seed + 101,
+	}
+	singleCl, err := controlplane.Assemble(singleCfg, topology(w.train, cfg.Shards, groupIdx, 1), w.train)
 	if err != nil {
 		return nil, err
 	}
 	refTypes := singleCl.Bank().Types()
-	refElapsed, _, refVerdicts, _, refLost := runWirePhase(singleCl.Addr(), w, cfg.phase(), nil)
+	ref := replay(wirePools(singleCl.Addr(), cfg.Load, cfg.Seed, cfg.Wire), w, cfg.InFlight)
 	singleCl.Close()
-	if refLost > 0 {
-		return nil, fmt.Errorf("single-replica phase lost %d verdicts with no failure injected", refLost)
+	if ref.lost > 0 {
+		return nil, fmt.Errorf("single-replica phase lost %d verdicts with no failure injected", ref.lost)
 	}
-	res.SinglePerSec = float64(cfg.Requests) / refElapsed.Seconds()
+	res.SinglePerSec = ref.perSec
+
+	// group assembles the same partition behind a Replicas-member shard
+	// group.
+	group := func(seed int64, wire iotssp.WireMode) (*controlplane.Cluster, error) {
+		cc := cfg.cluster(-1)
+		cc.Group = groupConfig(seed, wire)
+		return controlplane.Assemble(cc, topology(w.train, cfg.Shards, groupIdx, cfg.Replicas), w.train)
+	}
 
 	// Phase 2 — the shard group, no kill: the latency profile the kill
-	// run is held against. Group members fail over, they don't ride
-	// outages: one cheap local retry per member, then the next replica
-	// answers. The probe backoff is short so a revived member rejoins
-	// within the run.
-	cl, err := controlplane.Assemble(controlplane.ClusterConfig{
-		Core:   coreCfg,
-		Server: scfg,
-		Group: iotssp.ShardGroupConfig{
-			Shard: iotssp.RemoteShardConfig{
-				MaxRetries:   1,
-				RetryBackoff: 200 * time.Microsecond,
-				MaxBackoff:   time.Millisecond,
-				Seed:         cfg.Seed + 211,
-				Wire:         cfg.Wire,
-			},
-			ProbeBackoff: 20 * time.Millisecond,
-		},
-		CacheSize: -1,
-		DB:        vulndb.Seeded(),
-	}, mixedTopology(train, cfg.Shards, groupIdx, cfg.Replicas), train)
+	// run is held against.
+	cl, err := group(cfg.Seed+211, cfg.Wire)
 	if err != nil {
 		return nil, err
 	}
@@ -314,43 +221,29 @@ func RunReplicatedShards(cfg ReplicatedConfig) (*ReplicatedResult, error) {
 		return nil, fmt.Errorf("group-backed bank reassembled order %v, want %v", got, refTypes)
 	}
 
-	noKillElapsed, noKillLats, noKillVerdicts, _, noKillLost := runWirePhase(cl.Addr(), w, cfg.phase(), nil)
-	if noKillLost > 0 {
-		return nil, fmt.Errorf("group no-kill phase lost %d verdicts with no failure injected", noKillLost)
+	noKill := replay(wirePools(cl.Addr(), cfg.Load, cfg.Seed, cfg.Wire), w, cfg.InFlight)
+	if noKill.lost > 0 {
+		return nil, fmt.Errorf("group no-kill phase lost %d verdicts with no failure injected", noKill.lost)
 	}
-	res.GroupPerSec = float64(cfg.Requests) / noKillElapsed.Seconds()
-	res.NoKillP50, res.NoKillP99 = latPercentiles(noKillLats)
-	for i := range noKillVerdicts {
-		if !verdictsEqual(refVerdicts[i], noKillVerdicts[i]) {
-			res.MismatchesNoKill++
-		}
-	}
+	res.GroupPerSec = noKill.perSec
+	res.NoKillP50, res.NoKillP99 = noKill.p50, noKill.p99
+	res.MismatchesNoKill = noKill.mismatches(ref)
 	if res.MismatchesNoKill > 0 {
 		return res, fmt.Errorf("%d of %d group verdicts differ from the single-replica reference (want bit-equal)", res.MismatchesNoKill, cfg.Requests)
 	}
 
 	// Phase 3 — the shard group with a mid-run member restart.
-	var drills []wireDrill
-	if !cfg.NoKill {
-		member := cl.Member(groupIdx, 0)
-		drills = cfg.phase().third(func() {
-			res.MemberKilled = true
-			member.Stop()
-			time.Sleep(100 * time.Millisecond)
-			if err := member.Start(); err == nil {
-				res.Restarted = true
-			}
-		})
-	}
-	killElapsed, killLats, killVerdicts, poolStats, killLost := runWirePhase(cl.Addr(), w, cfg.phase(), drills)
-	res.KillPerSec = float64(cfg.Requests) / killElapsed.Seconds()
-	res.KillP50, res.KillP99 = latPercentiles(killLats)
-	res.Lost = killLost
-	for i := range killVerdicts {
-		if !verdictsEqual(refVerdicts[i], killVerdicts[i]) {
-			res.MismatchesKill++
-		}
-	}
+	member := cl.Member(groupIdx, 0)
+	kill := replay(wirePools(cl.Addr(), cfg.Load, cfg.Seed, cfg.Wire), w, cfg.InFlight, drill{after: cfg.Requests / 3, fn: func() {
+		res.MemberKilled = true
+		member.Stop()
+		time.Sleep(100 * time.Millisecond)
+		res.Restarted = member.Start() == nil
+	}})
+	res.KillPerSec = kill.perSec
+	res.KillP50, res.KillP99 = kill.p50, kill.p99
+	res.Lost = kill.lost
+	res.MismatchesKill = kill.mismatches(ref)
 	if res.NoKillP99 > 0 {
 		res.P99Ratio = float64(res.KillP99) / float64(res.NoKillP99)
 	}
@@ -360,87 +253,45 @@ func RunReplicatedShards(cfg ReplicatedConfig) (*ReplicatedResult, error) {
 		res.Ejections += m.Ejections
 		res.Readmissions += m.Readmissions
 	}
-	res.Metrics = &MetricsSnapshot{Experiment: "replicated", Components: cl.Snapshots()}
-	for _, ps := range poolStats {
-		res.Metrics.Components = append(res.Metrics.Components, ps.Snapshot())
-	}
+	res.Metrics = kill.metrics("replicated", cl)
 	// The group cluster served both timed phases (no-kill and kill).
 	res.BytesPerVerdict = res.Metrics.ComputeBytesPerVerdict(2 * cfg.Requests)
 
-	if killLost > 0 {
-		return res, fmt.Errorf("shard group lost %d of %d verdicts across the member restart (want zero: failover must carry every request)", killLost, cfg.Requests)
+	if kill.lost > 0 {
+		return res, fmt.Errorf("shard group lost %d of %d verdicts across the member restart (want zero: failover must carry every request)", kill.lost, cfg.Requests)
 	}
 	if res.MismatchesKill > 0 {
 		return res, fmt.Errorf("%d of %d kill-run verdicts differ from the single-replica reference (want bit-equal)", res.MismatchesKill, cfg.Requests)
 	}
-	if res.MemberKilled {
-		if !res.Restarted {
-			return res, fmt.Errorf("killed group member failed to restart")
-		}
-		if res.Ejections == 0 && res.Failovers == 0 {
-			return res, fmt.Errorf("member restart left no failover/ejection trace in the group stats: %+v", gst)
-		}
-		if cfg.MaxP99Ratio > 0 && res.P99Ratio > cfg.MaxP99Ratio {
-			return res, fmt.Errorf("kill-run p99 %s is %.2fx the no-kill p99 %s (max %.2fx): the member restart was not absorbed",
-				res.KillP99, res.P99Ratio, res.NoKillP99, cfg.MaxP99Ratio)
-		}
+	if !res.Restarted {
+		return res, fmt.Errorf("killed group member failed to restart")
+	}
+	if res.Ejections == 0 && res.Failovers == 0 {
+		return res, fmt.Errorf("member restart left no failover/ejection trace in the group stats: %+v", gst)
+	}
+	if cfg.MaxP99Ratio > 0 && res.P99Ratio > cfg.MaxP99Ratio {
+		return res, fmt.Errorf("kill-run p99 %s is %.2fx the no-kill p99 %s (max %.2fx): the member restart was not absorbed",
+			res.KillP99, res.P99Ratio, res.NoKillP99, cfg.MaxP99Ratio)
 	}
 
-	// Wire-off twin — with compression on, replay the workload once
-	// against an identically trained group speaking the plain wire (no
-	// kill: the twin prices the steady state). Verdicts must stay
-	// bit-equal to the reference, and the off/on bytes-per-verdict
-	// ratio is the gain MinWireGain asserts. Both numbers are
-	// per-verdict normalized, so the twin's single phase compares
-	// cleanly against the group cluster's two.
+	// Wire-off twin — with compression on, price the workload once on
+	// the plain wire against the single-replica reference's verdicts.
+	// Both costs are per-verdict normalized, so the twin's single phase
+	// compares cleanly against the group cluster's two.
 	if cfg.Wire != iotssp.WireOff {
-		res.DictHitRate = res.Metrics.DictHitRate
-		offCl, err := controlplane.Assemble(controlplane.ClusterConfig{
-			Core:   coreCfg,
-			Server: scfg,
-			Group: iotssp.ShardGroupConfig{
-				Shard: iotssp.RemoteShardConfig{
-					MaxRetries:   1,
-					RetryBackoff: 200 * time.Microsecond,
-					MaxBackoff:   time.Millisecond,
-					Seed:         cfg.Seed + 223,
-				},
-				ProbeBackoff: 20 * time.Millisecond,
-			},
-			CacheSize: -1,
-			DB:        vulndb.Seeded(),
-		}, mixedTopology(train, cfg.Shards, groupIdx, cfg.Replicas), train)
+		twin, err := group(cfg.Seed+223, iotssp.WireOff)
 		if err != nil {
 			return res, err
 		}
-		offPhase := cfg.phase()
-		offPhase.Wire = iotssp.WireOff
-		offPhase.Seed = cfg.Seed + 223
-		_, _, offVerdicts, _, offLost := runWirePhase(offCl.Addr(), w, offPhase, nil)
-		offMetrics := &MetricsSnapshot{Experiment: "replicated-wire-off", Components: offCl.Snapshots()}
-		offCl.Close()
-		if offLost > 0 {
-			return res, fmt.Errorf("wire-off twin lost %d verdicts with no failure injected", offLost)
-		}
-		for i := range offVerdicts {
-			if !verdictsEqual(refVerdicts[i], offVerdicts[i]) {
-				return res, fmt.Errorf("wire-off twin verdict %d differs from the single-replica reference (want bit-equal)", i)
-			}
-		}
-		res.BytesPerVerdictOff = offMetrics.ComputeBytesPerVerdict(cfg.Requests)
-		if res.BytesPerVerdict > 0 {
-			res.WireGain = res.BytesPerVerdictOff / res.BytesPerVerdict
-		}
-		if cfg.MinWireGain > 0 && res.WireGain < cfg.MinWireGain {
-			return res, fmt.Errorf("wire compression gain %.2fx (off %.1f B/verdict, %s %.1f B/verdict) below the required %.1fx",
-				res.WireGain, res.BytesPerVerdictOff, cfg.Wire, res.BytesPerVerdict, cfg.MinWireGain)
+		if err := res.priceTwin(twin, w, cfg.Load, cfg.Seed+223, res.Metrics, ref, cfg.MinWireGain); err != nil {
+			return res, err
 		}
 	}
 
 	// Phase 4 — fan-out enrolment drives shard-scoped invalidation
 	// exactly once.
 	invSvc := cl.AuxService(cfg.CacheSize)
-	shard, dependent, independent, err := checkShardScopedInvalidation(invSvc, cl, w, canary, canaryPrints)
+	shard, dependent, independent, err := checkShardScopedInvalidation(invSvc, cl, w)
 	res.CanaryShard = shard
 	res.DependentProbes = dependent
 	res.IndependentProbes = independent
@@ -448,7 +299,7 @@ func RunReplicatedShards(cfg ReplicatedConfig) (*ReplicatedResult, error) {
 		return res, err
 	}
 	if shard != groupIdx {
-		return res, fmt.Errorf("canary %q enrolled into shard %d, want the group shard %d (least-loaded routing)", canary, shard, groupIdx)
+		return res, fmt.Errorf("canary %q enrolled into shard %d, want the group shard %d (least-loaded routing)", w.canary, shard, groupIdx)
 	}
 	// Every member must have trained the canary and agree on the
 	// reconciled version the cache invalidated against.
@@ -459,27 +310,11 @@ func RunReplicatedShards(cfg ReplicatedConfig) (*ReplicatedResult, error) {
 			return res, fmt.Errorf("member %d version %d diverged from the reconciled group version %d after the fan-out enrolment", j, got, wantVersion)
 		}
 		types := bank.Types()
-		if len(types) == 0 || types[len(types)-1] != canary {
-			return res, fmt.Errorf("member %d missing the fanned-out canary %q: %v", j, canary, types)
+		if len(types) == 0 || types[len(types)-1] != w.canary {
+			return res, fmt.Errorf("member %d missing the fanned-out canary %q: %v", j, w.canary, types)
 		}
 	}
 	return res, nil
-}
-
-// latPercentiles sorts lats in place and returns (p50, p99).
-func latPercentiles(lats []time.Duration) (time.Duration, time.Duration) {
-	if len(lats) == 0 {
-		return 0, 0
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	return lats[len(lats)/2], lats[len(lats)*99/100]
-}
-
-// verdictsEqual compares two verdicts ignoring the connection-local
-// line echo.
-func verdictsEqual(a, b iotssp.Response) bool {
-	a.Line, b.Line = 0, 0
-	return reflect.DeepEqual(a, b)
 }
 
 // RenderReplicated formats the replicated-shard experiment for the
@@ -506,13 +341,7 @@ func (r *ReplicatedResult) RenderReplicated() string {
 		fmt.Fprintf(&sb, "fan-out invalidation: enrolling %q landed on group shard %d across every replica and invalidated %d dependent verdicts exactly once, kept %d\n",
 			r.CanaryType, r.CanaryShard, r.DependentProbes, r.IndependentProbes)
 	}
-	if r.BytesPerVerdict > 0 {
-		fmt.Fprintf(&sb, "shard wire cost: %.1f bytes/verdict (steady state)\n", r.BytesPerVerdict)
-	}
-	if r.Wire != iotssp.WireOff && r.WireGain > 0 {
-		fmt.Fprintf(&sb, "wire compression (%s): %.1fx fewer bytes/verdict than the plain wire (%.1f vs %.1f), dict hit rate %.1f%%\n",
-			r.Wire, r.WireGain, r.BytesPerVerdict, r.BytesPerVerdictOff, 100*r.DictHitRate)
-	}
+	r.WireCost.render(&sb)
 	if r.Metrics != nil {
 		fmt.Fprintf(&sb, "metrics: %s\n", r.Metrics.JSON())
 	}

@@ -23,18 +23,20 @@ func TestRunReplicatedShardsTinyConfig(t *testing.T) {
 		ratio = 2.0
 	}
 	res, err := RunReplicatedShards(ReplicatedConfig{
-		Types:       5,
-		Runs:        5,
-		Trees:       15,
-		ProbeModels: 1,
-		Requests:    96,
-		Gateways:    2,
-		InFlight:    4,
+		Load: Load{
+			Types:       5,
+			Runs:        5,
+			Trees:       15,
+			ProbeModels: 1,
+			Requests:    96,
+			Gateways:    2,
+			InFlight:    4,
+			BatchSize:   8,
+			Seed:        13,
+		},
 		Shards:      2,
 		Replicas:    2,
-		BatchSize:   8,
 		MaxP99Ratio: ratio,
-		Seed:        13,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,17 +95,19 @@ func TestRunReplicatedShardsWireDict(t *testing.T) {
 	for _, wire := range []iotssp.WireMode{iotssp.WireDict, iotssp.WireDictFlate} {
 		t.Run(wire.String(), func(t *testing.T) {
 			res, err := RunReplicatedShards(ReplicatedConfig{
-				Types:       5,
-				Runs:        5,
-				Trees:       15,
-				ProbeModels: 1,
-				Requests:    512,
-				Gateways:    2,
-				InFlight:    8,
+				Load: Load{
+					Types:       5,
+					Runs:        5,
+					Trees:       15,
+					ProbeModels: 1,
+					Requests:    512,
+					Gateways:    2,
+					InFlight:    8,
+					BatchSize:   16,
+					Seed:        13,
+				},
 				Shards:      2,
 				Replicas:    2,
-				BatchSize:   16,
-				Seed:        13,
 				Wire:        wire,
 				MinWireGain: 5,
 			})
@@ -132,10 +136,10 @@ func TestRunReplicatedShardsWireDict(t *testing.T) {
 // TestRunReplicatedShardsRejectsBadConfigs: the canary type must exist
 // beyond the enrolled set, and a one-member group is not replication.
 func TestRunReplicatedShardsRejectsBadConfigs(t *testing.T) {
-	if _, err := RunReplicatedShards(ReplicatedConfig{Types: 27}); err == nil {
+	if _, err := RunReplicatedShards(ReplicatedConfig{Load: Load{Types: 27}}); err == nil {
 		t.Error("full-catalog replicated config accepted despite having no canary type left")
 	}
-	if _, err := RunReplicatedShards(ReplicatedConfig{Types: 5, Replicas: 1}); err == nil {
+	if _, err := RunReplicatedShards(ReplicatedConfig{Load: Load{Types: 5}, Replicas: 1}); err == nil {
 		t.Error("single-member shard group accepted")
 	}
 }

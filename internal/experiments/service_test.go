@@ -15,11 +15,13 @@ func TestRunServiceSpeedupAndCacheHitRate(t *testing.T) {
 		t.Skip("load experiment in -short mode")
 	}
 	res, err := RunService(ServiceConfig{
-		Runs:      6,
-		Trees:     250,
-		Requests:  384,
-		BatchSize: 16,
-		Seed:      5,
+		Load: Load{
+			Runs:      6,
+			Trees:     250,
+			Requests:  384,
+			BatchSize: 16,
+			Seed:      5,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,15 +58,17 @@ func TestRunServiceSpeedupAndCacheHitRate(t *testing.T) {
 // serving modes, warm-up, stats accounting) at minimal cost.
 func TestRunServiceTinyConfig(t *testing.T) {
 	res, err := RunService(ServiceConfig{
-		Types:       4,
-		Runs:        4,
-		Trees:       15,
-		ProbeModels: 1,
-		Requests:    48,
-		Gateways:    2,
-		InFlight:    4,
-		BatchSize:   8,
-		Seed:        9,
+		Load: Load{
+			Types:       4,
+			Runs:        4,
+			Trees:       15,
+			ProbeModels: 1,
+			Requests:    48,
+			Gateways:    2,
+			InFlight:    4,
+			BatchSize:   8,
+			Seed:        9,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

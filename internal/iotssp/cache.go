@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -124,21 +125,22 @@ func sameSnapshot(a, b []uint64) bool {
 }
 
 // flight is one in-flight verdict computation other callers may attach
-// to. The leader closes done after storing resp/ok.
+// to. The leader closes done after storing res/ok.
 type flight struct {
 	snapshot []uint64
 	done     chan struct{}
-	resp     Response
+	res      core.Result
 	ok       bool
 }
 
-// cacheEntry is one cached verdict. resp carries no MAC (the cache is
-// keyed by fingerprint alone; callers stamp the requesting MAC on a
-// copy).
+// cacheEntry is one cached identification. It holds the bank's
+// core.Result, never the assembled Response: the isolation level,
+// advisories and endpoints come from vulndb, which moves without any
+// bank version, so the service assesses them per request.
 type cacheEntry struct {
 	key  uint64
 	deps verdictDeps
-	resp Response
+	res  core.Result
 }
 
 // verdictCache is an LRU verdict cache with singleflight collapsing of
@@ -151,9 +153,9 @@ type cacheEntry struct {
 // single-shard bank the vector has one element and the behavior
 // reduces to the global-version invalidation of the unsharded design.
 //
-// The cached Responses share slice backing arrays between callers; they
-// are treated as immutable everywhere in the service and must not be
-// mutated by callers.
+// The cached Results share slice and map backing storage between
+// callers; they are treated as immutable everywhere in the service and
+// must not be mutated by callers.
 type verdictCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -199,7 +201,7 @@ const (
 // computation leader (beginLeader), who must call finish on the
 // returned flight exactly once — even on failure — or waiters block
 // forever.
-func (c *verdictCache) begin(key uint64, snapshot []uint64) (Response, beginState, *flight) {
+func (c *verdictCache) begin(key uint64, snapshot []uint64) (core.Result, beginState, *flight) {
 	var snapSum uint64
 	for _, v := range snapshot {
 		snapSum += v
@@ -211,7 +213,7 @@ func (c *verdictCache) begin(key uint64, snapshot []uint64) (Response, beginStat
 		if e.deps.fresh(snapshot) {
 			c.lru.MoveToFront(el)
 			c.hits++
-			return e.resp, beginHit, nil
+			return e.res, beginHit, nil
 		}
 		if e.deps.sum <= snapSum {
 			// A shard this verdict depends on moved: drop the entry so
@@ -228,19 +230,19 @@ func (c *verdictCache) begin(key uint64, snapshot []uint64) (Response, beginStat
 	}
 	if f, ok := c.flights[key]; ok && sameSnapshot(f.snapshot, snapshot) {
 		c.shared++
-		return Response{}, beginShared, f
+		return core.Result{}, beginShared, f
 	}
 	f := &flight{snapshot: snapshot, done: make(chan struct{})}
 	c.flights[key] = f
 	c.misses++
-	return Response{}, beginLeader, f
+	return core.Result{}, beginLeader, f
 }
 
 // finish completes a leader's flight: it stores the verdict with its
 // shard dependencies (when ok), wakes every waiter, and deregisters the
 // flight. ok=false publishes the failure to waiters without caching
 // anything.
-func (c *verdictCache) finish(key uint64, f *flight, resp Response, deps verdictDeps, ok bool) {
+func (c *verdictCache) finish(key uint64, f *flight, res core.Result, deps verdictDeps, ok bool) {
 	c.mu.Lock()
 	if c.flights[key] == f {
 		delete(c.flights, key)
@@ -262,7 +264,7 @@ func (c *verdictCache) finish(key uint64, f *flight, resp Response, deps verdict
 		}
 	}
 	if insert {
-		c.byKey[key] = c.lru.PushFront(&cacheEntry{key: key, deps: deps, resp: resp})
+		c.byKey[key] = c.lru.PushFront(&cacheEntry{key: key, deps: deps, res: res})
 		for c.lru.Len() > c.cap {
 			oldest := c.lru.Back()
 			c.lru.Remove(oldest)
@@ -271,7 +273,7 @@ func (c *verdictCache) finish(key uint64, f *flight, resp Response, deps verdict
 		}
 	}
 	c.mu.Unlock()
-	f.resp = resp
+	f.res = res
 	f.ok = ok
 	close(f.done)
 }
@@ -281,25 +283,25 @@ func (c *verdictCache) finish(key uint64, f *flight, resp Response, deps verdict
 // compute returns the verdict, the shard dependencies to tag it with,
 // and whether it is cacheable. The boolean result reports whether the
 // verdict was served without calling compute in this call.
-func (c *verdictCache) do(key uint64, snapshot []uint64, compute func() (Response, verdictDeps, bool)) (Response, bool) {
+func (c *verdictCache) do(key uint64, snapshot []uint64, compute func() (core.Result, verdictDeps, bool)) (core.Result, bool) {
 	for {
-		resp, state, f := c.begin(key, snapshot)
+		res, state, f := c.begin(key, snapshot)
 		switch state {
 		case beginHit:
-			return resp, true
+			return res, true
 		case beginShared:
 			<-f.done
 			if f.ok {
-				return f.resp, true
+				return f.res, true
 			}
 			// The leader failed to produce a cacheable verdict; compute
 			// for ourselves (taking over as leader, or hitting whatever
 			// landed meanwhile).
 			continue
 		default: // beginLeader
-			resp, deps, ok := compute()
-			c.finish(key, f, resp, deps, ok)
-			return resp, false
+			res, deps, ok := compute()
+			c.finish(key, f, res, deps, ok)
+			return res, false
 		}
 	}
 }

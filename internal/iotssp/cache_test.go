@@ -16,9 +16,9 @@ func v(versions ...uint64) []uint64 { return versions }
 
 // computeAll returns a compute func whose verdict depends on every
 // shard of the snapshot (the single-shard common case).
-func computeAll(typ string, snapshot []uint64) func() (Response, verdictDeps, bool) {
-	return func() (Response, verdictDeps, bool) {
-		return Response{DeviceType: typ}, depsAll(snapshot), true
+func computeAll(typ string, snapshot []uint64) func() (core.Result, verdictDeps, bool) {
+	return func() (core.Result, verdictDeps, bool) {
+		return core.Result{Type: typ}, depsAll(snapshot), true
 	}
 }
 
@@ -26,10 +26,10 @@ func TestCacheHitAndLRUEviction(t *testing.T) {
 	c := newVerdictCache(2)
 	s := v(1)
 
-	if r, fromCache := c.do(1, s, computeAll("a", s)); fromCache || r.DeviceType != "a" {
+	if r, fromCache := c.do(1, s, computeAll("a", s)); fromCache || r.Type != "a" {
 		t.Fatalf("first lookup: %+v fromCache=%v", r, fromCache)
 	}
-	if r, fromCache := c.do(1, s, computeAll("WRONG", s)); !fromCache || r.DeviceType != "a" {
+	if r, fromCache := c.do(1, s, computeAll("WRONG", s)); !fromCache || r.Type != "a" {
 		t.Fatalf("second lookup should hit: %+v fromCache=%v", r, fromCache)
 	}
 
@@ -57,11 +57,11 @@ func TestCacheVersionInvalidatesEntry(t *testing.T) {
 	c.do(7, old, computeAll("old", old))
 	grown := v(2)
 	r, fromCache := c.do(7, grown, computeAll("new", grown))
-	if fromCache || r.DeviceType != "new" {
+	if fromCache || r.Type != "new" {
 		t.Fatalf("stale-version entry served: %+v fromCache=%v", r, fromCache)
 	}
 	// The recompute replaced the stale entry at the new version.
-	if r, fromCache := c.do(7, grown, computeAll("", grown)); !fromCache || r.DeviceType != "new" {
+	if r, fromCache := c.do(7, grown, computeAll("", grown)); !fromCache || r.Type != "new" {
 		t.Fatalf("recomputed entry not cached: %+v fromCache=%v", r, fromCache)
 	}
 	st := c.stats()
@@ -82,19 +82,19 @@ func TestCacheShardScopedInvalidation(t *testing.T) {
 	before := v(3, 5)
 	// Entry 10 depends on shard 0 only; entry 11 on shard 1 only;
 	// entry 12 is an unknown verdict (depends on both).
-	c.do(10, before, func() (Response, verdictDeps, bool) {
-		return Response{DeviceType: "s0"}, depsOn(before, []int{0}), true
+	c.do(10, before, func() (core.Result, verdictDeps, bool) {
+		return core.Result{Type: "s0"}, depsOn(before, []int{0}), true
 	})
-	c.do(11, before, func() (Response, verdictDeps, bool) {
-		return Response{DeviceType: "s1"}, depsOn(before, []int{1}), true
+	c.do(11, before, func() (core.Result, verdictDeps, bool) {
+		return core.Result{Type: "s1"}, depsOn(before, []int{1}), true
 	})
-	c.do(12, before, func() (Response, verdictDeps, bool) {
-		return Response{}, depsAll(before), true
+	c.do(12, before, func() (core.Result, verdictDeps, bool) {
+		return core.Result{}, depsAll(before), true
 	})
 
 	// Enrolment into shard 1: its version moves, shard 0's does not.
 	after := v(3, 6)
-	if r, fromCache := c.do(10, after, computeAll("RECOMPUTED", after)); !fromCache || r.DeviceType != "s0" {
+	if r, fromCache := c.do(10, after, computeAll("RECOMPUTED", after)); !fromCache || r.Type != "s0" {
 		t.Errorf("shard-0 entry invalidated by shard-1 enrolment: %+v fromCache=%v", r, fromCache)
 	}
 	if _, fromCache := c.do(11, after, computeAll("s1b", after)); fromCache {
@@ -118,8 +118,8 @@ func TestCacheMultiShardDeps(t *testing.T) {
 	c := newVerdictCache(8)
 	base := v(1, 1, 1)
 	insert := func() {
-		c.do(20, base, func() (Response, verdictDeps, bool) {
-			return Response{DeviceType: "multi"}, depsOn(base, []int{0, 2}), true
+		c.do(20, base, func() (core.Result, verdictDeps, bool) {
+			return core.Result{Type: "multi"}, depsOn(base, []int{0, 2}), true
 		})
 	}
 	insert()
@@ -147,9 +147,9 @@ func TestCacheNewerEntryWinsInsertRace(t *testing.T) {
 	// Old leader starts first but finishes last.
 	_, _, fOld := c.begin(30, oldSnap)
 	_, _, fNew := c.begin(30, newSnap) // different snapshot: a second flight
-	c.finish(30, fNew, Response{DeviceType: "fresh"}, depsAll(newSnap), true)
-	c.finish(30, fOld, Response{DeviceType: "stale"}, depsAll(oldSnap), true)
-	if r, fromCache := c.do(30, newSnap, computeAll("x", newSnap)); !fromCache || r.DeviceType != "fresh" {
+	c.finish(30, fNew, core.Result{Type: "fresh"}, depsAll(newSnap), true)
+	c.finish(30, fOld, core.Result{Type: "stale"}, depsAll(oldSnap), true)
+	if r, fromCache := c.do(30, newSnap, computeAll("x", newSnap)); !fromCache || r.Type != "fresh" {
 		t.Fatalf("stale leader clobbered fresh entry: %+v fromCache=%v", r, fromCache)
 	}
 }
@@ -167,14 +167,14 @@ func TestCacheSingleflightCollapsesStorm(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, _ := c.do(42, s, func() (Response, verdictDeps, bool) {
+			r, _ := c.do(42, s, func() (core.Result, verdictDeps, bool) {
 				<-gate // hold the flight open until every caller has piled in
 				mu.Lock()
 				computes++
 				mu.Unlock()
-				return Response{DeviceType: "t"}, depsAll(s), true
+				return core.Result{Type: "t"}, depsAll(s), true
 			})
-			if r.DeviceType != "t" {
+			if r.Type != "t" {
 				t.Errorf("storm caller got %+v", r)
 			}
 		}()
@@ -202,14 +202,14 @@ func TestCacheSingleflightCollapsesStorm(t *testing.T) {
 func TestCacheFailedFlightNotCached(t *testing.T) {
 	c := newVerdictCache(4)
 	s := v(1)
-	c.do(9, s, func() (Response, verdictDeps, bool) {
-		return Response{Error: "transient"}, verdictDeps{}, false
+	c.do(9, s, func() (core.Result, verdictDeps, bool) {
+		return core.Result{}, verdictDeps{}, false
 	})
 	if st := c.stats(); st.Entries != 0 {
 		t.Fatalf("uncacheable verdict cached: %+v", st)
 	}
 	r, fromCache := c.do(9, s, computeAll("ok", s))
-	if fromCache || r.DeviceType != "ok" {
+	if fromCache || r.Type != "ok" {
 		t.Fatalf("after failed flight: %+v fromCache=%v", r, fromCache)
 	}
 }
@@ -218,14 +218,14 @@ func TestCacheSharedWaiterRetriesAfterFailedLeader(t *testing.T) {
 	c := newVerdictCache(4)
 	leaderIn := make(chan struct{})
 	release := make(chan struct{})
-	done := make(chan Response, 1)
+	done := make(chan core.Result, 1)
 	s := v(1)
 
 	go func() {
-		c.do(5, s, func() (Response, verdictDeps, bool) {
+		c.do(5, s, func() (core.Result, verdictDeps, bool) {
 			close(leaderIn)
 			<-release
-			return Response{}, verdictDeps{}, false // leader fails; nothing cached
+			return core.Result{}, verdictDeps{}, false // leader fails; nothing cached
 		})
 	}()
 	<-leaderIn
@@ -238,7 +238,7 @@ func TestCacheSharedWaiterRetriesAfterFailedLeader(t *testing.T) {
 		runtime.Gosched()
 	}
 	close(release)
-	if r := <-done; r.DeviceType != "second" {
+	if r := <-done; r.Type != "second" {
 		t.Fatalf("waiter after failed leader got %+v", r)
 	}
 }
@@ -445,5 +445,38 @@ func TestIdentifyBatchDeduplicatesWithinBatch(t *testing.T) {
 	}
 	if st.Shared != 2 {
 		t.Errorf("in-batch duplicates not collapsed: %+v", st)
+	}
+}
+
+// TestAdvisoryRelevelsCachedVerdict: the verdict cache holds
+// identification results, never levels, so an advisory added after a
+// Trusted type's fingerprints were cached re-levels the very next
+// verdict — on the single and the batch path, served from the cache
+// without a recompute and without any bank version moving.
+func TestAdvisoryRelevelsCachedVerdict(t *testing.T) {
+	base, ds := testService(t)
+	db := vulndb.Seeded()
+	svc := NewService(base.Bank(), ServiceConfig{DB: db})
+	single, batched := ds["Aria"][0], ds["Aria"][1]
+	macs := []string{"02:00:00:00:0a:01"}
+	if r := svc.Identify(macs[0], single); r.DeviceType != "Aria" || r.Level != "trusted" {
+		t.Fatalf("before the advisory: %s at %s, want Aria at trusted", r.DeviceType, r.Level)
+	}
+	if r := svc.IdentifyBatch(macs, []*fingerprint.Fingerprint{batched}, 1)[0]; r.DeviceType != "Aria" || r.Level != "trusted" {
+		t.Fatalf("before the advisory (batch): %s at %s, want Aria at trusted", r.DeviceType, r.Level)
+	}
+	st0 := svc.CacheStats()
+
+	db.Add("Aria", vulndb.Vulnerability{ID: "CVE-TEST-0001", Summary: "late advisory", CVSS: 7.5, Year: 2017})
+	for name, r := range map[string]Response{
+		"Identify":      svc.Identify(macs[0], single),
+		"IdentifyBatch": svc.IdentifyBatch(macs, []*fingerprint.Fingerprint{batched}, 1)[0],
+	} {
+		if r.Level != "restricted" || len(r.Vulnerabilities) != 1 || r.Vulnerabilities[0] != "CVE-TEST-0001" {
+			t.Errorf("%s after the advisory: level %s, advisories %v; want restricted by CVE-TEST-0001", name, r.Level, r.Vulnerabilities)
+		}
+	}
+	if st1 := svc.CacheStats(); st1.Hits-st0.Hits != 2 || st1.Misses != st0.Misses {
+		t.Errorf("re-levelling recomputed instead of serving the cached identification: before %+v, after %+v", st0, st1)
 	}
 }

@@ -20,7 +20,7 @@ func TestReplicaStopStartKeepsAddress(t *testing.T) {
 		t.Fatal("no address after Start")
 	}
 
-	client := NewClient(addr)
+	client := newTestClient(addr)
 	defer client.Close()
 	fp := ds["Aria"][0]
 	if _, err := client.Identify(context.Background(), "02:fe:00:00:00:01", fp); err != nil {
@@ -45,7 +45,7 @@ func TestReplicaStopStartKeepsAddress(t *testing.T) {
 
 	// The old client connection died with the first incarnation; a
 	// fresh client reaches the revived replica at the same address.
-	client2 := NewClient(addr)
+	client2 := newTestClient(addr)
 	defer client2.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -86,7 +86,7 @@ func TestFleetSharedServiceServesAllReplicas(t *testing.T) {
 
 	fp := ds["HueBridge"][0]
 	for i, addr := range addrs {
-		client := NewClient(addr)
+		client := newTestClient(addr)
 		resp, err := client.Identify(context.Background(), "02:fd:00:00:00:0a", fp)
 		client.Close()
 		if err != nil {
@@ -125,12 +125,12 @@ func TestFleetStopOneReplicaOthersServe(t *testing.T) {
 	if err := fleet.Replica(0).Stop(); err != nil {
 		t.Fatal(err)
 	}
-	client := NewClient(fleet.Addrs()[1])
+	client := newTestClient(fleet.Addrs()[1])
 	defer client.Close()
 	if _, err := client.Identify(context.Background(), "02:fd:00:00:00:0b", ds["Aria"][0]); err != nil {
 		t.Fatalf("surviving replica: %v", err)
 	}
-	dead := NewClient(fleet.Addrs()[0])
+	dead := newTestClient(fleet.Addrs()[0])
 	defer dead.Close()
 	if _, err := dead.Identify(context.Background(), "02:fd:00:00:00:0c", ds["Aria"][0]); err == nil {
 		t.Error("stopped replica answered")

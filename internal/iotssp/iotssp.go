@@ -49,16 +49,19 @@
 //
 // # Shard-versioned verdict cache
 //
-// Verdicts are cached in an LRU keyed by the canonical fingerprint
-// hash (fingerprint.Hash). Each entry is tagged with the shard
-// versions it depends on — the shards owning the device-types whose
-// classifiers accepted the fingerprint, or every shard for an
-// unknown-type verdict, since any future enrolment could claim it.
-// Enrolling a new type bumps only the owning shard's version, so
-// exactly the dependent entries turn stale (counted as Invalidations)
-// while verdicts owned by other shards keep serving. With a
-// single-shard bank the vector degenerates to one element and the
-// cache behaves like a globally version-tagged one.
+// Identification results (core.Result) are cached in an LRU keyed by
+// the canonical fingerprint hash (fingerprint.Hash); the isolation
+// level, advisories and permitted endpoints are assessed per request,
+// cache hits included, so an advisory added to the vulnerability
+// repository re-levels the very next verdict. Each entry is tagged
+// with the shard versions it depends on — the shards owning the
+// device-types whose classifiers accepted the fingerprint, or every
+// shard for an unknown-type verdict, since any future enrolment could
+// claim it. Enrolling a new type bumps only the owning shard's
+// version, so exactly the dependent entries turn stale (counted as
+// Invalidations) while results owned by other shards keep serving.
+// With a single-shard bank the vector degenerates to one element and
+// the cache behaves like a globally version-tagged one.
 //
 // # Replicated fleet topology
 //
@@ -109,13 +112,12 @@
 // RemoteShard's reconnect/retry with jittered backoff carries
 // in-flight scatters across the outage.
 //
-// Every client in this package — the legacy single-connection Client
-// and RemoteShard's pipelined links alike — rides internal/lineconn,
-// the shared line-correlated transport (line-echo correlation,
-// connection-generation guard, fail-fast waiter semantics, lazy
-// reconnect); RemoteShard plugs the hello negotiation in through the
-// transport's handshake hook, so a mode or version mismatch fails the
-// dial instead of surfacing mid-pipeline.
+// RemoteShard's pipelined links ride internal/lineconn, the shared
+// line-correlated transport (line-echo correlation, connection-
+// generation guard, fail-fast waiter semantics, lazy reconnect) that
+// gateway.Pool rides too; RemoteShard plugs the hello negotiation in
+// through the transport's handshake hook, so a mode or version
+// mismatch fails the dial instead of surfacing mid-pipeline.
 //
 // # Replicated shard groups
 //
@@ -543,27 +545,29 @@ func (s *Service) Identify(mac string, fp *fingerprint.Fingerprint) Response {
 	return resp
 }
 
-// verdict computes or recalls the MAC-less verdict for fp. The
-// version-vector snapshot is taken per request — a few atomic loads
-// and one small allocation, noise next to the JSON encode every
-// response pays, and the vector must outlive the call anyway when a
-// miss registers it on the singleflight flight.
+// verdict computes or recalls fp's identification and assesses it into
+// the MAC-less verdict. The version-vector snapshot is taken per
+// request — a few atomic loads and one small allocation, noise next to
+// the JSON encode every response pays, and the vector must outlive the
+// call anyway when a miss registers it on the singleflight flight.
 func (s *Service) verdict(fp *fingerprint.Fingerprint) Response {
 	if s.cache == nil {
 		return s.assemble(s.bank.Identify(fp))
 	}
 	snapshot := s.bank.Versions()
-	resp, _ := s.cache.do(fp.Hash(), snapshot, func() (Response, verdictDeps, bool) {
+	res, _ := s.cache.do(fp.Hash(), snapshot, func() (core.Result, verdictDeps, bool) {
 		res := s.bank.Identify(fp)
-		return s.assemble(res), s.depsFor(res, snapshot), true
+		return res, s.depsFor(res, snapshot), true
 	})
-	return resp
+	return s.assemble(res)
 }
 
 // assemble turns an identification result into the wire verdict:
 // vulnerability assessment, isolation level, permitted endpoints and
-// user notification. The slices in the returned Response are shared
-// with the cache and must be treated as immutable.
+// user notification. It runs on every request, cache hits included, so
+// an advisory added to the repository re-levels the next verdict. The
+// endpoint slices are shared with the service and must be treated as
+// immutable.
 func (s *Service) assemble(res core.Result) Response {
 	resp := Response{
 		Known: res.Known,
@@ -578,9 +582,10 @@ func (s *Service) assemble(res core.Result) Response {
 	level := assessment.Level()
 	resp.Level = level.String()
 	if level == enforce.Restricted {
-		resp.PermittedEndpoints = append([]string(nil), s.endpoints[res.Type]...)
-		for _, v := range assessment.Vulns {
-			resp.Vulnerabilities = append(resp.Vulnerabilities, v.ID)
+		resp.PermittedEndpoints = s.endpoints[res.Type]
+		resp.Vulnerabilities = make([]string, len(assessment.Vulns))
+		for i, v := range assessment.Vulns {
+			resp.Vulnerabilities[i] = v.ID
 		}
 	}
 	if notify, channels := assessment.RequiresUserNotification(); notify {
@@ -659,10 +664,10 @@ func (s *Service) IdentifyBatch(macs []string, fps []*fingerprint.Fingerprint, w
 			s.cache.noteShared()
 			continue
 		}
-		resp, state, f := s.cache.begin(key, snapshot)
+		res, state, f := s.cache.begin(key, snapshot)
 		switch state {
 		case beginHit:
-			out[i] = resp
+			out[i] = s.assemble(res)
 		case beginShared:
 			waits = append(waits, waiter{idx: i, fp: fp, f: f})
 		default: // beginLeader
@@ -679,8 +684,8 @@ func (s *Service) IdentifyBatch(macs []string, fps []*fingerprint.Fingerprint, w
 		}
 		results := s.bank.IdentifyBatch(batch, workers)
 		for j, l := range leads {
+			s.cache.finish(l.key, l.f, results[j], s.depsFor(results[j], snapshot), true)
 			resp := s.assemble(results[j])
-			s.cache.finish(l.key, l.f, resp, s.depsFor(results[j], snapshot), true)
 			for _, i := range l.idxs {
 				out[i] = resp
 			}
@@ -692,7 +697,7 @@ func (s *Service) IdentifyBatch(macs []string, fps []*fingerprint.Fingerprint, w
 	for _, w := range waits {
 		<-w.f.done
 		if w.f.ok {
-			out[w.idx] = w.f.resp
+			out[w.idx] = s.assemble(w.f.res)
 		} else {
 			out[w.idx] = s.verdict(w.fp)
 		}

@@ -156,7 +156,7 @@ func TestServerClientOverTCP(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(lis) }()
 
-	client := NewClient(lis.Addr().String())
+	client := newTestClient(lis.Addr().String())
 	defer client.Close()
 
 	ctx := context.Background()
@@ -194,7 +194,7 @@ func TestServerConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			client := NewClient(lis.Addr().String())
+			client := newTestClient(lis.Addr().String())
 			defer client.Close()
 			for j := 0; j < 5; j++ {
 				resp, err := client.Identify(context.Background(), "02:00:00:00:00:01", ds["HueBridge"][j%len(ds["HueBridge"])])
@@ -224,7 +224,7 @@ func TestClientReconnects(t *testing.T) {
 		t.Fatal(err)
 	}
 	go srv.Serve(lis)
-	client := NewClient(lis.Addr().String())
+	client := newTestClient(lis.Addr().String())
 	defer client.Close()
 
 	if _, err := client.Identify(context.Background(), "02:00:00:00:00:01", ds["Aria"][0]); err != nil {

@@ -188,7 +188,7 @@ func TestDispatchLoneRequestFlushesAlone(t *testing.T) {
 	srv, bank, addr := startGatedServer(t)
 	bank.open()
 
-	c := NewClient(addr)
+	c := newTestClient(addr)
 	defer c.Close()
 	const mac = "02:00:00:00:01:01"
 	resp, err := c.Identify(context.Background(), mac, dispatchFingerprint(t))
@@ -375,7 +375,7 @@ func TestServerConnectionLimit(t *testing.T) {
 	svc, ds := testService(t)
 	srv, addr := startServer(t, svc, ServerConfig{MaxConns: 1})
 
-	first := NewClient(addr)
+	first := newTestClient(addr)
 	defer first.Close()
 	if _, err := first.Identify(context.Background(), "02:00:00:00:04:01", ds["Aria"][0]); err != nil {
 		t.Fatal(err)

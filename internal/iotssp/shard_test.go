@@ -253,7 +253,7 @@ func TestOldClientAgainstShardServerGetsRetryableError(t *testing.T) {
 	fix := getShardFixture(t)
 	replica := startShardReplica(t, freshShardedBank(t).Shard(0).(*core.Bank))
 
-	client := NewClient(replica.Addr())
+	client := newTestClient(replica.Addr())
 	defer client.Close()
 	resp, err := client.Identify(context.Background(), "02:aa:00:00:00:01", fix.probes[0])
 	if err == nil {

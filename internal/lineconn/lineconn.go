@@ -1,10 +1,10 @@
 // Package lineconn is the pipelined line-correlated transport shared by
 // every client in the serving stack: the pooled gateway client
-// (gateway.Pool/FleetPool), the remote-shard client (iotssp.RemoteShard
-// and the replicated iotssp.ShardGroup) and the legacy single-connection
-// iotssp.Client all speak a JSON-lines protocol whose responses may
-// arrive out of order, and all of them used to carry their own copy of
-// the same subtle connection core. This package owns that core once.
+// (gateway.Pool/FleetPool) and the remote-shard client
+// (iotssp.RemoteShard and the replicated iotssp.ShardGroup) both speak
+// a JSON-lines protocol whose responses may arrive out of order, and
+// each used to carry its own copy of the same subtle connection core.
+// This package owns that core once.
 //
 // # The correlation contract
 //
