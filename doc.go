@@ -12,6 +12,12 @@
 // regenerates every table and figure of the paper's evaluation; the
 // benchmarks in bench_test.go expose each of them to `go test -bench`.
 //
+// Training is the write the service performs when a device-type
+// appears: ml.NewForest ranks every feature column once, grows each CART
+// tree by counting rows per rank rather than sorting at each node, and
+// trains the trees concurrently, bit-identical to the serial sort-based
+// inducer kept in its tests as the oracle.
+//
 // Identification is a concurrent, batched engine. Forest inference runs
 // over a flattened struct-of-arrays node layout with
 // ml.Forest.PredictProbBatch fanning samples across goroutines;

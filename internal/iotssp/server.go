@@ -482,10 +482,13 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 			continue
 		}
+		// Count before enqueueing: once queued, the reply can reach the
+		// client before this goroutine runs again.
+		s.requests.Add(1)
 		select {
 		case s.queue <- dispatchItem{mac: mac, fp: fp, line: line, out: w}:
-			s.requests.Add(1)
 		default:
+			s.requests.Add(^uint64(0)) // refused, not enqueued
 			s.overloaded.Add(1)
 			if !w.send(Response{
 				MAC:       mac,

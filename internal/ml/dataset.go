@@ -5,11 +5,15 @@
 // Everything is built from scratch on the standard library. All
 // randomness (bootstrap sampling, per-node feature subsampling, fold
 // shuffling) flows from explicitly seeded generators, so training is
-// bit-for-bit reproducible.
+// bit-for-bit reproducible. A forest ranks each feature column once, so
+// split search counts rows per rank instead of sorting at every node,
+// and trains its trees concurrently on up to GOMAXPROCS goroutines; the
+// trained forest does not depend on the worker count or GOMAXPROCS.
 package ml
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -20,8 +24,9 @@ type Dataset struct {
 	Y []int
 }
 
-// NewDataset validates and wraps the given matrix and labels. The slices
-// are retained, not copied.
+// NewDataset validates and wraps the given matrix and labels: rows of
+// one length, binary labels and finite features. The slices are
+// retained, not copied.
 func NewDataset(x [][]float64, y []int) (*Dataset, error) {
 	if len(x) != len(y) {
 		return nil, fmt.Errorf("ml: %d rows but %d labels", len(x), len(y))
@@ -34,6 +39,11 @@ func NewDataset(x [][]float64, y []int) (*Dataset, error) {
 		if len(row) != d {
 			return nil, fmt.Errorf("ml: row %d has %d features, want %d", i, len(row), d)
 		}
+		for f, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, errNonFinite(i, f, v)
+			}
+		}
 	}
 	for i, label := range y {
 		if label != 0 && label != 1 {
@@ -41,6 +51,12 @@ func NewDataset(x [][]float64, y []int) (*Dataset, error) {
 		}
 	}
 	return &Dataset{X: x, Y: y}, nil
+}
+
+// errNonFinite reports a NaN or infinite feature value, which has no
+// order a split search could sweep.
+func errNonFinite(row, feature int, v float64) error {
+	return fmt.Errorf("ml: row %d feature %d is %v, want a finite value", row, feature, v)
 }
 
 // Len returns the number of rows.
@@ -52,27 +68,6 @@ func (d *Dataset) Features() int {
 		return 0
 	}
 	return len(d.X[0])
-}
-
-// Subset returns a view of the dataset restricted to the given row
-// indices. Rows are shared with the parent.
-func (d *Dataset) Subset(idx []int) *Dataset {
-	x := make([][]float64, len(idx))
-	y := make([]int, len(idx))
-	for i, j := range idx {
-		x[i] = d.X[j]
-		y[i] = d.Y[j]
-	}
-	return &Dataset{X: x, Y: y}
-}
-
-// bootstrap draws n row indices with replacement.
-func bootstrap(n int, rng *rand.Rand) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = rng.Intn(n)
-	}
-	return idx
 }
 
 // SampleWithoutReplacement draws k distinct values from [0,n) using a

@@ -3,6 +3,9 @@ package ml
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // ForestConfig controls Random Forest training.
@@ -38,26 +41,66 @@ type Forest struct {
 
 // NewForest trains a Random Forest on ds: each tree is induced on a
 // bootstrap sample of the rows with per-node feature subsampling
-// (Breiman, 2001).
+// (Breiman, 2001). The feature columns are ranked once for the whole
+// forest, and the trees train concurrently on up to GOMAXPROCS
+// goroutines. Each tree's generator is seeded from the master stream
+// in tree order before any tree trains, so the forest is bit-identical
+// whatever the worker count or GOMAXPROCS.
 func NewForest(ds *Dataset, cfg ForestConfig) (*Forest, error) {
+	return newForest(ds, cfg, runtime.GOMAXPROCS(0))
+}
+
+// newForest is NewForest on at most workers goroutines.
+func newForest(ds *Dataset, cfg ForestConfig, workers int) (*Forest, error) {
 	if ds == nil || ds.Len() == 0 {
 		return nil, fmt.Errorf("ml: training on empty dataset")
+	}
+	d, err := rankColumns(ds, workers)
+	if err != nil {
+		return nil, err
 	}
 	nTrees := cfg.Trees
 	if nTrees <= 0 {
 		nTrees = DefaultTrees
 	}
+	// One seed per tree from the master stream, so tree training is
+	// independent of the others' consumption pattern and of scheduling.
 	master := rand.New(rand.NewSource(cfg.Seed))
-	f := &Forest{trees: make([]*Tree, nTrees)}
-	for i := range f.trees {
-		// Derive one generator per tree from the master stream so tree
-		// training is independent of the others' consumption pattern.
-		rng := rand.New(rand.NewSource(master.Int63()))
-		sample := ds.Subset(bootstrap(ds.Len(), rng))
-		f.trees[i] = NewTree(sample, cfg.Tree, rng)
+	seeds := make([]int64, nTrees)
+	for i := range seeds {
+		seeds[i] = master.Int63()
 	}
-	f.flat = flatten(f.trees, cfg.Flat)
-	return f, nil
+	trees := make([]*Tree, nTrees)
+	parallelFor(workers, nTrees, func() func(int) {
+		b := newTreeBuilder(d, cfg.Tree)
+		return func(i int) { trees[i] = b.bootstrapTree(seeds[i]) }
+	})
+	return &Forest{trees: trees, flat: flatten(trees, cfg.Flat)}, nil
+}
+
+// parallelFor calls body(i) for every i in [0, n) on up to workers
+// goroutines (the caller's included) that pull indices from a shared
+// cursor; newBody builds one goroutine's body and its scratch. Training
+// runs here rather than on the classify pool: a pool worker busy on a
+// tree would delay the classify helpers queued behind it.
+func parallelFor(workers, n int, newBody func() func(i int)) {
+	var next atomic.Int64
+	run := func() {
+		body := newBody()
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			body(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	run()
+	wg.Wait()
 }
 
 // PredictProb returns the fraction of trees voting for the positive

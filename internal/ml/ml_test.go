@@ -1,7 +1,10 @@
 package ml
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -57,12 +60,20 @@ func TestNewDatasetValidation(t *testing.T) {
 	if _, err := NewDataset([][]float64{{1}}, []int{2}); err == nil {
 		t.Error("non-binary label accepted")
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewDataset([][]float64{{0, 1}, {2, v}}, []int{0, 1}); err == nil {
+			t.Errorf("feature %v accepted", v)
+		}
+		if _, err := NewForest(&Dataset{X: [][]float64{{0}, {v}}, Y: []int{0, 1}}, ForestConfig{Trees: 1}); err == nil {
+			t.Errorf("forest trained on feature %v", v)
+		}
+	}
 }
 
 func TestTreeFitsLinearData(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ds := linearDataset(200, rng)
-	tree := NewTree(ds, TreeConfig{MTry: 2}, rng)
+	tree := rankedTree(t, ds, TreeConfig{MTry: 2}, rng)
 	errs := 0
 	for i := 0; i < ds.Len(); i++ {
 		if tree.Predict(ds.X[i]) != ds.Y[i] {
@@ -81,7 +92,7 @@ func TestTreePureNodeIsLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := NewTree(ds, TreeConfig{}, rand.New(rand.NewSource(1)))
+	tree := rankedTree(t, ds, TreeConfig{}, rand.New(rand.NewSource(1)))
 	if tree.NodeCount() != 1 {
 		t.Errorf("pure dataset grew %d nodes, want 1", tree.NodeCount())
 	}
@@ -93,7 +104,7 @@ func TestTreePureNodeIsLeaf(t *testing.T) {
 func TestTreeMaxDepth(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ds := xorDataset(400, rng)
-	tree := NewTree(ds, TreeConfig{MaxDepth: 3, MTry: 2}, rng)
+	tree := rankedTree(t, ds, TreeConfig{MaxDepth: 3, MTry: 2}, rng)
 	if d := tree.Depth(); d > 3 {
 		t.Errorf("Depth = %d, want <= 3", d)
 	}
@@ -102,7 +113,7 @@ func TestTreeMaxDepth(t *testing.T) {
 func TestTreeMinSamplesLeaf(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ds := xorDataset(200, rng)
-	tree := NewTree(ds, TreeConfig{MinSamplesLeaf: 50, MTry: 2}, rng)
+	tree := rankedTree(t, ds, TreeConfig{MinSamplesLeaf: 50, MTry: 2}, rng)
 	// With a 50-row floor on 200 rows the tree can have at most 4 leaves
 	// (7 nodes).
 	if tree.NodeCount() > 7 {
@@ -129,35 +140,32 @@ func TestForestFitsXOR(t *testing.T) {
 	}
 }
 
+// TestForestDeterminism: a forest's encoded bytes depend only on the
+// data and the seed — not on the run, the worker count or GOMAXPROCS —
+// and another seed trains another forest.
 func TestForestDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ds := xorDataset(300, rng)
-	f1, err := NewForest(ds, ForestConfig{Trees: 20, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+	cfg := ForestConfig{Trees: 20, Seed: 7}
+	encode := func(f *Forest, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return AppendForest(nil, f)
 	}
-	f2, err := NewForest(ds, ForestConfig{Trees: 20, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+	want := encode(NewForest(ds, cfg))
+	if again := encode(NewForest(ds, cfg)); !bytes.Equal(again, want) {
+		t.Error("same seed trained a different forest")
 	}
-	probe := [][]float64{{0.05, 0.05}, {1.05, 0.02}, {0.5, 0.5}, {1.1, 1.1}}
-	for _, x := range probe {
-		if f1.PredictProb(x) != f2.PredictProb(x) {
-			t.Errorf("same seed produced different forests at %v", x)
+	for _, workers := range []int{1, 2, 2*runtime.GOMAXPROCS(0) + 1} {
+		if got := encode(newForest(ds, cfg, workers)); !bytes.Equal(got, want) {
+			t.Errorf("%d workers trained a different forest", workers)
 		}
 	}
-	f3, err := NewForest(ds, ForestConfig{Trees: 20, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for _, x := range probe {
-		if f1.PredictProb(x) != f3.PredictProb(x) {
-			same = false
-		}
-	}
-	if same {
-		t.Log("warning: different seeds produced identical predictions (possible but unlikely)")
+	cfg.Seed = 8
+	if other := encode(NewForest(ds, cfg)); bytes.Equal(other, want) {
+		t.Error("seeds 7 and 8 trained the same forest")
 	}
 }
 

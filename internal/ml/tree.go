@@ -3,7 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // TreeConfig controls CART induction.
@@ -33,44 +33,126 @@ type Tree struct {
 	nodes []node
 }
 
-// NewTree induces a CART tree on ds using Gini impurity. rng drives the
-// per-node feature subsampling.
-func NewTree(ds *Dataset, cfg TreeConfig, rng *rand.Rand) *Tree {
-	mtry := cfg.MTry
-	if mtry <= 0 {
-		mtry = int(math.Sqrt(float64(ds.Features())))
-		if mtry < 1 {
-			mtry = 1
+// rankedData is a training Dataset with every feature column ranked
+// once, so split search never sorts: vals[f] holds column f's distinct
+// values in ascending order and rank[f*n+row] the index of the row's
+// value in vals[f]. A constant column keeps vals[f] empty: it never
+// splits.
+type rankedData struct {
+	x    [][]float64
+	y    []int
+	n    int
+	rank []int32
+	vals [][]float64
+}
+
+// rankColumns ranks every feature column of ds on up to workers
+// goroutines, rejecting non-finite values (a Dataset built without
+// NewDataset may hold them).
+func rankColumns(ds *Dataset, workers int) (*rankedData, error) {
+	n, nf := ds.Len(), ds.Features()
+	d := &rankedData{x: ds.X, y: ds.Y, n: n, rank: make([]int32, n*nf), vals: make([][]float64, nf)}
+	errs := make([]error, nf)
+	parallelFor(workers, nf, func() func(int) {
+		col, sorted := make([]float64, n), make([]float64, n)
+		return func(f int) { errs[f] = d.rankColumn(f, col, sorted) }
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-	b := &treeBuilder{ds: ds, cfg: cfg, mtry: mtry, rng: rng}
-	idx := make([]int, ds.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	t := &Tree{}
-	b.tree = t
-	b.grow(idx, 0)
-	return t
+	return d, nil
 }
 
+// rankColumn fills column f's vals and ranks; col and sorted are
+// n-row scratch.
+func (d *rankedData) rankColumn(f int, col, sorted []float64) error {
+	constant := true
+	for i, row := range d.x {
+		v := row[f]
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return errNonFinite(i, f, v)
+		}
+		col[i] = v
+		constant = constant && v == col[0]
+	}
+	if constant {
+		return nil // vals[f] stays empty: the column never splits
+	}
+	copy(sorted, col)
+	slices.Sort(sorted)
+	distinct := slices.Compact(sorted)
+	d.vals[f] = slices.Clone(distinct)
+	ranks := d.rank[f*d.n : (f+1)*d.n]
+	for i, v := range col {
+		k, _ := slices.BinarySearch(distinct, v)
+		ranks[i] = int32(k)
+	}
+	return nil
+}
+
+// treeBuilder induces CART trees on one rankedData. It owns every
+// scratch buffer the induction needs, so growing a tree allocates only
+// the finished node slice; one builder serves one goroutine.
 type treeBuilder struct {
-	ds   *Dataset
-	cfg  TreeConfig
-	mtry int
-	rng  *rand.Rand
-	tree *Tree
+	d       *rankedData
+	cfg     TreeConfig
+	mtry    int
+	minLeaf int
+	rng     *rand.Rand
+	perm    []int    // the node's feature permutation
+	rows    []int32  // the tree's rows, partitioned in place per node
+	tally   []uint64 // per rank of the feature being swept: rows | positives<<32; zero between features
+	nodes   []node
 }
 
-// grow builds the subtree over rows idx and returns its node index.
-func (b *treeBuilder) grow(idx []int, depth int) int32 {
-	pos := 0
-	for _, i := range idx {
-		pos += b.ds.Y[i]
+func newTreeBuilder(d *rankedData, cfg TreeConfig) *treeBuilder {
+	nf := len(d.vals)
+	mtry := cfg.MTry
+	if mtry <= 0 {
+		mtry = max(int(math.Sqrt(float64(nf))), 1)
 	}
-	n := len(idx)
-	id := int32(len(b.tree.nodes))
-	b.tree.nodes = append(b.tree.nodes, node{feature: -1, prob: float64(pos) / float64(n)})
+	return &treeBuilder{
+		d:       d,
+		cfg:     cfg,
+		mtry:    mtry,
+		minLeaf: max(cfg.MinSamplesLeaf, 1),
+		rng:     rand.New(rand.NewSource(0)),
+		perm:    make([]int, nf),
+		rows:    make([]int32, d.n),
+		tally:   make([]uint64, d.n), // a column has at most n distinct values
+	}
+}
+
+// bootstrapTree induces the tree a forest derives from seed: a
+// generator seeded with it draws a bootstrap sample of the rows (with
+// replacement), then drives the per-node feature subsampling.
+func (b *treeBuilder) bootstrapTree(seed int64) *Tree {
+	b.rng.Seed(seed)
+	for i := range b.rows {
+		b.rows[i] = int32(b.rng.Intn(b.d.n))
+	}
+	return b.induce(b.rows)
+}
+
+// induce grows a tree on rows (which it reorders) with Gini impurity.
+func (b *treeBuilder) induce(rows []int32) *Tree {
+	b.nodes = b.nodes[:0]
+	b.grow(rows, 0)
+	return &Tree{nodes: slices.Clone(b.nodes)}
+}
+
+// grow builds the subtree over rows and returns its node index.
+// Children are appended after their parent, left subtree first.
+func (b *treeBuilder) grow(rows []int32, depth int) int32 {
+	pos := 0
+	for _, r := range rows {
+		pos += b.d.y[r]
+	}
+	n := len(rows)
+	id := int32(len(b.nodes))
+	b.nodes = append(b.nodes, node{feature: -1, prob: float64(pos) / float64(n)})
 
 	if pos == 0 || pos == n {
 		return id // pure
@@ -78,33 +160,28 @@ func (b *treeBuilder) grow(idx []int, depth int) int32 {
 	if b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth {
 		return id
 	}
-	minLeaf := b.cfg.MinSamplesLeaf
-	if minLeaf < 1 {
-		minLeaf = 1
-	}
-	if n < 2*minLeaf {
+	if n < 2*b.minLeaf {
 		return id
 	}
-
-	feat, thr, ok := b.bestSplit(idx, pos, minLeaf)
+	feat, thr, ok := b.bestSplit(rows, pos)
 	if !ok {
 		return id
 	}
 
-	left := make([]int, 0, n)
-	right := make([]int, 0, n)
-	for _, i := range idx {
-		if b.ds.X[i][feat] <= thr {
-			left = append(left, i)
+	// Partition in place. Row order within a node never matters: the
+	// split search depends only on the multiset of rows.
+	i, j := 0, n
+	for i < j {
+		if b.d.x[rows[i]][feat] <= thr {
+			i++
 		} else {
-			right = append(right, i)
+			j--
+			rows[i], rows[j] = rows[j], rows[i]
 		}
 	}
-	// Recurse; children are appended after this node so the indices are
-	// assigned by the recursive calls.
-	l := b.grow(left, depth+1)
-	r := b.grow(right, depth+1)
-	nd := &b.tree.nodes[id]
+	l := b.grow(rows[:i], depth+1)
+	r := b.grow(rows[i:], depth+1)
+	nd := &b.nodes[id]
 	nd.feature = feat
 	nd.threshold = thr
 	nd.left = l
@@ -118,54 +195,80 @@ func (b *treeBuilder) grow(idx []int, depth int) int32 {
 // features when the sampled ones admit no valid partition (sparse
 // fingerprint vectors routinely make a 16-feature sample all-constant
 // within a node), declaring a leaf only when no feature splits the node.
-// pos is the positive count over idx.
-func (b *treeBuilder) bestSplit(idx []int, pos, minLeaf int) (feature int, threshold float64, ok bool) {
-	n := len(idx)
+// pos is the positive count over rows.
+//
+// Per feature it counts rows and positives per rank, then sweeps the
+// ranks present in the node in ascending order: each boundary between
+// consecutive present values is one candidate threshold (see
+// splitThreshold). That visits exactly the boundaries of a sweep over the
+// node's values sorted, in the same order, so ties resolve the same way.
+func (b *treeBuilder) bestSplit(rows []int32, pos int) (feature int, threshold float64, ok bool) {
+	n := len(rows)
 	bestGini := math.Inf(1)
 	parentGini := giniImpurity(pos, n)
 
-	type valLabel struct {
-		v float64
-		y int
+	// The feature permutation, drawn exactly as rand.Perm draws it so
+	// the generator's stream does not depend on the buffer reuse.
+	perm := b.perm
+	for i := range perm {
+		j := b.rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = i
 	}
-	vals := make([]valLabel, n)
-
-	perm := b.rng.Perm(b.ds.Features())
+	tally := b.tally
 	for tried, f := range perm {
 		// Stop after the mtry quota once a usable split exists.
 		if tried >= b.mtry && ok {
 			break
 		}
-		for i, row := range idx {
-			vals[i] = valLabel{v: b.ds.X[row][f], y: b.ds.Y[row]}
+		vals := b.d.vals[f]
+		if len(vals) < 2 {
+			continue
 		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i].v < vals[j].v })
-
-		// Sweep split points between distinct consecutive values.
-		leftN, leftPos := 0, 0
-		for i := 0; i < n-1; i++ {
-			leftN++
-			leftPos += vals[i].y
-			if vals[i].v == vals[i+1].v {
+		ranks := b.d.rank[f*b.d.n : (f+1)*b.d.n]
+		lo, hi := int32(len(vals)), int32(-1)
+		for _, r := range rows {
+			k := ranks[r]
+			tally[k] += 1 | uint64(b.d.y[r])<<32
+			lo, hi = min(lo, k), max(hi, k)
+		}
+		leftN, leftPos, prev := int(uint32(tally[lo])), int(tally[lo]>>32), lo
+		tally[lo] = 0
+		for k := lo + 1; k <= hi; k++ {
+			t := tally[k]
+			if t == 0 {
 				continue
 			}
-			rightN := n - leftN
-			if leftN < minLeaf || rightN < minLeaf {
-				continue
+			if rightN := n - leftN; leftN >= b.minLeaf && rightN >= b.minLeaf {
+				rightPos := pos - leftPos
+				g := (float64(leftN)*giniImpurity(leftPos, leftN) +
+					float64(rightN)*giniImpurity(rightPos, rightN)) / float64(n)
+				// Only impurity-decreasing splits are valid.
+				if g < bestGini && g < parentGini {
+					bestGini = g
+					feature = f
+					threshold = splitThreshold(vals[prev], vals[k])
+					ok = true
+				}
 			}
-			rightPos := pos - leftPos
-			g := (float64(leftN)*giniImpurity(leftPos, leftN) +
-				float64(rightN)*giniImpurity(rightPos, rightN)) / float64(n)
-			// Only impurity-decreasing splits are valid.
-			if g < bestGini && g < parentGini {
-				bestGini = g
-				feature = f
-				threshold = (vals[i].v + vals[i+1].v) / 2
-				ok = true
-			}
+			leftN += int(uint32(t))
+			leftPos += int(t >> 32)
+			tally[k] = 0
+			prev = k
 		}
 	}
 	return feature, threshold, ok
+}
+
+// splitThreshold is the threshold between consecutive distinct values
+// a < b: their midpoint — unless that rounds onto b (neighbouring
+// floats) or overflows, where it is a. Either way a goes left and b
+// right, so both children are non-empty and induction terminates.
+func splitThreshold(a, b float64) float64 {
+	if t := (a + b) / 2; a <= t && t < b {
+		return t
+	}
+	return a
 }
 
 // giniImpurity returns the Gini impurity of a node with pos positives out
