@@ -244,17 +244,22 @@
 // BENCH_ci.json, and FuzzUnpackRef/FuzzFrameRead smoke the new
 // decoders.
 //
-// Stage one is a fused classification engine. Every enrolled forest's
-// flattened node arrays are fused into one contiguous multi-forest arena
-// (ml.ForestSet: shared feature/threshold/left/right arrays with
-// per-forest root ranges) and a single ForestSet.Votes pass answers all
-// types × all samples, with one join barrier per batch rather than one
-// per forest. Work is tiled into (forest-block × sample-block)
+// Stage one is a fused classification engine. Every enrolled forest is
+// fused into one contiguous multi-forest arena (ml.ForestSet: one node
+// array with per-forest root ranges) and a single ForestSet.Votes pass
+// answers all types × all samples, with one join barrier per batch
+// rather than one per forest. The walk is branch-free: thresholds and
+// samples are keyed once into order-preserving unsigned integers, a step
+// picks the child with the borrow of key − x[feature] (a subtract with
+// borrow, no branch), leaves loop on themselves, and each forest's
+// trees, stored deepest first, walk a sample eight at a time in
+// lockstep for their group's deepest path so the eight dependent load
+// chains overlap. Work is tiled into (forest-block × sample-block)
 // units handed out through an atomic cursor to one persistent
 // package-level worker pool, which single-fingerprint Identify rides
 // too; batch inputs are dense row-major ml.SampleMatrix rows filled in
-// place by fingerprint.FixedNInto (with a float32 mirror when the
-// quantized layout is on), vote counts land in a caller-owned []int32,
+// place by fingerprint.FixedNInto and only read by a pass (its keys
+// live in a pooled buffer), vote counts land in a caller-owned []int32,
 // and accepts resolve against precomputed integer vote thresholds into
 // a reusable bitmask — so the steady-state classify path
 // (core.Bank.ClassifyVotes, and the pooled-scratch paths under

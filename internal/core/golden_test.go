@@ -2,10 +2,14 @@ package core
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/devices"
+	"repro/internal/features"
 	"repro/internal/fingerprint"
 	"repro/internal/ml"
 )
@@ -48,5 +52,119 @@ func TestTrainSnapshotGolden(t *testing.T) {
 	sum := sha256.Sum256(snap)
 	if got := hex.EncodeToString(sum[:]); got != goldenSnapshotSHA256 {
 		t.Fatalf("snapshot sha256 %s, want %s: training is no longer bit-identical", got, goldenSnapshotSHA256)
+	}
+}
+
+// goldenVotesSHA256 pins the stage-one votes matrix TestClassifyVotesGolden
+// computes, once per serving layout: a kernel change that moves any
+// vote count on any probe, under either precision, changes it.
+var goldenVotesSHA256 = map[bool]string{
+	false: "837d30ada5e5261a03ba83d337ae3c17ab7d9980532b7c05ef1220b691b80fe6",
+	true:  "837d30ada5e5261a03ba83d337ae3c17ab7d9980532b7c05ef1220b691b80fe6",
+}
+
+// catalogBank trains the seeded 27-type bank of the stage-one goldens
+// and benchmarks (eight catalog runs per type, 100 trees) and returns it
+// with its config and probes: the 54 held-out catalog fingerprints, then
+// jittered rebuilds of them (+0..4 on every packet's Size) up to n.
+func catalogBank(tb testing.TB, n int) (*Bank, Config, []*fingerprint.Fingerprint) {
+	tb.Helper()
+	ds, err := devices.GenerateDataset(devices.DefaultEnv(), 1, 10)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	train := make(map[string][]*fingerprint.Fingerprint, len(ds))
+	var probes []*fingerprint.Fingerprint
+	for _, name := range devices.Names() {
+		train[name] = ds[name][:8]
+		probes = append(probes, ds[name][8:]...)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; len(probes) < n; i++ {
+		vs := probes[i%54].Vectors()
+		for k := range vs {
+			vs[k][features.Size] += int32(rng.Intn(5))
+		}
+		probes = append(probes, fingerprint.FromVectors(vs))
+	}
+	cfg := Default()
+	cfg.Forest = ml.ForestConfig{Trees: 100}
+	cfg.Seed = 1
+	bank, err := Train(cfg, train)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return bank, cfg, probes
+}
+
+// fillFixed sizes m to fps and fills its rows with their F′ form.
+func fillFixed(m *ml.SampleMatrix, fps []*fingerprint.Fingerprint) {
+	m.Reset(len(fps), fingerprint.FixedLen)
+	for i, fp := range fps {
+		fp.FixedNInto(m.Row(i), fingerprint.FixedPackets)
+	}
+}
+
+// TestClassifyVotesGolden classifies seeded probes — the held-out
+// catalog fingerprints and jittered rebuilds of them — through the
+// seeded 27-type bank, exact and quantized, and checks the sha256 of the
+// votes matrix against the pinned value.
+func TestClassifyVotesGolden(t *testing.T) {
+	bank, cfg, probes := catalogBank(t, 354)
+	snap, err := bank.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m ml.SampleMatrix
+	fillFixed(&m, probes)
+	for _, quantize := range []bool{false, true} {
+		b := bank
+		if quantize {
+			qcfg := cfg
+			qcfg.Forest.Flat.Quantize = true
+			if b, err = RestoreBank(qcfg, snap); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var votes []int32
+		var accepts AcceptMask
+		if F := b.ClassifyVotes(&m, &votes, &accepts, 2); F != 27 {
+			t.Fatalf("quantize=%v: %d forests, want 27", quantize, F)
+		}
+		h := sha256.New()
+		var buf [4]byte
+		for _, v := range votes {
+			binary.LittleEndian.PutUint32(buf[:], uint32(v))
+			h.Write(buf[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != goldenVotesSHA256[quantize] {
+			t.Errorf("quantize=%v: votes sha256 %s, want %s: stage one is no longer bit-identical", quantize, got, goldenVotesSHA256[quantize])
+		}
+	}
+}
+
+// BenchmarkClassifyVotesMiss times stage one on a miss stream: 8192
+// jittered fingerprints through the 27-type bank in batches of 1 and 32
+// on two workers, each batch its own prefilled matrix, so branch
+// history learned on one sample does not carry over to the next as it
+// does on a few repeated probes.
+func BenchmarkClassifyVotesMiss(b *testing.B) {
+	bank, _, probes := catalogBank(b, 8192)
+	for _, batch := range []int{1, 32} {
+		ms := make([]ml.SampleMatrix, len(probes)/batch)
+		for i := range ms {
+			fillFixed(&ms[i], probes[i*batch:(i+1)*batch])
+		}
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			var votes []int32
+			var accepts AcceptMask
+			bank.ClassifyVotes(&ms[0], &votes, &accepts, 2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bank.ClassifyVotes(&ms[i%len(ms)], &votes, &accepts, 2)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch)/1e3, "µs/fp")
+		})
 	}
 }

@@ -509,11 +509,6 @@ func (sb *ShardedBank) IdentifyBatch(fps []*fingerprint.Fingerprint, workers int
 			for i, f := range fps {
 				f.FixedNInto(m.Row(i), sb.cfg.FixedPackets)
 			}
-			if sb.cfg.Forest.Flat.Quantize {
-				// Concurrent shard passes must only read the shared matrix;
-				// build the quantized mirror before fanning out.
-				m.FillMirror()
-			}
 			break
 		}
 	}

@@ -1,8 +1,9 @@
 package fingerprint
 
-import (
-	"encoding/binary"
-	"hash/fnv"
+// FNV-1a 64-bit parameters (the offset basis and prime hash/fnv uses).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
 )
 
 // Hash returns a canonical 64-bit FNV-1a hash of the variable-length
@@ -14,17 +15,21 @@ import (
 // The hash folds every component of every feature vector in sequence
 // order as little-endian uint32s; it is not a cryptographic digest, but
 // at 64 bits accidental collisions between the fingerprints a deployment
-// observes are negligible.
+// observes are negligible. The FNV-1a loop is inlined: the hash runs
+// on every cache miss, where hash/fnv's per-element Write calls cost
+// more than the folding itself.
 func (f *Fingerprint) Hash() uint64 {
-	h := fnv.New64a()
-	var buf [4]byte
+	h := uint64(fnvOffset64)
 	for _, v := range f.vectors {
 		for _, c := range v {
-			binary.LittleEndian.PutUint32(buf[:], uint32(c))
-			h.Write(buf[:])
+			u := uint32(c)
+			h = (h ^ uint64(u&0xff)) * fnvPrime64
+			h = (h ^ uint64(u>>8&0xff)) * fnvPrime64
+			h = (h ^ uint64(u>>16&0xff)) * fnvPrime64
+			h = (h ^ uint64(u>>24)) * fnvPrime64
 		}
 	}
-	return h.Sum64()
+	return h
 }
 
 // Mix64 finalizes a 64-bit value with the splitmix64 avalanche function:
@@ -52,7 +57,9 @@ func CombineHash(a, b uint64) uint64 {
 // HashString hashes an arbitrary string (device MACs, backend
 // addresses) into the same 64-bit FNV-1a space as Hash.
 func HashString(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
 }

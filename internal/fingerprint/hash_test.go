@@ -1,6 +1,8 @@
 package fingerprint
 
 import (
+	"hash/fnv"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -114,5 +116,69 @@ func TestPackedReportMalformed(t *testing.T) {
 func TestMarshalReportPackedNil(t *testing.T) {
 	if _, err := MarshalReportPacked("x", nil); err == nil {
 		t.Error("nil fingerprint accepted")
+	}
+}
+
+// TestHashGolden pins Hash's output on fixed fingerprints: the hash keys
+// the verdict cache and seeds stage two's reference sampling, so any
+// change to the byte stream it folds changes verdict derivations.
+func TestHashGolden(t *testing.T) {
+	var ramp, neg features.Vector
+	for i := range ramp {
+		ramp[i] = int32(i * 13)
+	}
+	neg[0], neg[5], neg[22] = -7, 1<<30, -1<<31
+	rng := rand.New(rand.NewSource(11))
+	long := make([]features.Vector, 40)
+	for k := range long {
+		for i := range long[k] {
+			long[k][i] = rng.Int31() - 1<<30
+		}
+	}
+	cases := []struct {
+		name string
+		fp   *Fingerprint
+		want uint64
+	}{
+		{"empty", &Fingerprint{}, 0xcbf29ce484222325},
+		{"ramp", FromVectors([]features.Vector{ramp}), 0x6784de4881ddbc5d},
+		{"negative", FromVectors([]features.Vector{neg, ramp, neg}), 0xebc1ee9eb58d3601},
+		{"long", FromVectors(long), 0xbc1d750764b3219b},
+	}
+	for _, c := range cases {
+		if got := c.fp.Hash(); got != c.want {
+			t.Errorf("%s: Hash = %#x, want %#x", c.name, got, c.want)
+		}
+		if n := testing.AllocsPerRun(10, func() { c.fp.Hash() }); n != 0 {
+			t.Errorf("%s: %v allocs per Hash, want 0", c.name, n)
+		}
+	}
+}
+
+// TestHashStringMatchesFNV holds the inlined HashString to hash/fnv's
+// FNV-1a.
+func TestHashStringMatchesFNV(t *testing.T) {
+	for _, s := range []string{"", "a", "02:00:00:00:00:aa", "127.0.0.1:7000", "\xff\x00\x80"} {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		if got, want := HashString(s), h.Sum64(); got != want {
+			t.Errorf("HashString(%q) = %#x, want %#x", s, got, want)
+		}
+	}
+}
+
+// BenchmarkHash times Hash on a fingerprint of 40 packet vectors.
+func BenchmarkHash(b *testing.B) {
+	rng := rand.New(rand.NewSource(12))
+	vs := make([]features.Vector, 40)
+	for k := range vs {
+		for i := range vs[k] {
+			vs[k][i] = rng.Int31n(1500)
+		}
+	}
+	fp := FromVectors(vs)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		fp.Hash()
 	}
 }

@@ -220,40 +220,9 @@ func (f *flatForest) votes(x []float64) int {
 	return f.votesRange(x, 0, len(f.roots))
 }
 
-// minParallel is the smallest amount of work (samples or trees) worth
-// fanning across goroutines; below it the spawn cost dominates.
+// minParallel is the smallest batch worth fanning across goroutines;
+// below it the spawn cost dominates.
 const minParallel = 8
-
-// votesParallel counts positive votes for one sample with the tree
-// chunks handed out to the package's persistent worker pool (the
-// submitter participates, so a saturated pool degrades to the
-// sequential count instead of blocking). Per-chunk vote counts are
-// integers accumulated atomically, so the result is bit-identical to
-// the sequential count regardless of scheduling — and the pooled job
-// struct means a single-fingerprint Identify allocates nothing here.
-func (f *flatForest) votesParallel(x []float64, workers int) int {
-	n := len(f.roots)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < minParallel {
-		return f.votes(x)
-	}
-	chunk := (n + workers - 1) / workers
-	nchunks := (n + chunk - 1) / chunk
-	j := treeVoteJobPool.Get().(*treeVoteJob)
-	j.f, j.x = f, x
-	j.chunk, j.n = chunk, n
-	j.cursor.Store(0)
-	j.total.Store(0)
-	classifyPool.fanOut(j, &j.wg, nchunks-1)
-	j.run()
-	j.wg.Wait()
-	votes := int(j.total.Load())
-	j.f, j.x = nil, nil
-	treeVoteJobPool.Put(j)
-	return votes
-}
 
 // votesBatch fills out[i] with the positive vote count for xs[i],
 // partitioning the samples across workers in contiguous chunks. Each

@@ -56,45 +56,6 @@ func TestPredictProbBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestPredictProbParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	ds := xorDataset(400, rng)
-	forest, err := NewForest(ds, ForestConfig{Trees: 33, Seed: 14})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 50; trial++ {
-		x := []float64{rng.Float64() * 1.2, rng.Float64() * 1.2}
-		// 20 and 52 exercise worker counts where ceil(n/workers)-sized
-		// chunks over-cover the 33 trees (fewer chunks than workers).
-		for _, workers := range []int{0, 1, 2, 7, 20, 52, 64} {
-			if got, want := forest.PredictProbParallel(x, workers), forest.PredictProb(x); got != want {
-				t.Fatalf("workers=%d: parallel = %v, sequential = %v", workers, got, want)
-			}
-		}
-	}
-}
-
-func TestPredictProbParallelSmallForestManyWorkers(t *testing.T) {
-	// 10 trees with 8 workers: chunk = ceil(10/8) = 2, so only 5 chunks
-	// cover the forest and workers 5..7 would start past the end —
-	// a slice-bounds panic before chunk iteration matched votesBatch.
-	rng := rand.New(rand.NewSource(15))
-	ds := xorDataset(400, rng)
-	forest, err := NewForest(ds, ForestConfig{Trees: 10, Seed: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 20; trial++ {
-		x := []float64{rng.Float64() * 1.2, rng.Float64() * 1.2}
-		for _, workers := range []int{3, 4, 6, 8, 100} {
-			if got, want := forest.PredictProbParallel(x, workers), forest.PredictProb(x); got != want {
-				t.Fatalf("workers=%d: parallel = %v, sequential = %v", workers, got, want)
-			}
-		}
-	}
-}
-
 func TestFlattenLeafOnlyTrees(t *testing.T) {
 	// A pure dataset induces single-leaf trees: flattening must keep the
 	// roots distinct and the leaf probabilities intact.

@@ -109,15 +109,6 @@ func (f *Forest) PredictProb(x []float64) float64 {
 	return float64(f.flat.votes(x)) / float64(len(f.trees))
 }
 
-// PredictProbParallel is PredictProb with the trees partitioned across
-// up to workers goroutines (<= 0 selects GOMAXPROCS). Votes are integer
-// counts summed after the workers join, so the result is bit-identical
-// to PredictProb.
-func (f *Forest) PredictProbParallel(x []float64, workers int) float64 {
-	votes := f.flat.votesParallel(x, defaultWorkers(workers))
-	return float64(votes) / float64(len(f.trees))
-}
-
 // PredictProbBatch returns PredictProb for every sample of xs,
 // evaluating samples in parallel across up to workers goroutines (<= 0
 // selects GOMAXPROCS). Each output cell depends only on its own sample,

@@ -8,21 +8,17 @@ package ml
 // pointer-chased [][]float64 form cost one slice header allocation per
 // fingerprint per call.
 //
-// When the quantized serving layout is active the engine reads the
-// float32 mirror instead; it is built lazily by mirror() from the
-// float64 rows, so comparisons run in single precision exactly as the
-// per-forest quantized path does.
+// A classify pass only reads the matrix, so concurrent passes (the
+// shard scatter) may share one.
 type SampleMatrix struct {
-	dim    int
-	rows   int
-	data   []float64
-	data32 []float32
+	dim  int
+	rows int
+	data []float64
 }
 
 // Reset sizes the matrix to rows×dim, reusing the backing arrays when
 // they are large enough. Row contents are undefined until filled (the
-// fill paths overwrite every cell, padding included). The float32
-// mirror is invalidated; it rebuilds on the next quantized classify.
+// fill paths overwrite every cell, padding included).
 func (m *SampleMatrix) Reset(rows, dim int) {
 	m.rows, m.dim = rows, dim
 	need := rows * dim
@@ -31,7 +27,6 @@ func (m *SampleMatrix) Reset(rows, dim int) {
 	} else {
 		m.data = m.data[:need]
 	}
-	m.data32 = m.data32[:0]
 }
 
 // Rows returns the number of samples.
@@ -53,32 +48,4 @@ func (m *SampleMatrix) SetRow(s int, x []float64) {
 	for i := n; i < len(row); i++ {
 		row[i] = 0
 	}
-}
-
-// FillMirror builds the float32 mirror eagerly. A classify pass builds
-// it on demand, but a caller sharing one matrix across concurrent
-// passes (the shard scatter) must fill it up front so the passes only
-// read it.
-func (m *SampleMatrix) FillMirror() { m.mirror() }
-
-// mirror returns the float32 mirror of the matrix, building it if the
-// last Reset invalidated it. The conversion is the same per-element
-// float32(x) the quantized traversal would perform, so classifying the
-// mirror is bit-identical to classifying the float64 rows quantized.
-// Callers must mirror before fanning a classify across goroutines so
-// the workers only read it.
-func (m *SampleMatrix) mirror() []float32 {
-	need := m.rows * m.dim
-	if len(m.data32) == need {
-		return m.data32
-	}
-	if cap(m.data32) < need {
-		m.data32 = make([]float32, need)
-	} else {
-		m.data32 = m.data32[:need]
-	}
-	for i, v := range m.data {
-		m.data32[i] = float32(v)
-	}
-	return m.data32
 }

@@ -3,9 +3,7 @@ package ml
 import "testing"
 
 // TestSampleMatrixShape covers the dense-matrix surface directly: shape
-// accessors, the SetRow zero-pad branch, and mirror invalidation across
-// Reset (the contract the quantized classify pass and the shard scatter
-// depend on).
+// accessors, the SetRow zero-pad branch, and row reuse across Reset.
 func TestSampleMatrixShape(t *testing.T) {
 	var m SampleMatrix
 	m.Reset(3, 4)
@@ -19,25 +17,11 @@ func TestSampleMatrixShape(t *testing.T) {
 		t.Fatalf("padded row = %v, want [1 2 0 0]", got)
 	}
 
-	// The eager mirror must equal the per-element float32 conversion.
-	m.FillMirror()
-	m32 := m.mirror()
-	if len(m32) != 12 {
-		t.Fatalf("mirror length = %d, want 12", len(m32))
-	}
-	for i, v := range m.data {
-		if m32[i] != float32(v) {
-			t.Fatalf("mirror[%d] = %v, want %v", i, m32[i], float32(v))
-		}
-	}
-
-	// Reset reuses backing arrays and invalidates the mirror: a stale
-	// mirror surviving a shrink would feed the next classify old rows.
+	// Reset reuses the backing array: a shrink exposes the new rows only.
 	m.Reset(1, 4)
 	m.SetRow(0, []float64{42, 43, 44, 45})
-	m32 = m.mirror()
-	if len(m32) != 4 || m32[0] != 42 || m32[3] != 45 {
-		t.Fatalf("post-Reset mirror = %v, want [42 43 44 45]", m32)
+	if got := m.Row(0); len(got) != 4 || got[0] != 42 || got[3] != 45 {
+		t.Fatalf("post-Reset row = %v, want [42 43 44 45]", got)
 	}
 }
 

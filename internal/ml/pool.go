@@ -70,46 +70,19 @@ func (p *workPool) fanOut(j runnable, wg *sync.WaitGroup, extra int) {
 	}
 }
 
-// treeVoteJob counts one sample's positive votes with the trees
-// partitioned into chunks handed out by cursor. Per-chunk counts are
-// integers accumulated with atomic adds — commutative, so the total is
-// bit-identical to the sequential count regardless of scheduling.
-type treeVoteJob struct {
-	f      *flatForest
-	x      []float64
-	chunk  int
-	n      int
-	cursor atomic.Int64
-	total  atomic.Int64
-	wg     sync.WaitGroup
-}
-
-var treeVoteJobPool = sync.Pool{New: func() any { return new(treeVoteJob) }}
-
-func (j *treeVoteJob) run() {
-	for {
-		c := int(j.cursor.Add(1)) - 1
-		lo := c * j.chunk
-		if lo >= j.n {
-			return
-		}
-		hi := lo + j.chunk
-		if hi > j.n {
-			hi = j.n
-		}
-		j.total.Add(int64(j.f.votesRange(j.x, lo, hi)))
-	}
-}
-
 // voteJob fills a votes matrix for one ForestSet × SampleMatrix pass.
-// The tile index space (forest blocks × sample blocks) is handed out by
-// cursor; tiles touching the same sample are confined to one forest
-// block, so no two workers ever write the same votes cell and the
-// matrix needs no atomics.
+// It owns the pass's keyed samples (one buffer per layout precision,
+// reused across passes). The tile index space (forest blocks × sample
+// blocks) is handed out by cursor; tiles touching the same sample are
+// confined to one forest block, so no two workers ever write the same
+// votes cell and the matrix needs no atomics.
 type voteJob struct {
 	fs     *ForestSet
-	m      *SampleMatrix
 	votes  []int32
+	keys64 []uint64
+	keys32 []uint32
+	stride int // keyed row stride
+	rows   int
 	nSB    int // sample blocks per forest block
 	tiles  int
 	cursor atomic.Int64
@@ -126,10 +99,11 @@ func (j *voteJob) run() {
 		}
 		fb := j.fs.blocks[t/j.nSB]
 		s0 := (t % j.nSB) * sampleBlock
-		s1 := s0 + sampleBlock
-		if s1 > j.m.rows {
-			s1 = j.m.rows
+		s1 := min(s0+sampleBlock, j.rows)
+		if j.fs.quantize {
+			tileVotes(j.fs, j.fs.nodes32, j.keys32, j.stride, j.votes, fb, s0, s1)
+		} else {
+			tileVotes(j.fs, j.fs.nodes64, j.keys64, j.stride, j.votes, fb, s0, s1)
 		}
-		j.fs.tileVotes(j.m, j.votes, fb, s0, s1)
 	}
 }
