@@ -1011,33 +1011,26 @@ func BenchmarkFusedClassify(b *testing.B) {
 
 // BenchmarkBytesPerVerdict measures the shard-plane wire cost of a
 // classify batch per verdict, straight off the lineconn byte counters:
-// the protocol-v2 packed encoding (ProtocolCap: 2 emulates an old
-// server build), the protocol-v3 delta-packed encoding, and the
-// protocol-v4 dictionary wire (references for recurring fingerprints,
-// with and without framed flate on top). The gaps are the
-// batch-compaction and cross-request-compression payoffs the
-// distributed/replicated experiments report as bytes/verdict in
-// BENCH_ci.json.
+// the stateless delta-packed encoding, and the per-connection
+// dictionary wire (references for recurring fingerprints, with and
+// without framed flate on top). The gap is the cross-request
+// compression payoff the distributed/replicated experiments report as
+// bytes/verdict in BENCH_ci.json.
 func BenchmarkBytesPerVerdict(b *testing.B) {
 	fx := getFixture(b)
 	sb := getShardedBank(b, 2)
-	for _, tc := range []struct {
-		name string
-		cap  int
-		wire iotssp.WireMode
-	}{
-		{name: "packed-v2", cap: 2},
-		{name: "delta-v3"}, // cap 0 = serve the current protocol
-		{name: "dict-v4", wire: iotssp.WireDict},
-		{name: "dict+flate-v4", wire: iotssp.WireDictFlate},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			replica := iotssp.NewShardReplica(sb.Shard(1).(*core.Bank), iotssp.ServerConfig{ProtocolCap: tc.cap})
+	for _, wire := range []iotssp.WireMode{iotssp.WireOff, iotssp.WireDict, iotssp.WireDictFlate} {
+		name := wire.String()
+		if wire == iotssp.WireOff {
+			name = "delta"
+		}
+		b.Run(name, func(b *testing.B) {
+			replica := iotssp.NewShardReplica(sb.Shard(1).(*core.Bank), iotssp.ServerConfig{})
 			if err := replica.Start(); err != nil {
 				b.Fatal(err)
 			}
 			defer replica.Close()
-			remote := iotssp.NewRemoteShard(replica.Addr(), iotssp.RemoteShardConfig{Seed: 1, Wire: tc.wire})
+			remote := iotssp.NewRemoteShard(replica.Addr(), iotssp.RemoteShardConfig{Seed: 1, Wire: wire})
 			defer remote.Close()
 			probes := throughputProbes(fx, 4*len(fx.probes))
 			remote.ClassifyBatch(probes, 0) // warm the connection, negotiate, seed the dictionary
@@ -1052,10 +1045,10 @@ func BenchmarkBytesPerVerdict(b *testing.B) {
 			if st.Failures > st0.Failures {
 				b.Fatalf("remote shard failures during bench: %+v", st)
 			}
-			wire := (st.Transport.BytesWritten + st.Transport.BytesRead) -
+			bytes := (st.Transport.BytesWritten + st.Transport.BytesRead) -
 				(st0.Transport.BytesWritten + st0.Transport.BytesRead)
-			b.ReportMetric(float64(wire)/float64(len(probes)*b.N), "bytes/verdict")
-			if tc.wire != iotssp.WireOff {
+			b.ReportMetric(float64(bytes)/float64(len(probes)*b.N), "bytes/verdict")
+			if wire != iotssp.WireOff {
 				hits := st.Transport.DictHits - st0.Transport.DictHits
 				misses := st.Transport.DictMisses - st0.Transport.DictMisses
 				if hits+misses > 0 {
@@ -1066,16 +1059,16 @@ func BenchmarkBytesPerVerdict(b *testing.B) {
 	}
 }
 
-// BenchmarkDictClassify measures the v4 dictionary codec itself — a
+// BenchmarkDictClassify measures the dictionary codec itself — a
 // client/server Dict pair packing and unpacking a recurring classify
-// batch — against the v3 delta codec re-packing every fingerprint in
+// batch — against the delta codec re-packing every fingerprint in
 // full. The per-entry byte sizes land next to the CPU cost: the
 // dictionary trades a hash lookup for shipping ~12 bytes instead of a
 // whole packed F matrix.
 func BenchmarkDictClassify(b *testing.B) {
 	fx := getFixture(b)
 	probes := throughputProbes(fx, 4*len(fx.probes))
-	b.Run("dict-v4", func(b *testing.B) {
+	b.Run("dict", func(b *testing.B) {
 		cli, srv := fingerprint.NewDict(iotssp.DefaultDictSize), fingerprint.NewDict(iotssp.DefaultDictSize)
 		var entryBytes int
 		b.ReportAllocs()
@@ -1098,7 +1091,7 @@ func BenchmarkDictClassify(b *testing.B) {
 		}
 		b.ReportMetric(float64(entryBytes)/float64(len(probes)), "bytes/fp")
 	})
-	b.Run("delta-v3", func(b *testing.B) {
+	b.Run("delta", func(b *testing.B) {
 		var entryBytes int
 		b.ReportAllocs()
 		b.ResetTimer()

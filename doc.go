@@ -124,8 +124,8 @@
 // abstracts one partition of the logical bank
 // (ClassifyBatch/Discriminate/Enroll/Version/Types); the in-process
 // core.Bank satisfies it directly, and iotssp.RemoteShard satisfies it
-// over an extended IoTSSP wire protocol (protocol v2: hello negotiation
-// plus classify/discriminate/enroll/meta verbs carrying packed F
+// over the IoTSSP wire protocol's shard verbs (a strict hello, then
+// classify/discriminate/enroll/meta carrying compactly coded F
 // matrices) against a shard-serving iotssp.Server — so one logical
 // core.ShardedBank spans machines while scatter/gather, least-loaded
 // enroll routing and per-shard cache versioning work unchanged. Remote
@@ -202,12 +202,11 @@
 // (core.SnapshotsEqual): restore rejects config mismatches and
 // truncation, never disturbs state on error, and restored banks enroll
 // future types bit-identically to the original (per-enrolment derived
-// training seeds). The wire rides it as protocol v3: OpSnapshot/
-// OpRestore state transfer, delta-packed classify batches, and a
-// hello-negotiated subscription under which shard servers push OpDelta
-// version bumps to fronts — version caches and shard-scoped cache
-// invalidation move with zero polling round-trips, old peers degrade
-// to the v2 wire cost. The control plane mints ShardGroup replacement
+// training seeds). The wire carries it: OpSnapshot/OpRestore state
+// transfer, delta-packed classify batches, and OpDelta version bumps
+// that shard servers push to every connection that said hello —
+// version caches and shard-scoped cache invalidation move with zero
+// polling round-trips. The control plane mints ShardGroup replacement
 // members by snapshot transfer instead of replay (MintStrategy;
 // RepairMember replays a diverged member's missing types back in), the
 // transports count bytes on the wire (lineconn.Stats.BytesWritten/
@@ -218,10 +217,10 @@
 // and a CI fuzz-smoke job hammers every serialization codec's decoder
 // with corrupt bytes.
 //
-// Protocol v4 makes the wire itself stateful to exploit cross-request
-// redundancy: a fleet's recurring device models submit near-identical
-// F matrices, so each client connection hello-negotiates a
-// per-connection fingerprint dictionary (fingerprint.Dict — recurring
+// The wire can also be stateful, to exploit cross-request redundancy:
+// a fleet's recurring device models submit near-identical F matrices,
+// so each client connection hello-negotiates a per-connection
+// fingerprint dictionary (fingerprint.Dict — recurring
 // matrices travel as 12-byte content-hash references or near-match
 // diffs instead of full packed rows, with LRU eviction and
 // transactional commit so only written lines mutate the pair),
@@ -231,7 +230,9 @@
 // failure answers a non-retryable error and severs, both ends rebuild
 // empty, so reconnects — including mid-run shard kills and control
 // plane member rolls — can never decode against state the peer no
-// longer holds, and v3-or-older peers negotiate the whole layer off.
+// longer holds. The hello is a strict match: a peer whose reply names
+// the wrong mode, another iotssp.ProtocolVersion, or no grant for the
+// asked dictionary is refused at connect, never silently downgraded.
 // iotssp.WireMode threads the ask through gateway.Pool/FleetPool,
 // RemoteShard and ShardGroup (whose failover re-encodes per member
 // connection); the distributed and replicated experiments replay a
@@ -240,9 +241,9 @@
 // -wire dict|dict+flate, -min-wire-gain; handshake, push and
 // state-transfer bytes are carved out so the gain is steady-state
 // classify cost, not amortized setup). BenchmarkDictClassify and the
-// dict-v4 BytesPerVerdict cases hold the codec's line in
-// BENCH_ci.json, and FuzzUnpackRef/FuzzFrameRead smoke the new
-// decoders.
+// dict BytesPerVerdict cases hold the codec's line in
+// BENCH_ci.json, FuzzUnpackRef/FuzzFrameRead smoke the new decoders,
+// and FuzzShardOp feeds arbitrary lines to the shard verbs.
 //
 // Stage one is a fused classification engine. Every enrolled forest is
 // fused into one contiguous multi-forest arena (ml.ForestSet: one node

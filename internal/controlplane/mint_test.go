@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/devices"
 	"repro/internal/fingerprint"
-	"repro/internal/iotssp"
 	"repro/internal/vulndb"
 )
 
@@ -128,25 +127,26 @@ func TestConsecutiveReplayMintsIdentical(t *testing.T) {
 	}
 }
 
-// TestMintAutoFallsBackOnOldPeers: against members emulating a
-// pre-snapshot build (protocol cap 2), the strict snapshot strategy is
-// an error, while MintAuto silently takes the replay path and a full
-// member roll still lands a bit-identical replacement.
-func TestMintAutoFallsBackOnOldPeers(t *testing.T) {
+// TestMintAutoFallsBackOnBrokenTransfer: with every member of the
+// partition stopped, the snapshot transfer breaks — the strict snapshot
+// strategy is an error, while MintAuto silently takes the replay path
+// and mints the bank a replay would. Revived, the members take a full
+// roll that lands a bit-identical replacement.
+func TestMintAutoFallsBackOnBrokenTransfer(t *testing.T) {
 	train, _, names := topologyData(t, 6, 5)
-	cl := groupCluster(t, ClusterConfig{
-		Core:      tinyCoreConfig(),
-		Server:    iotssp.ServerConfig{ProtocolCap: 2},
-		CacheSize: 64,
-		DB:        vulndb.Seeded(),
-	}, names, train)
+	cl := groupCluster(t, ClusterConfig{Core: tinyCoreConfig(), CacheSize: 64, DB: vulndb.Seeded()}, names, train)
 
+	for j := 0; j < cl.Members(1); j++ {
+		if err := cl.Member(1, j).Stop(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if _, err := cl.MintReplacement(1, MintSnapshot); err == nil {
-		t.Fatal("strict snapshot mint succeeded against v2-capped members")
+		t.Fatal("strict snapshot mint succeeded with every member stopped")
 	}
 	auto, err := cl.MintReplacement(1, MintAuto)
 	if err != nil {
-		t.Fatalf("auto mint against v2-capped members: %v", err)
+		t.Fatalf("auto mint over a broken transfer: %v", err)
 	}
 	replay, err := cl.MintReplacement(1, MintReplay)
 	if err != nil {
@@ -155,14 +155,20 @@ func TestMintAutoFallsBackOnOldPeers(t *testing.T) {
 	if !core.SnapshotsEqual(mustSnapshot(t, auto), mustSnapshot(t, replay)) {
 		t.Fatal("auto mint's fallback bank differs from an explicit replay mint")
 	}
+
+	for j := 0; j < cl.Members(1); j++ {
+		if err := cl.Member(1, j).Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := cl.ReplaceMember(1, 0); err != nil {
-		t.Fatalf("member roll against v2-capped members: %v", err)
+		t.Fatalf("member roll after the revival: %v", err)
 	}
 	if !core.SnapshotsEqual(mustSnapshot(t, cl.MemberBank(1, 0)), mustSnapshot(t, cl.MemberBank(1, 1))) {
 		t.Fatal("rolled member diverged from its peer")
 	}
 	if !cl.Healthy() {
-		t.Fatal("cluster unhealthy after the fallback roll")
+		t.Fatal("cluster unhealthy after the roll")
 	}
 }
 

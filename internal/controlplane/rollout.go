@@ -142,12 +142,12 @@ type MintStrategy int
 
 const (
 	// MintAuto transfers an incumbent member's snapshot — O(transfer),
-	// no training — and falls back to history replay when the snapshot
-	// path fails (the peer predates the snapshot verbs, or the transfer
-	// itself broke). The default.
+	// no training — and falls back to history replay when the transfer
+	// breaks (no member reachable, a corrupt or rejected snapshot). The
+	// default.
 	MintAuto MintStrategy = iota
-	// MintSnapshot requires the state-transfer path; an old peer is an
-	// error instead of a silent retrain.
+	// MintSnapshot requires the state-transfer path; a broken transfer is
+	// an error instead of a silent retrain.
 	MintSnapshot
 	// MintReplay forces the history-replay path: initial training plus
 	// every recorded enroll/remove, in order.
@@ -217,8 +217,7 @@ func (c *Cluster) mintLocked(part *partition, mint MintStrategy) (*core.Bank, er
 		if err == nil {
 			return bank, nil
 		}
-		// Old peer (unknown snapshot verb) or broken transfer: replay the
-		// history the way pre-snapshot builds always did.
+		// Broken transfer: replay the partition's history instead.
 		return c.mintReplayLocked(part)
 	}
 }
@@ -239,7 +238,7 @@ func (c *Cluster) MintReplacement(p int, mint MintStrategy) (*core.Bank, error) 
 
 // ReplaceMember rolls partition p's member-th shard replica with the
 // default MintAuto strategy: snapshot state transfer, history replay as
-// the old-peer fallback.
+// the broken-transfer fallback.
 func (c *Cluster) ReplaceMember(p, member int) error {
 	return c.ReplaceMemberWith(p, member, MintAuto)
 }

@@ -17,7 +17,7 @@ import (
 // protocol, validated against an all-local twin. Load's zero fields
 // default to 9 types (the next catalog type is the canary enrolment of
 // the remote-invalidation check), 1024 requests per phase (long enough
-// that the v4 dictionary's one-time seeding misses amortize out of the
+// that the dictionary's one-time seeding misses amortize out of the
 // steady-state bytes/verdict), 2 gateways with 8 requests in flight
 // each, and batch 16. Load.CacheSize sizes the verdict cache of the
 // invalidation phase only: the timed phases run uncached so every
@@ -30,7 +30,7 @@ type DistributedConfig struct {
 	// index Types mod Shards — is served remotely; the rest stay
 	// in-process.
 	Shards int
-	// Wire selects the v4 wire compression for every client transport in
+	// Wire selects the wire compression for every client transport in
 	// the run — the gateway pools toward the front server and the remote
 	// shard toward its shard server. When it is on, the run adds an
 	// uncompressed twin phase and reports the measured gain.

@@ -38,7 +38,7 @@ type RebalanceConfig struct {
 	// reports the ratio without asserting (callers gate the assertion on
 	// GOMAXPROCS, like the replicated experiment).
 	MaxP99Ratio float64
-	// Wire selects the v4 wire compression on every client leg (gateway
+	// Wire selects the wire compression on every client leg (gateway
 	// pools and the group's member links), as in DistributedConfig. The
 	// rebalance experiment reports no compression gain of its own — the
 	// distributed/replicated experiments own that assertion — but the

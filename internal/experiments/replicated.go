@@ -35,7 +35,7 @@ type ReplicatedConfig struct {
 	// asserting (callers gate the assertion on GOMAXPROCS, like the
 	// fleet experiment's MinScaling).
 	MaxP99Ratio float64
-	// Wire selects the v4 wire compression for every client transport in
+	// Wire selects the wire compression for every client transport in
 	// the run — gateway pools and the group members' shard transports.
 	// When it is on, the run adds an uncompressed twin phase and reports
 	// the measured gain.

@@ -35,7 +35,7 @@ type MetricsSnapshot struct {
 	ShardWireBytes    uint64  `json:"shard_wire_bytes,omitempty"`
 	ShardControlBytes uint64  `json:"shard_control_bytes,omitempty"`
 	BytesPerVerdict   float64 `json:"bytes_per_verdict,omitempty"`
-	// DictHitRate is the v4 fingerprint dictionaries' hit rate across
+	// DictHitRate is the fingerprint dictionaries' hit rate across
 	// the same transports (0 when no dictionary traffic ran).
 	DictHitRate float64 `json:"dict_hit_rate,omitempty"`
 	// ClassifyNsPerFP is the fused stage-one cost the local shards

@@ -129,9 +129,8 @@ func DecodeBinary(data []byte) (*Fingerprint, error) {
 // differences from its predecessor, base64-encoded. Consecutive setup
 // packets share most feature values, so the deltas are overwhelmingly
 // zero and encode in one byte each — a lossless shrink of classify
-// batches by roughly a third against Pack. Peers negotiate the codec
-// through the shard hello (protocol >= 3); UnpackDelta inverts it
-// exactly.
+// batches by roughly a third against Pack. It is the shard wire's
+// classify encoding off a dictionary; UnpackDelta inverts it exactly.
 func PackDelta(f *Fingerprint) (string, error) {
 	if f == nil {
 		return "", fmt.Errorf("encoding fingerprint report: nil fingerprint")

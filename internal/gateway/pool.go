@@ -36,12 +36,12 @@ type PoolConfig struct {
 	RetryBackoff time.Duration
 	// Seed seeds the jitter generator (0 selects 1).
 	Seed int64
-	// Wire selects the v4 wire compression toward the service:
+	// Wire selects the wire compression toward the service:
 	// iotssp.WireOff (the default) keeps the plain JSON-lines wire,
 	// WireDict opens each connection with a hello negotiating a
 	// per-connection fingerprint dictionary, WireDictFlate adds framed
-	// flate transport. A pre-v4 service grants nothing and the pool
-	// degrades to the plain wire.
+	// flate transport. A service whose hello does not match
+	// (iotssp.Hello.Match) fails the dial.
 	Wire iotssp.WireMode
 	// DictSize is the dictionary capacity asked for in the hello. 0
 	// selects iotssp.DefaultDictSize.
@@ -123,29 +123,21 @@ func NewPool(addr string, cfg PoolConfig) *Pool {
 		Counters: p.transport,
 	}
 	if cfg.Wire != iotssp.WireOff {
-		// The v4 wire asks ride a hello handshake the plain pool never
-		// needed: the service's reply carries the grants, and a pre-v4
-		// peer's reply carries none, downgrading the connection in place.
-		helloReq := iotssp.Request{Op: iotssp.OpHello, V: iotssp.ProtocolVersion, Dict: cfg.DictSize}
-		if cfg.Wire == iotssp.WireDictFlate {
-			helloReq.Comp = iotssp.CompFlate
-		}
-		hello, _ := json.Marshal(helloReq)
-		opts.Hello = append(hello, '\n')
+		// The wire asks ride a hello handshake the plain pool never
+		// needs: the service's reply must match strictly and carries the
+		// grants.
+		opts.Hello = iotssp.HelloLine(cfg.Wire, cfg.DictSize)
 		opts.CheckHello = func(h iotssp.Response) error {
 			if h.Error != "" {
-				return fmt.Errorf("gateway: hello: %s", h.Error)
+				return fmt.Errorf("gateway: hello to %s: %s", addr, h.Error)
 			}
-			if h.Mode != "" && h.Mode != iotssp.ModeVerdict {
-				return fmt.Errorf("gateway: peer is not an identify service (mode %q)", h.Mode)
+			if err := h.Hello.Match(iotssp.ModeVerdict, cfg.Wire); err != nil {
+				return fmt.Errorf("gateway: hello to %s: %w", addr, err)
 			}
 			return nil
 		}
 		opts.NewState = func(h iotssp.Response) any {
-			if h.Dict > 0 {
-				return &poolDict{dict: fingerprint.NewDict(h.Dict)}
-			}
-			return nil
+			return &poolDict{dict: fingerprint.NewDict(h.Dict)}
 		}
 		opts.Framed = func(h iotssp.Response) bool { return h.Comp == iotssp.CompFlate }
 	}

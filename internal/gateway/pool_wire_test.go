@@ -1,29 +1,20 @@
 package gateway
 
 import (
+	"bufio"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/iotssp"
 )
 
-// startCappedServer serves svc with a capped wire-protocol generation.
-func startCappedServer(t *testing.T, svc *iotssp.Service, cap int) string {
-	t.Helper()
-	srv := iotssp.NewServer(svc, iotssp.ServerConfig{ProtocolCap: cap})
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(lis)
-	t.Cleanup(func() { srv.Close() })
-	return lis.Addr().String()
-}
-
-// TestPoolWireDictVerdictsBitEqual: the gateway pool's v4 dictionary
+// TestPoolWireDictVerdictsBitEqual: the gateway pool's dictionary
 // wire (with and without framed flate) yields responses bit-equal to
 // the plain wire on a recurring fleet workload, with the dictionary
 // carrying the repeats.
@@ -77,36 +68,50 @@ func TestPoolWireDictVerdictsBitEqual(t *testing.T) {
 	}
 }
 
-// TestPoolWireDictDowngrade: a dict-asking pool against a pre-v4
-// verdict server negotiates down to the plain wire — same verdicts,
-// zero dictionary traffic.
-func TestPoolWireDictDowngrade(t *testing.T) {
-	svc := trainedService(t, "Aria", "HueBridge")
-	capped := startCappedServer(t, svc, 3)
-	plainAddr := startTestServer(t, svc)
-
-	pool := NewPool(capped, PoolConfig{Conns: 2, Seed: 47, Wire: iotssp.WireDictFlate})
-	defer pool.Close()
-	plain := NewPool(plainAddr, PoolConfig{Conns: 2, Seed: 47})
-	defer plain.Close()
-
+// TestPoolStrictHello: a dict-asking pool refuses a service whose hello
+// reply does not match this build — another protocol version, no mode,
+// no dictionary grant — and Identify's error names the mismatch
+// instead of the pool downgrading to the plain wire.
+func TestPoolStrictHello(t *testing.T) {
 	probe := probeFor(t, "Aria")
-	for i := 0; i < 4; i++ {
-		mac := fmt.Sprintf("02:77:aa:00:00:%02x", i)
-		got, err := pool.Identify(context.Background(), mac, probe.fp)
-		if err != nil {
-			t.Fatalf("identify against capped server: %v", err)
-		}
-		want, err := plain.Identify(context.Background(), mac, probe.fp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.Line, want.Line = 0, 0
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("downgraded response %+v, want %+v", got, want)
-		}
-	}
-	if st := pool.Counters().Transport; st.DictHits+st.DictMisses != 0 {
-		t.Errorf("dict engaged against a v3 verdict server: %+v", st)
+	for _, tc := range []struct{ name, reply, mention string }{
+		{"v3", `{"op":"hello","line":1,"mode":"verdict","v":3,"dict":512}`, "protocol v3"},
+		{"no-mode", `{"op":"hello","line":1,"v":4,"dict":512}`, "mode"},
+		{"no-dict", `{"op":"hello","line":1,"mode":"verdict","v":4}`, "dictionary"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lis.Close()
+			go func() {
+				for {
+					conn, err := lis.Accept()
+					if err != nil {
+						return
+					}
+					go func() {
+						defer conn.Close()
+						br := bufio.NewReader(conn)
+						if _, err := br.ReadBytes('\n'); err == nil {
+							conn.Write([]byte(tc.reply + "\n"))
+							io.Copy(io.Discard, br)
+						}
+					}()
+				}
+			}()
+			pool := NewPool(lis.Addr().String(), PoolConfig{
+				Conns: 1, Seed: 47, Wire: iotssp.WireDict, Timeout: 200 * time.Millisecond, RetryBackoff: time.Millisecond,
+			})
+			defer pool.Close()
+			_, err = pool.Identify(context.Background(), "02:77:aa:00:00:01", probe.fp)
+			if err == nil || !strings.Contains(err.Error(), tc.mention) {
+				t.Fatalf("identify through a mismatched hello: err %v, want one naming %q", err, tc.mention)
+			}
+			if st := pool.Counters().Transport; st.DictHits+st.DictMisses != 0 {
+				t.Errorf("dictionary engaged past a refused hello: %+v", st)
+			}
+		})
 	}
 }

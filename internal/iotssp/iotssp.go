@@ -5,10 +5,72 @@
 //
 // # Wire protocol
 //
-// The service speaks a JSON-lines protocol over TCP: one Request object
-// per line, one Response object per line. It is stateless with respect
+// The service speaks a JSON-lines protocol over TCP: one request object
+// per line, one reply object per line. It is stateless with respect
 // to its clients — it stores nothing about gateways between requests, so
 // gateways can reach it through an anonymizing transport.
+//
+// A Server runs in one of two modes. A verdict server (NewServer)
+// answers identify requests — a line without an "op" — for Security
+// Gateways; a shard server (NewShardServer) hosts one core.Bank shard
+// of a distributed logical bank and answers the shard verbs. Both
+// answer the hello. One table covers every line:
+//
+//	line               mode     fields and effect
+//	(identify)         verdict  fingerprint {mac, packed}, or {mac,
+//	                            packed: dict entry} with enc "dict";
+//	                            the reply is the verdict (Response)
+//	hello              both     asks dict:N (a per-connection
+//	                            fingerprint.Dict of N entries) and
+//	                            comp:"flate" (framed flate after the
+//	                            reply, lineconn.FrameWriter); the reply
+//	                            carries mode, v (ProtocolVersion) and
+//	                            the grants, dict:min(N, MaxDictSize)
+//	                            and comp:"flate". A shard hello also
+//	                            subscribes the connection to pushes
+//	meta               shard    reply: the shard's type list
+//	classify           shard    batch of F matrices, enc "delta"
+//	                            (fingerprint.PackDelta) or "dict";
+//	                            reply: each entry's accepted types in
+//	                            shard enrolment order
+//	discriminate       shard    one packed F matrix (or enc "dict") and
+//	                            candidates: stage two among them
+//	enroll             shard    type and packed training prints; trains
+//	                            off the read pump, answers out of order
+//	remove             shard    type: retires its classifier
+//	snapshot, restore  shard    the bank's canonical trained state
+//	                            (core.Bank.Snapshot), out or in
+//	delta              shard    a push, no line echo: the new version
+//	                            and the changed type names
+//
+// Peers must match exactly. RemoteShard opens every connection with a
+// hello, and gateway.Pool does when its WireMode asks for compression;
+// either fails the dial unless the reply names the mode it wants, v
+// equals this build's ProtocolVersion, and the reply grants the
+// dictionary (and flate) that was asked for — a grant smaller than the
+// ask is fine (Hello.Match). There is no downgrade: a peer from another
+// build generation is refused at connect, not served a lesser wire.
+//
+// On a dictionary connection, "enc":"dict" matrices are dictionary
+// entries ('F' full, 'R' plus the base64url of the 8-byte content hash
+// for an exact reference, 'D' a near-match diff); the recurring
+// device-type names (discriminate candidates; classify accepts, best,
+// score keys) travel through per-direction intern tables — "=name"
+// defines the next index, "#k" references it, "~name" escapes a
+// literal, and map keys are reference-or-literal only (marshal order is
+// not definition order); and correlated shard replies drop the op echo
+// (the line echo correlates; hello replies and pushes keep theirs).
+// "enc":"dict" without a negotiated dictionary, and a classify batch
+// with an empty or unknown enc, are refused non-retryably.
+//
+// A dictionary and its name tables are strictly per-connection state:
+// encoder transactions commit only for lines actually written, the
+// server decodes them in line order on the read pump, and a decode
+// failure (a stale 'R' reference, an unknown "#k" name) answers a
+// non-retryable error and severs the connection — both ends then
+// rebuild empty state on the reconnect (the lineconn incarnation is
+// the dictionary generation), so a stale reference can never decode
+// against a cache the peer no longer holds.
 //
 // Responses are not guaranteed to arrive in request order. Two things
 // reorder them: the read pump answers malformed-request and
@@ -78,46 +140,34 @@
 // keeps its address so a revived one is found where the client's
 // health probes left it.
 //
-// # Shard-serving mode and the v2 wire verbs
+// # Shard-serving mode
 //
-// The wire protocol's second generation distributes the classifier
-// bank itself. A Server created with NewShardServer hosts one
-// core.Bank shard of a logical core.ShardedBank and, instead of
-// identify requests, answers the shard verbs — each a JSON line with
-// an "op" field:
-//
-//   - "hello" negotiates: both server modes reply with their mode
-//     ("verdict" or "shard") and protocol version, so a client learns
-//     what it dialed before pipelining work. A RemoteShard sends it as
-//     the first line of every fresh connection and aborts cleanly on a
-//     mode or version mismatch.
-//   - "classify" carries a whole scatter flush as packed F matrices
-//     (the same codec the gateway clients use) and returns each
-//     fingerprint's accepted types in shard enrolment order.
-//   - "discriminate" runs stage two among this shard's candidates.
-//   - "enroll" ships packed training fingerprints; the shard trains
-//     the new classifier off the read pump and answers out of order
-//     (line-echo correlation keeps pipelined classifies unaffected).
-//   - "meta" returns the shard's type list and version.
-//
-// Every shard response is stamped with the shard's enrolment version.
+// A shard server distributes the classifier bank itself: it answers
+// the shard verbs straight off each connection's read pump (a whole
+// scatter flush arrives as one classify, so there is no dispatcher),
+// and stamps every reply with the shard's enrolment version.
 // RemoteShard — the client side, implementing core.Shard — folds those
-// stamps into a local version cache so Versions() on the logical bank
-// stays a handful of atomic loads, and a remote enrolment invalidates
-// exactly the dependent verdict-cache entries without polling.
-// Version-1 clients that reach a shard endpoint get a clean retryable
-// error naming the mode (never a malformed-line reply); shard verbs
-// against a verdict endpoint fail non-retryably the same way. A shard
-// served behind a Replica (NewShardReplica) restarts in place, and
-// RemoteShard's reconnect/retry with jittered backoff carries
-// in-flight scatters across the outage.
+// stamps, and the delta lines its hello subscribed to, into a local
+// version cache, so Versions() on the logical bank stays a handful of
+// atomic loads and a remote enrolment invalidates exactly the
+// dependent verdict-cache entries without polling. The control plane
+// mints replacement group members by snapshot transfer — O(snapshot
+// bytes) instead of replaying and retraining the partition's enrolment
+// history — and the snapshot's canonical encoding makes bit-identity a
+// byte compare (core.SnapshotsEqual). Identify requests that reach a
+// shard endpoint get a clean retryable error naming the mode (never a
+// malformed-line reply); shard verbs against a verdict endpoint fail
+// non-retryably the same way. A shard served behind a Replica
+// (NewShardReplica) restarts in place, and RemoteShard's
+// reconnect/retry with jittered backoff carries in-flight scatters
+// across the outage.
 //
 // RemoteShard's pipelined links ride internal/lineconn, the shared
 // line-correlated transport (line-echo correlation, connection-
 // generation guard, fail-fast waiter semantics, lazy reconnect) that
-// gateway.Pool rides too; RemoteShard plugs the hello negotiation in
-// through the transport's handshake hook, so a mode or version
-// mismatch fails the dial instead of surfacing mid-pipeline.
+// gateway.Pool rides too; the hello plugs in through the transport's
+// handshake hook, so a mode or version mismatch fails the dial instead
+// of surfacing mid-pipeline.
 //
 // # Replicated shard groups
 //
@@ -136,88 +186,10 @@
 // fan-out enrolment bumps the logical shard's version exactly once and
 // the verdict cache invalidates its dependents exactly once, never
 // once per replica.
-//
-// # The v3 compaction generation
-//
-// Protocol version 3 collapses the shard plane's wire cost in three
-// ways, each negotiated at hello so mixed-version fleets degrade to
-// the v2 cost instead of failing. OpSnapshot/OpRestore transfer a
-// shard bank's whole trained state as one canonical blob
-// (core.Bank.Snapshot): the control plane mints replacement group
-// members by state transfer — O(snapshot bytes) instead of replaying
-// and retraining the partition's enrolment history — and the blob's
-// canonical encoding makes bit-identity a byte compare
-// (core.SnapshotsEqual). Classify batches may carry delta-packed F
-// matrices ("enc":"delta", fingerprint.PackDelta), shrinking rows that
-// repeat within a fingerprint. And a client's hello may subscribe to
-// the shard's delta stream: the server pushes OpDelta version bumps
-// (uncorrelated lines, carried to the client by the transport's push
-// hook) whenever the shard's state changes, so a subscribed front's
-// version cache — and with it the verdict cache's shard-scoped
-// invalidation — moves without any polling round-trip. A v2 peer
-// answers the v3 verbs with a non-retryable unknown-op error and
-// refuses delta-encoded batches; clients therefore keep every v3
-// feature off unless the negotiated version reaches 3.
-//
-// # The v4 wire-compression generation
-//
-// Protocol version 4 makes connections stateful to attack the fleet's
-// actual redundancy: the same device models submit near-identical F
-// matrices across requests, so v3's intra-matrix deltas barely help.
-// Both options ride the hello and degrade cleanly against older peers.
-//
-//	verb / field         direction        negotiation
-//	hello dict:N         client asks      server replies dict:min(N, MaxDictSize)
-//	                                      and both ends build an N-entry
-//	                                      fingerprint.Dict for this
-//	                                      connection; absent/0 = no dict
-//	hello comp:"flate"   client asks      server echoes comp:"flate" and
-//	                                      everything after the hello
-//	                                      reply travels as framed flate
-//	                                      (lineconn.FrameWriter); absent
-//	                                      = plain lines
-//	enc:"dict"           classify /       batch entries and identify
-//	                     discriminate /   matrices are dictionary
-//	                     identify         entries ('F' full, 'R' exact
-//	                                      reference — 'R' plus the
-//	                                      base64url of the 8-byte
-//	                                      content hash — 'D' near-match
-//	                                      diff); only valid once a dict
-//	                                      was negotiated on this
-//	                                      connection
-//	interned names       both, shard      on a dict connection the
-//	                     verbs only       recurring device-type names
-//	                                      (discriminate candidates;
-//	                                      classify accepts, best, score
-//	                                      keys) travel through
-//	                                      per-direction intern tables:
-//	                                      "=name" defines the next
-//	                                      index, "#k" references it,
-//	                                      "~name" escapes a literal;
-//	                                      map keys are reference-or-
-//	                                      literal only (marshal order
-//	                                      is not definition order)
-//	op echo              response         a dict connection drops the
-//	                                      op echo on correlated shard
-//	                                      replies (the line echo
-//	                                      correlates); hello replies
-//	                                      and OpDelta pushes — which
-//	                                      have no line — keep it
-//
-// A dictionary and its name tables are strictly per-connection state:
-// encoder transactions commit only for lines actually written, the
-// server decodes them in line order on the read pump, and a decode
-// failure (a stale 'R' reference, an unknown "#k" name) answers a
-// non-retryable error and severs the connection — both ends then
-// rebuild empty state on the reconnect (the lineconn incarnation is
-// the dictionary generation), so a stale reference can never decode
-// against a cache the peer no longer holds. Servers with ProtocolCap
-// < 4 and v3-or-older clients never see any of this: the hello fields
-// go unanswered and the connection serves the v3 (or v2) wire forms
-// unchanged.
 package iotssp
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/core"
@@ -226,38 +198,21 @@ import (
 	"repro/internal/vulndb"
 )
 
-// ProtocolVersion is the wire protocol generation this build speaks.
-// Version 1 is the original identify-only JSON-lines protocol (every
-// line is a Request, every reply a Response). Version 2 adds the shard
-// verbs (OpHello, OpMeta, OpClassify, OpDiscriminate, OpEnroll) spoken
-// to a shard-serving Server, plus the OpHello negotiation both server
-// modes answer so a client can discover what it is talking to before
-// pipelining work onto the connection. Version 3 adds the compaction
-// generation: the snapshot verbs (OpSnapshot, OpRestore — whole-shard
-// state transfer), delta-packed classify batches (the "enc":"delta"
-// encoding) and the hello's delta-stream subscription (the server
-// pushes OpDelta version bumps to subscribers instead of clients
-// learning of remote enrolments only from response stamps). Clients
-// accept any peer >= 2 and simply keep the version-3 features off
-// against an older one, so mixed-version fleets degrade to the v2 wire
-// cost rather than failing. Version 4 adds connection-stateful wire
-// compression: the hello negotiates a per-connection fingerprint
-// dictionary (the "enc":"dict" encoding for classify, discriminate and
-// identify matrices) and optionally framed flate transport compression
-// ("comp":"flate"); see the package doc's v4 section for the
-// negotiation table and coherence rules.
+// ProtocolVersion is the wire generation this build speaks. Hello
+// replies carry it, and clients refuse a peer whose reply differs.
 const ProtocolVersion = 4
 
 // Wire operations (the Request/shardRequest "op" field). An empty op is
-// a version-1 identify request.
+// an identify request.
 const (
 	// OpHello negotiates: both server modes answer with their mode
-	// ("verdict" or "shard") and protocol version, so mismatched clients
-	// fail cleanly at connect instead of mid-pipeline.
+	// ("verdict" or "shard"), ProtocolVersion and the wire-compression
+	// grants, so mismatched clients fail cleanly at connect instead of
+	// mid-pipeline.
 	OpHello = "hello"
 	// OpMeta asks a shard server for its type list and version.
 	OpMeta = "meta"
-	// OpClassify runs stage one over a batch of packed fingerprints.
+	// OpClassify runs stage one over a batch of encoded fingerprints.
 	OpClassify = "classify"
 	// OpDiscriminate runs stage two among candidate types.
 	OpDiscriminate = "discriminate"
@@ -268,32 +223,31 @@ const (
 	// discriminations, the version bumps once).
 	OpRemove = "remove"
 	// OpSnapshot asks a shard server for its bank's serialized trained
-	// state (protocol >= 3). The control plane mints replacement group
-	// members by transferring it instead of replaying enrolment history.
+	// state. The control plane mints replacement group members by
+	// transferring it instead of replaying enrolment history.
 	OpSnapshot = "snapshot"
 	// OpRestore replaces a shard server's bank state with a transferred
-	// snapshot (protocol >= 3).
+	// snapshot.
 	OpRestore = "restore"
-	// OpDelta is a server-initiated push (no line echo), sent to hello
-	// subscribers when the shard's state changes: it carries the new
-	// version and the changed type names, so a subscribed client's
-	// version cache moves without a classify round-trip.
+	// OpDelta is a server-initiated push (no line echo), sent to every
+	// connection that said hello when the shard's state changes: it
+	// carries the new version and the changed type names, so the
+	// client's version cache moves without a classify round-trip.
 	OpDelta = "delta"
 )
 
-// deltaEncoding is the shardRequest Enc value selecting delta-packed F
-// matrices (fingerprint.PackDelta) in classify batches, negotiated at
-// protocol >= 3.
+// deltaEncoding is the Enc value selecting delta-packed F matrices
+// (fingerprint.PackDelta) in classify batches off a dictionary.
 const deltaEncoding = "delta"
 
 // DictEncoding is the Enc value selecting dictionary-coded F matrices
 // (fingerprint.Dict entries) in classify, discriminate and identify
 // requests — valid only on a connection whose hello negotiated a
-// dictionary (protocol >= 4).
+// dictionary.
 const DictEncoding = "dict"
 
 // CompFlate is the hello Comp value asking for framed flate transport
-// compression after the handshake (protocol >= 4).
+// compression after the handshake.
 const CompFlate = "flate"
 
 // DefaultDictSize is the per-connection dictionary capacity clients
@@ -305,15 +259,15 @@ const DefaultDictSize = 512
 // bounding per-connection memory whatever a client asks for.
 const MaxDictSize = 4096
 
-// WireMode selects a client stack's v4 wire compression: off (the v3
-// wire forms), the per-connection fingerprint dictionary, or the
-// dictionary plus framed flate transport compression. Zero value is
-// off, so existing configs are unchanged.
+// WireMode selects a client stack's wire compression: off (no
+// connection state: delta-packed classify batches, packed identify and
+// discriminate matrices, plain lines), the per-connection fingerprint
+// dictionary, or the dictionary plus framed flate transport
+// compression. The zero value is off.
 type WireMode int
 
 const (
-	// WireOff sends the pre-v4 wire forms (packed or delta-packed
-	// matrices, plain lines).
+	// WireOff keeps connections stateless.
 	WireOff WireMode = iota
 	// WireDict negotiates the per-connection fingerprint dictionary.
 	WireDict
@@ -347,18 +301,60 @@ func ParseWireMode(s string) (WireMode, error) {
 	return WireOff, fmt.Errorf("iotssp: unknown wire mode %q (want off, dict or dict+flate)", s)
 }
 
+// HelloLine is the handshake line a client opens a connection with:
+// the hello plus the dictionary (and flate) asks wire makes, dictSize
+// being the capacity asked for.
+func HelloLine(wire WireMode, dictSize int) []byte {
+	req := shardRequest{Op: OpHello}
+	if wire != WireOff {
+		req.Dict = dictSize
+	}
+	if wire == WireDictFlate {
+		req.Comp = CompFlate
+	}
+	line, _ := json.Marshal(req)
+	return append(line, '\n')
+}
+
+// Hello is the negotiation a hello reply carries, embedded in both
+// server modes' reply lines: the serving mode, the protocol version and
+// the wire-compression grants. It is empty on every other reply.
+type Hello struct {
+	Mode string `json:"mode,omitempty"`
+	V    int    `json:"v,omitempty"`
+	// Comp == CompFlate means frames follow this reply; Dict is the
+	// agreed per-connection dictionary capacity.
+	Comp string `json:"comp,omitempty"`
+	Dict int    `json:"dict,omitempty"`
+}
+
+// Match is the strict hello check both clients apply before a fresh
+// connection serves traffic: the reply must name mode, speak exactly
+// ProtocolVersion, and grant the dictionary (and flate) that wire
+// asked for. The error names the mismatch.
+func (h Hello) Match(mode string, wire WireMode) error {
+	switch {
+	case h.Mode != mode:
+		return fmt.Errorf("peer is not a %s server (mode %q)", mode, h.Mode)
+	case h.V != ProtocolVersion:
+		return fmt.Errorf("peer speaks protocol v%d, want v%d", h.V, ProtocolVersion)
+	case wire != WireOff && h.Dict <= 0:
+		return fmt.Errorf("peer granted no fingerprint dictionary (wire %s)", wire)
+	case wire == WireDictFlate && h.Comp != CompFlate:
+		return fmt.Errorf("peer granted no flate framing (wire %s)", wire)
+	}
+	return nil
+}
+
 // Request is one identification request from a Security Gateway.
 type Request struct {
-	// Op selects the wire operation. Empty means identify (the version-1
-	// protocol); OpHello asks the server to introduce itself. The shard
-	// verbs are only valid against a shard-serving server — a verdict
-	// server answers them with a non-retryable error naming its mode.
+	// Op selects the wire operation. Empty means identify; OpHello asks
+	// the server to introduce itself. The shard verbs are only valid
+	// against a shard-serving server — a verdict server answers them
+	// with a non-retryable error naming its mode.
 	Op string `json:"op,omitempty"`
 	// Fingerprint is the device's fingerprint report (MAC + F matrix).
 	Fingerprint fingerprint.Report `json:"fingerprint"`
-	// V is the client's protocol version, sent with OpHello (protocol
-	// >= 4 clients negotiating wire compression; older clients omit it).
-	V int `json:"v,omitempty"`
 	// Comp and Dict are the OpHello wire-compression asks: framed flate
 	// transport compression (CompFlate) and a per-connection fingerprint
 	// dictionary of the given capacity. The server's hello reply echoes
@@ -367,7 +363,7 @@ type Request struct {
 	Dict int    `json:"dict,omitempty"`
 	// Enc marks how Fingerprint's matrix travels: empty for the packed
 	// form, DictEncoding for a dictionary entry (Fingerprint.Packed then
-	// holds the entry; protocol >= 4, negotiated dictionary required).
+	// holds the entry; a negotiated dictionary is required).
 	Enc string `json:"enc,omitempty"`
 }
 
@@ -409,15 +405,9 @@ type Response struct {
 	// be retried after a backoff. Malformed-request errors are never
 	// retryable.
 	Retryable bool `json:"retryable,omitempty"`
-	// Mode, V, Comp and Dict surface the server's OpHello answer to a
-	// verdict-plane client (the reply travels as a shardResponse on the
-	// wire; these mirror the fields a gateway.Pool needs to read the
-	// negotiation): serving mode, protocol cap, and the agreed wire
-	// compression. Empty on ordinary identify responses.
-	Mode string `json:"mode,omitempty"`
-	V    int    `json:"v,omitempty"`
-	Comp string `json:"comp,omitempty"`
-	Dict int    `json:"dict,omitempty"`
+	// Hello surfaces the server's OpHello answer to a verdict-plane
+	// client (the reply travels as a shardResponse on the wire).
+	Hello
 }
 
 // CorrelationLine implements lineconn.Message: pipelined clients

@@ -5,7 +5,7 @@ import (
 	"strconv"
 )
 
-// Per-connection device-type name interning (wire protocol v4). A shard
+// Per-connection device-type name interning. A shard
 // connection that negotiated a fingerprint dictionary also interns the
 // type names its lines repeat: classify accepts, discriminate
 // candidates and scores name the same handful of enrolled types on

@@ -43,11 +43,10 @@ type RemoteShardConfig struct {
 	MaxBackoff time.Duration
 	// Seed seeds the jitter generator (0 selects 1).
 	Seed int64
-	// Wire selects the v4 wire compression: WireOff (the default) keeps
-	// the v3 wire, WireDict negotiates the per-connection fingerprint
-	// dictionary, WireDictFlate adds framed flate transport. Either is
-	// an ask — a pre-v4 peer's hello grants nothing and the client
-	// degrades to the plain wire.
+	// Wire selects the wire compression: WireOff (the default) keeps
+	// connections stateless, WireDict negotiates the per-connection
+	// fingerprint dictionary, WireDictFlate adds framed flate transport.
+	// A peer whose hello grants less than the mode asks is refused.
 	Wire WireMode
 	// DictSize is the dictionary capacity asked for in the hello (the
 	// server may cap it to MaxDictSize). 0 selects DefaultDictSize.
@@ -92,9 +91,6 @@ type RemoteShardStats struct {
 	Failures uint64 `json:"failures"`
 	// Version is the last shard enrolment version observed on the wire.
 	Version uint64 `json:"version"`
-	// Proto is the negotiated protocol version (the smaller of ours and
-	// the peer's; 0 before the first handshake).
-	Proto int `json:"proto"`
 	// DeltasReceived counts server-pushed OpDelta version bumps folded
 	// into the version cache — remote state changes this client learned
 	// of without a round-trip.
@@ -122,8 +118,8 @@ func (s RemoteShardStats) Snapshot() stats.Snapshot {
 // with in-process shards. The transport is internal/lineconn — the same
 // pipelined line-correlated connection the pooled gateway client rides
 // — with the shard hello as the handshake hook: every fresh connection
-// opens with a hello line whose reply must announce ModeShard at a
-// compatible protocol version before the connection serves traffic.
+// opens with a hello line whose reply must announce ModeShard at exactly
+// ProtocolVersion before the connection serves traffic.
 // Retries around reconnects and retryable errors back off with jitter
 // from the shared internal/backoff source.
 //
@@ -150,12 +146,6 @@ type RemoteShard struct {
 	next      atomic.Uint64 // round-robin connection cursor
 
 	version atomic.Uint64
-	// proto is the negotiated protocol version (min of ours and the
-	// peer's), set by every hello. The version-3 features — delta-packed
-	// batches, snapshot transfer — stay off until a handshake proves the
-	// peer speaks them, so a mixed-version fleet degrades to the v2 wire
-	// cost instead of failing.
-	proto atomic.Int64
 	// deltas counts server-pushed version bumps (the delta stream).
 	deltas atomic.Uint64
 
@@ -186,34 +176,21 @@ func NewRemoteShard(addr string, cfg RemoteShardConfig) *RemoteShard {
 		Max:    cfg.MaxBackoff,
 		Jitter: backoff.NewJitter(cfg.Seed),
 	}
-	// The hello subscribes to the delta stream and, at WireDict and
-	// above, asks for the v4 wire compression; a version-2 peer simply
-	// ignores the flags (and never pushes or grants).
-	helloReq := shardRequest{Op: OpHello, V: ProtocolVersion, Sub: true}
-	if cfg.Wire != WireOff {
-		helloReq.Dict = cfg.DictSize
-		if cfg.Wire == WireDictFlate {
-			helloReq.Comp = CompFlate
-		}
-	}
-	hello, _ := json.Marshal(helloReq)
-	hello = append(hello, '\n')
+	// The hello subscribes the connection to the shard's delta pushes
+	// and carries the wire-compression asks.
 	opts := lineconn.Options[shardResponse]{
 		Counters:   rs.transport,
-		Hello:      hello,
+		Hello:      HelloLine(cfg.Wire, cfg.DictSize),
 		CheckHello: rs.checkHello,
 		Push:       rs.handlePush,
 	}
 	if cfg.Wire != WireOff {
 		// The per-incarnation codec state: a dictionary sized by the
-		// server's grant, or nil against a peer that granted none. A
-		// reconnect rebuilds it empty — exactly when the server's side
-		// resets too, which is what keeps the pair coherent.
+		// server's grant. A reconnect rebuilds it empty — exactly when
+		// the server's side resets too, which is what keeps the pair
+		// coherent.
 		opts.NewState = func(h shardResponse) any {
-			if h.Dict > 0 {
-				return &connDict{dict: fingerprint.NewDict(h.Dict)}
-			}
-			return nil
+			return &connDict{dict: fingerprint.NewDict(h.Dict)}
 		}
 		opts.Framed = func(h shardResponse) bool { return h.Comp == CompFlate }
 		// Responses on a dict connection intern the type names they
@@ -223,12 +200,10 @@ func NewRemoteShard(addr string, cfg RemoteShardConfig) *RemoteShard {
 		opts.Inbound = func(state any, resp shardResponse) (shardResponse, error) {
 			cd, ok := state.(*connDict)
 			if !ok {
-				return resp, nil
+				return resp, nil // lines trailing a refused handshake
 			}
-			if err := expandShardResponse(&resp, &cd.respNames); err != nil {
-				return resp, err
-			}
-			return resp, nil
+			err := expandShardResponse(&resp, &cd.respNames)
+			return resp, err
 		}
 	}
 	rs.conns = make([]*lineconn.Conn[shardResponse], cfg.Conns)
@@ -251,26 +226,16 @@ type connDict struct {
 	respNames nameDec
 }
 
-// checkHello validates a fresh connection's hello reply: the peer must
-// be a shard server speaking a compatible protocol generation (v2 or
-// later — the shard verbs this client depends on). The negotiated
-// version (the smaller of the two) gates the version-3 features, and a
-// valid reply's version stamp seeds the local version cache.
+// checkHello validates a fresh connection's hello reply with the strict
+// Hello.Match, and a valid reply's version stamp seeds the local
+// version cache.
 func (rs *RemoteShard) checkHello(resp shardResponse) error {
 	if resp.Error != "" {
 		return fmt.Errorf("iotssp: shard hello to %s: %s", rs.addr, resp.Error)
 	}
-	if resp.Mode != ModeShard {
-		return fmt.Errorf("iotssp: %s is not a shard server (mode %q, protocol v%d)", rs.addr, resp.Mode, resp.V)
+	if err := resp.Hello.Match(ModeShard, rs.cfg.Wire); err != nil {
+		return fmt.Errorf("iotssp: shard hello to %s: %w", rs.addr, err)
 	}
-	if resp.V < 2 {
-		return fmt.Errorf("iotssp: shard %s speaks protocol v%d, want v2 or later", rs.addr, resp.V)
-	}
-	negotiated := resp.V
-	if negotiated > ProtocolVersion {
-		negotiated = ProtocolVersion
-	}
-	rs.proto.Store(int64(negotiated))
 	rs.observeVersion(resp.Version)
 	return nil
 }
@@ -287,10 +252,6 @@ func (rs *RemoteShard) handlePush(resp shardResponse) {
 	rs.observeVersion(resp.Version)
 }
 
-// Proto returns the negotiated protocol version (0 before the first
-// handshake).
-func (rs *RemoteShard) Proto() int { return int(rs.proto.Load()) }
-
 // DeltasReceived returns the count of server-pushed version bumps.
 func (rs *RemoteShard) DeltasReceived() uint64 { return rs.deltas.Load() }
 
@@ -301,7 +262,6 @@ func (rs *RemoteShard) Counters() RemoteShardStats {
 		Retries:        rs.retries.Load(),
 		Failures:       rs.failures.Load(),
 		Version:        rs.version.Load(),
-		Proto:          int(rs.proto.Load()),
 		DeltasReceived: rs.deltas.Load(),
 		StateBytes:     rs.stateBytes.Load(),
 		Transport:      rs.transport.Snapshot(),
@@ -397,7 +357,7 @@ func (rs *RemoteShard) doEnc(op string, enc lineconn.Encoder, timeout time.Durat
 	return shardResponse{}, fmt.Errorf("iotssp: shard %s unreachable: %w", rs.addr, lastErr)
 }
 
-// ClassifyBatch implements core.Shard: the batch ships as packed F
+// ClassifyBatch implements core.Shard: the batch ships as encoded F
 // matrices in one pipelined request, and the reply carries each
 // fingerprint's accepted types in shard enrolment order. The workers
 // budget is the scatter's local concern and does not travel — the shard
@@ -426,18 +386,16 @@ func (rs *RemoteShard) ClassifyBatch(fps []*fingerprint.Fingerprint, workers int
 // on. With a negotiated dictionary the batch ships dictionary-coded:
 // recurring fingerprints cost a 12-byte reference instead of their
 // packed form, and the txn commits only after the body marshals, so
-// a failed attempt never desyncs the pair. Against a version-3 peer
-// without a dictionary the batch ships delta-packed: consecutive
-// setup packets share most feature values, so per-column deltas are
-// mostly zero and the batch shrinks by roughly a third. Before the
-// first handshake (proto 0) and against v2 peers, the plain packed
-// codec keeps the wire compatible. The plain bodies are built once
-// and replayed across attempts; the dictionary body is rebuilt per
-// attempt against that connection's own dictionary. A ShardGroup
-// calls this per member, so a failover re-encodes the batch against
-// the member (and dictionary incarnation) it actually lands on.
+// a failed attempt never desyncs the pair. Without a dictionary the
+// batch ships delta-packed: consecutive setup packets share most
+// feature values, so per-column deltas are mostly zero and the batch
+// shrinks by roughly a third. The delta body is built once and
+// replayed across attempts; the dictionary body is rebuilt per attempt
+// against that connection's own dictionary. A ShardGroup calls this
+// per member, so a failover re-encodes the batch against the member
+// (and dictionary incarnation) it actually lands on.
 func (rs *RemoteShard) classifyEncoder(fps []*fingerprint.Fingerprint) lineconn.Encoder {
-	var plainBody []byte
+	var deltaBody []byte
 	return func(state any) ([]byte, error) {
 		if cd, ok := state.(*connDict); ok {
 			txn := cd.dict.Begin()
@@ -457,28 +415,22 @@ func (rs *RemoteShard) classifyEncoder(fps []*fingerprint.Fingerprint) lineconn.
 			rs.transport.AddDict(txn.Stats())
 			return append(body, '\n'), nil
 		}
-		if plainBody == nil {
-			wireEnc := ""
-			pack := fingerprint.Pack
-			if rs.proto.Load() >= 3 {
-				wireEnc = deltaEncoding
-				pack = fingerprint.PackDelta
-			}
+		if deltaBody == nil {
 			batch := make([]string, len(fps))
 			for i, f := range fps {
-				packed, err := pack(f)
+				packed, err := fingerprint.PackDelta(f)
 				if err != nil {
 					return nil, err
 				}
 				batch[i] = packed
 			}
-			body, err := json.Marshal(shardRequest{Op: OpClassify, Batch: batch, Enc: wireEnc})
+			body, err := json.Marshal(shardRequest{Op: OpClassify, Batch: batch, Enc: deltaEncoding})
 			if err != nil {
 				return nil, err
 			}
-			plainBody = append(body, '\n')
+			deltaBody = append(body, '\n')
 		}
-		return plainBody, nil
+		return deltaBody, nil
 	}
 }
 
@@ -571,10 +523,9 @@ func (rs *RemoteShard) Remove(name string) error {
 }
 
 // Snapshot implements core.Shard: it asks the shard server for its
-// bank's serialized trained state (OpSnapshot, protocol >= 3). Against
-// an older peer the verb is unknown and the call fails with a
-// non-retryable error — the signal the control plane's member minting
-// takes to fall back to history replay.
+// bank's serialized trained state (OpSnapshot). A failed transfer is
+// the signal the control plane's member minting takes to fall back to
+// history replay.
 func (rs *RemoteShard) Snapshot() ([]byte, error) {
 	resp, err := rs.do(shardRequest{Op: OpSnapshot}, rs.cfg.EnrollTimeout)
 	if err != nil {
@@ -584,7 +535,7 @@ func (rs *RemoteShard) Snapshot() ([]byte, error) {
 }
 
 // Restore implements core.Shard: the snapshot ships to the shard server
-// (OpRestore, protocol >= 3), which swaps its bank's state atomically.
+// (OpRestore), which swaps its bank's state atomically.
 // The enrolment timeout applies — a snapshot is the big transfer of the
 // protocol, though still orders of magnitude cheaper than the training
 // it replaces.

@@ -41,13 +41,6 @@ type ServerConfig struct {
 	// client that stops reading until it fills is dropped (slow-consumer
 	// protection). 0 selects 256.
 	WriteQueue int
-	// ProtocolCap caps the wire protocol generation the server announces
-	// and serves (0 or anything above ProtocolVersion selects
-	// ProtocolVersion). Capping to 2 makes the server behave exactly like
-	// a pre-compaction build — version-3 verbs answer "unknown shard op",
-	// delta-encoded batches are refused, subscriptions are ignored —
-	// which is how tests exercise clients' old-peer fallback paths.
-	ProtocolCap int
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
@@ -65,9 +58,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.WriteQueue <= 0 {
 		c.WriteQueue = 256
-	}
-	if c.ProtocolCap <= 0 || c.ProtocolCap > ProtocolVersion {
-		c.ProtocolCap = ProtocolVersion
 	}
 	return c
 }
@@ -427,13 +417,13 @@ func (s *Server) handleConn(conn net.Conn) {
 			continue
 		}
 		if req.Op != "" {
-			// Version-2 verbs against the verdict endpoint: introduce
-			// ourselves to a hello (negotiating the v4 wire compression it
-			// may ask for), reject shard verbs cleanly (the client dialed
-			// the wrong kind of server; retrying here cannot help).
+			// Verbs against the verdict endpoint: introduce ourselves to a
+			// hello (negotiating the wire compression it may ask for),
+			// reject shard verbs cleanly (the client dialed the wrong kind
+			// of server; retrying here cannot help).
 			if req.Op == OpHello {
-				resp := shardResponse{Op: OpHello, Line: line, Mode: ModeVerdict, V: s.cfg.ProtocolCap}
-				s.negotiateWire(&resp, req.V, req.Comp, req.Dict, cw)
+				resp := shardResponse{Op: OpHello, Line: line, Hello: Hello{Mode: ModeVerdict, V: ProtocolVersion}}
+				cw.negotiate(&resp.Hello, req.Comp, req.Dict)
 				if !w.send(resp) {
 					return
 				}
@@ -458,10 +448,10 @@ func (s *Server) handleConn(conn net.Conn) {
 		if req.Enc == DictEncoding {
 			// Dictionary-coded identify: the packed field carries a
 			// fingerprint.Dict entry against this connection's dictionary.
-			if s.cfg.ProtocolCap < 4 || cw.dict == nil {
+			if cw.dict == nil {
 				s.malformed.Add(1)
 				w.send(Response{MAC: req.Fingerprint.MAC, Line: line, Error: fmt.Sprintf(
-					"line %d: encoding %q requires a hello-negotiated v4 dictionary (serving v%d)", line, req.Enc, s.cfg.ProtocolCap)})
+					"line %d: encoding %q requires a hello-negotiated dictionary", line, req.Enc)})
 				return // protocol misuse of a stateful codec: sever
 			}
 			mac = req.Fingerprint.MAC

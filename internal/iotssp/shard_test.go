@@ -34,7 +34,7 @@ var (
 )
 
 // getShardFixture trains the shared 2-shard fixture.
-func getShardFixture(t *testing.T) *shardFixture {
+func getShardFixture(t testing.TB) *shardFixture {
 	t.Helper()
 	shardFixOnce.Do(func() {
 		env := devices.DefaultEnv()
@@ -79,7 +79,7 @@ func getShardFixture(t *testing.T) *shardFixture {
 // freshShardedBank retrains an identical 2-shard bank (same seed, same
 // partition) whose shards can be mutated or served without touching the
 // shared fixture.
-func freshShardedBank(t *testing.T) *core.ShardedBank {
+func freshShardedBank(t testing.TB) *core.ShardedBank {
 	t.Helper()
 	fix := getShardFixture(t)
 	env := devices.DefaultEnv()
@@ -325,7 +325,7 @@ func rawLine(t *testing.T, addr string, line string) map[string]any {
 func TestHelloNegotiationBothModes(t *testing.T) {
 	getShardFixture(t)
 	replica := startShardReplica(t, freshShardedBank(t).Shard(0).(*core.Bank))
-	if m := rawLine(t, replica.Addr(), `{"op":"hello","v":2}`); m["mode"] != ModeShard || m["v"] != float64(ProtocolVersion) {
+	if m := rawLine(t, replica.Addr(), `{"op":"hello"}`); m["mode"] != ModeShard || m["v"] != float64(ProtocolVersion) {
 		t.Fatalf("shard hello = %v", m)
 	}
 
@@ -337,7 +337,7 @@ func TestHelloNegotiationBothModes(t *testing.T) {
 	}
 	go srv.Serve(lis)
 	t.Cleanup(func() { srv.Close() })
-	if m := rawLine(t, lis.Addr().String(), `{"op":"hello","v":2}`); m["mode"] != ModeVerdict || m["v"] != float64(ProtocolVersion) {
+	if m := rawLine(t, lis.Addr().String(), `{"op":"hello"}`); m["mode"] != ModeVerdict || m["v"] != float64(ProtocolVersion) {
 		t.Fatalf("verdict hello = %v", m)
 	}
 	// Shard verbs against the verdict endpoint fail non-retryably: the

@@ -342,7 +342,7 @@ func (g *ShardGroup) do(attempt func(*RemoteShard) (shardResponse, error)) (shar
 // tryMember runs one operation against one member and folds the outcome
 // into its breaker. The operation runs as the member's own client call
 // (attempt receives the member's RemoteShard), so per-connection codec
-// state — the v4 fingerprint dictionary, the name-intern tables —
+// state — the fingerprint dictionary, the name-intern tables —
 // belongs to the member the request actually lands on, and a failover
 // re-encodes against the next member instead of replaying bytes coined
 // for the first. A non-retryable service error (malformed request,
@@ -364,10 +364,9 @@ func (g *ShardGroup) tryMember(m *groupMember, attempt func(*RemoteShard) (shard
 // member (any replica's answer is the answer), failing over
 // transparently if that member dies mid-flight. On a full group outage
 // it fails open to all-reject, like RemoteShard. Each member encodes
-// the batch itself, against its own negotiated wire: a v4 member ships
-// it dictionary-coded, a v3 member delta-packed, a v2 member plain —
-// and a failover re-encodes for whichever member it lands on, so a
-// mixed-version group costs each member only its own wire generation.
+// the batch itself, against its own connection's dictionary, so a
+// failover re-encodes for whichever member (and dictionary
+// incarnation) it lands on.
 func (g *ShardGroup) ClassifyBatch(fps []*fingerprint.Fingerprint, workers int) [][]string {
 	_ = workers // the member server fans the batch across its own cores
 	out := make([][]string, len(fps))

@@ -20,32 +20,26 @@ const (
 )
 
 // shardRequest is one line of the shard wire protocol: an op plus the
-// fields that op consumes. F matrices always travel in the packed codec
-// (base64 zigzag varints — or the tighter delta codec at protocol >= 3)
-// — the shard protocol is a high-volume inter-node path and never pays
-// the readable JSON form.
+// fields that op consumes. F matrices always travel in a compact codec
+// (base64 zigzag varints, delta-packed or dictionary-coded) — the shard
+// protocol is a high-volume inter-node path and never pays the readable
+// JSON form.
 type shardRequest struct {
 	// Op is the verb: OpHello, OpMeta, OpClassify, OpDiscriminate,
 	// OpEnroll, OpRemove, OpSnapshot or OpRestore. Empty means the line
-	// is a version-1 identify request that reached a shard endpoint by
-	// mistake.
+	// is an identify request that reached a shard endpoint by mistake.
 	Op string `json:"op"`
-	// V is the client's protocol version (OpHello).
-	V int `json:"v,omitempty"`
-	// Sub asks the server to push OpDelta version bumps onto this
-	// connection whenever the shard's state changes (OpHello, protocol
-	// >= 3).
-	Sub bool `json:"sub,omitempty"`
-	// Comp and Dict are the OpHello wire-compression asks (protocol
-	// >= 4): Comp == CompFlate requests framed flate transport, Dict > 0
-	// a per-connection fingerprint dictionary of that capacity.
+	// Comp and Dict are the OpHello wire-compression asks: Comp ==
+	// CompFlate requests framed flate transport, Dict > 0 a
+	// per-connection fingerprint dictionary of that capacity.
 	Comp string `json:"comp,omitempty"`
 	Dict int    `json:"dict,omitempty"`
-	// Batch is the packed F matrix of every fingerprint to classify
+	// Batch is the encoded F matrix of every fingerprint to classify
 	// (OpClassify), batch order preserved in the reply.
 	Batch []string `json:"batch,omitempty"`
-	// Enc names the Batch encoding: empty for the plain packed codec,
-	// deltaEncoding for delta-packed rows (protocol >= 3).
+	// Enc names the encoding: deltaEncoding or DictEncoding for a
+	// classify Batch; empty (packed) or DictEncoding for a discriminate
+	// Fingerprint.
 	Enc string `json:"enc,omitempty"`
 	// Fingerprint is one packed F matrix (OpDiscriminate).
 	Fingerprint string `json:"fingerprint,omitempty"`
@@ -70,14 +64,8 @@ type shardRequest struct {
 type shardResponse struct {
 	Op   string `json:"op,omitempty"`
 	Line uint64 `json:"line,omitempty"`
-	// Mode and V answer OpHello ("shard"/"verdict", ProtocolVersion).
-	Mode string `json:"mode,omitempty"`
-	V    int    `json:"v,omitempty"`
-	// Comp and Dict echo the OpHello wire-compression grants (protocol
-	// >= 4): Comp == CompFlate means frames follow this reply, Dict is
-	// the agreed per-connection dictionary capacity.
-	Comp string `json:"comp,omitempty"`
-	Dict int    `json:"dict,omitempty"`
+	// Hello answers OpHello (mode, ProtocolVersion, grants).
+	Hello
 	// Version is the shard's enrolment version after handling the
 	// request.
 	Version uint64 `json:"version,omitempty"`
@@ -104,20 +92,18 @@ type shardResponse struct {
 func (r shardResponse) CorrelationLine() uint64 { return r.Line }
 
 // NewShardServer wraps one in-process classifier-bank shard for network
-// serving: the returned server speaks the shard verbs of the extended
-// wire protocol — the version-2 set (hello/meta/classify/discriminate/
-// enroll/remove) plus, at protocol v3, snapshot/restore state transfer,
-// delta-packed classify batches and pushed OpDelta version bumps to
-// hello subscribers — so a core.ShardedBank in another process can
-// address this bank through an iotssp.RemoteShard. The admission spine is shared with verdict mode —
+// serving: the returned server speaks the shard verbs (hello, meta,
+// classify, discriminate, enroll, remove, snapshot, restore) and pushes
+// OpDelta version bumps to every connection that said hello, so a
+// core.ShardedBank in another process can address this bank through an
+// iotssp.RemoteShard. The admission spine is shared with verdict mode —
 // bounded accept loop, MaxConns refusals, per-connection read/write
 // pumps, slow-client drops — but there is no micro-batching dispatcher:
 // shard clients already batch (a whole scatter flush arrives as one
 // OpClassify), so requests are answered straight off the read pump.
-// Version-1 identify requests are answered with a clean retryable
-// error naming the mode, so an old gateway pointed at a shard endpoint
-// backs off and fails over instead of choking on a malformed-line
-// reply.
+// Identify requests are answered with a clean retryable error naming
+// the mode, so a gateway pointed at a shard endpoint backs off and
+// fails over instead of choking on a malformed-line reply.
 func NewShardServer(bank *core.Bank, cfg ServerConfig) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -162,17 +148,17 @@ func (s *Server) handleShardConn(conn net.Conn, w *connWriter) {
 		var req shardRequest
 		err := json.Unmarshal(ls.Bytes(), &req)
 		if err != nil || req.Op == "" {
-			// Not a shard verb. A version-1 identify request decodes as a
-			// Request (its "fingerprint" field is an object, which fails
-			// the shardRequest decode above): refuse it cleanly and
-			// retryably, echoing the fields its correlator needs, so the
-			// old client backs off and fails over instead of parsing a
-			// surprise. Anything else is malformed.
-			var v1 Request
-			if verr := json.Unmarshal(ls.Bytes(), &v1); verr == nil && (err == nil || v1.Fingerprint.MAC != "" || v1.Fingerprint.Packed != "" || len(v1.Fingerprint.Vectors) > 0) {
+			// Not a shard verb. An identify request decodes as a Request
+			// (its "fingerprint" field is an object, which fails the
+			// shardRequest decode above): refuse it cleanly and retryably,
+			// echoing the fields its correlator needs, so the client backs
+			// off and fails over instead of parsing a surprise. Anything
+			// else is malformed.
+			var ident Request
+			if verr := json.Unmarshal(ls.Bytes(), &ident); verr == nil && (err == nil || ident.Fingerprint.MAC != "" || ident.Fingerprint.Packed != "" || len(ident.Fingerprint.Vectors) > 0) {
 				s.malformed.Add(1)
 				if !w.send(Response{
-					MAC:       v1.Fingerprint.MAC,
+					MAC:       ident.Fingerprint.MAC,
 					Line:      line,
 					Error:     fmt.Sprintf("line %d: this server hosts a classifier-bank shard (%s mode, protocol v%d); identify requests are not served here", line, ModeShard, ProtocolVersion),
 					Retryable: true,
@@ -244,9 +230,7 @@ func (s *Server) handleShardConn(conn net.Conn, w *connWriter) {
 				}
 				ls.startFrames()
 			}
-			if req.Sub && s.cfg.ProtocolCap >= 3 && req.V >= 3 {
-				s.subscribe(w)
-			}
+			s.subscribe(w)
 		}
 		if cw.fatal {
 			// A dictionary-coded request failed to decode: the peers'
@@ -264,31 +248,22 @@ func (s *Server) handleShardConn(conn net.Conn, w *connWriter) {
 func (s *Server) serveShardOp(req shardRequest, line uint64, cw *connWire) shardResponse {
 	switch req.Op {
 	case OpHello:
-		resp := shardResponse{Op: OpHello, Line: line, Mode: ModeShard, V: s.cfg.ProtocolCap, Version: s.shard.Version()}
-		// Subscription (the read pump registers after sending this reply)
-		// and wire compression both ride the negotiation: v4 grants are
-		// echoed, older peers' hellos carry no asks and get none back.
-		s.negotiateWire(&resp, req.V, req.Comp, req.Dict, cw)
+		// The read pump subscribes the connection after sending this reply.
+		resp := shardResponse{Op: OpHello, Line: line, Hello: Hello{Mode: ModeShard, V: ProtocolVersion}, Version: s.shard.Version()}
+		cw.negotiate(&resp.Hello, req.Comp, req.Dict)
 		return resp
 	case OpMeta:
 		s.requests.Add(1)
 		return shardResponse{Op: OpMeta, Line: line, Types: s.shard.Types(), Version: s.shard.Version()}
 	case OpClassify:
 		s.requests.Add(1)
-		if req.Enc != "" && req.Enc != deltaEncoding && req.Enc != DictEncoding {
+		if req.Enc != deltaEncoding && req.Enc != DictEncoding {
 			s.malformed.Add(1)
 			return shardResponse{Line: line, Error: fmt.Sprintf("line %d: unknown batch encoding %q", line, req.Enc)}
 		}
-		if req.Enc == deltaEncoding && s.cfg.ProtocolCap < 3 {
-			// A capped server predates the delta codec: refuse the batch the
-			// way an old build's strict decoder would, non-retryably, so the
-			// client falls back to the plain codec instead of looping.
+		if req.Enc == DictEncoding && cw.dict == nil {
 			s.malformed.Add(1)
-			return shardResponse{Line: line, Error: fmt.Sprintf("line %d: batch encoding %q requires protocol v3 (serving v%d)", line, req.Enc, s.cfg.ProtocolCap)}
-		}
-		if req.Enc == DictEncoding && (s.cfg.ProtocolCap < 4 || cw.dict == nil) {
-			s.malformed.Add(1)
-			return shardResponse{Line: line, Error: fmt.Sprintf("line %d: batch encoding %q requires a hello-negotiated v4 dictionary (serving v%d)", line, req.Enc, s.cfg.ProtocolCap)}
+			return shardResponse{Line: line, Error: fmt.Sprintf("line %d: batch encoding %q requires a hello-negotiated dictionary", line, req.Enc)}
 		}
 		var txn *fingerprint.DictTxn
 		if req.Enc == DictEncoding {
@@ -298,13 +273,10 @@ func (s *Server) serveShardOp(req shardRequest, line uint64, cw *connWire) shard
 		for i, packed := range req.Batch {
 			var fp *fingerprint.Fingerprint
 			var err error
-			switch {
-			case txn != nil:
+			if txn != nil {
 				fp, err = txn.Unpack(packed)
-			case req.Enc == deltaEncoding:
+			} else {
 				fp, err = fingerprint.UnpackDelta(packed)
-			default:
-				fp, err = fingerprint.Unpack(packed)
 			}
 			if err != nil {
 				s.malformed.Add(1)
@@ -327,9 +299,9 @@ func (s *Server) serveShardOp(req shardRequest, line uint64, cw *connWire) shard
 			s.malformed.Add(1)
 			return shardResponse{Line: line, Error: fmt.Sprintf("line %d: unknown fingerprint encoding %q", line, req.Enc)}
 		}
-		if req.Enc == DictEncoding && (s.cfg.ProtocolCap < 4 || cw.dict == nil) {
+		if req.Enc == DictEncoding && cw.dict == nil {
 			s.malformed.Add(1)
-			return shardResponse{Line: line, Error: fmt.Sprintf("line %d: fingerprint encoding %q requires a hello-negotiated v4 dictionary (serving v%d)", line, req.Enc, s.cfg.ProtocolCap)}
+			return shardResponse{Line: line, Error: fmt.Sprintf("line %d: fingerprint encoding %q requires a hello-negotiated dictionary", line, req.Enc)}
 		}
 		if cw.reqNames != nil {
 			// Dict connections intern candidate names; an unknown reference
@@ -374,9 +346,6 @@ func (s *Server) serveShardOp(req shardRequest, line uint64, cw *connWire) shard
 		s.notifyDelta([]string{req.Type})
 		return shardResponse{Op: OpRemove, Line: line, Version: s.shard.Version()}
 	case OpSnapshot:
-		if s.cfg.ProtocolCap < 3 {
-			break // an old build answers exactly like any unknown op
-		}
 		s.requests.Add(1)
 		snap, err := s.shard.Snapshot()
 		if err != nil {
@@ -384,9 +353,6 @@ func (s *Server) serveShardOp(req shardRequest, line uint64, cw *connWire) shard
 		}
 		return shardResponse{Op: OpSnapshot, Line: line, Snapshot: snap, Version: s.shard.Version()}
 	case OpRestore:
-		if s.cfg.ProtocolCap < 3 {
-			break
-		}
 		s.requests.Add(1)
 		if len(req.Snapshot) == 0 {
 			s.malformed.Add(1)
@@ -401,11 +367,11 @@ func (s *Server) serveShardOp(req shardRequest, line uint64, cw *connWire) shard
 		return shardResponse{Op: OpRestore, Line: line, Version: s.shard.Version()}
 	}
 	s.malformed.Add(1)
-	return shardResponse{Line: line, Error: fmt.Sprintf("line %d: unknown shard op %q (protocol v%d)", line, req.Op, s.cfg.ProtocolCap)}
+	return shardResponse{Line: line, Error: fmt.Sprintf("line %d: unknown shard op %q (protocol v%d)", line, req.Op, ProtocolVersion)}
 }
 
-// subscribe registers a connection's write pump for delta-stream
-// pushes.
+// subscribe registers a connection's write pump for delta pushes (every
+// connection that says hello).
 func (s *Server) subscribe(w *connWriter) {
 	s.subMu.Lock()
 	s.subs[w] = struct{}{}
@@ -419,7 +385,7 @@ func (s *Server) unsubscribe(w *connWriter) {
 	s.subMu.Unlock()
 }
 
-// notifyDelta pushes a version bump to every delta-stream subscriber:
+// notifyDelta pushes a version bump to every subscribed connection:
 // an uncorrelated OpDelta line (no line echo) carrying the shard's new
 // version and the changed type names. Sends ride the write pumps'
 // bounded queues — a slow subscriber is dropped by the ordinary

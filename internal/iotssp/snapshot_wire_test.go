@@ -2,7 +2,6 @@ package iotssp
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -94,85 +93,25 @@ func TestRestoreOverWireRejectsCorrupt(t *testing.T) {
 	_ = fix
 }
 
-// TestProtocolCapV2Compatibility emulates an old shard server build
-// with ProtocolCap: 2. The negotiated protocol must settle at 2,
-// classification must keep working over the plain packed encoding, the
-// v3 verbs must fail fast, and no delta subscription is granted.
-func TestProtocolCapV2Compatibility(t *testing.T) {
+// TestClassifyEncodings: classify batches travel delta-packed (or
+// dictionary-coded, on a dictionary connection); an empty or unknown
+// encoding is refused non-retryably.
+func TestClassifyEncodings(t *testing.T) {
 	fix := getShardFixture(t)
-	bank := freshShardedBank(t).Shard(0).(*core.Bank)
-	r := NewShardReplica(bank, ServerConfig{ProtocolCap: 2})
-	if err := r.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { r.Close() })
-	remote := NewRemoteShard(r.Addr(), RemoteShardConfig{
-		Seed:         53,
-		MaxRetries:   2,
-		RetryBackoff: time.Millisecond,
-		MaxBackoff:   5 * time.Millisecond,
-	})
-	defer remote.Close()
-
-	if got, want := remote.ClassifyBatch(fix.probes, 0), bank.ClassifyBatch(fix.probes, 0); !reflect.DeepEqual(got, want) {
-		t.Fatal("classify against a v2-capped server diverged from local")
-	}
-	if got := remote.Proto(); got != 2 {
-		t.Fatalf("negotiated protocol %d against a v2-capped server, want 2", got)
-	}
-	start := time.Now()
-	if _, err := remote.Snapshot(); err == nil {
-		t.Fatal("snapshot verb succeeded against a v2-capped server")
-	} else if !strings.Contains(err.Error(), "unknown shard op") {
-		t.Fatalf("snapshot against v2 server failed with %v, want an unknown-op refusal", err)
-	}
-	if time.Since(start) > 10*time.Second {
-		t.Fatalf("snapshot refusal took %s (retried?)", time.Since(start))
-	}
-
-	// Server-side state changes produce no pushes: the v2 hello grants no
-	// subscription.
-	other := NewRemoteShard(r.Addr(), RemoteShardConfig{Seed: 59})
-	defer other.Close()
-	if err := other.Enroll(fix.spareName, fix.sparePrints); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	if n := remote.DeltasReceived(); n != 0 {
-		t.Fatalf("v2-capped server pushed %d deltas", n)
-	}
-}
-
-// TestDeltaEncodingRefusedBelowV3: a delta-packed batch offered to a
-// v2-capped server is refused non-retryably (the client would only send
-// one after negotiating v3, so this is the defensive server check), and
-// an unknown encoding is malformed at any cap.
-func TestDeltaEncodingRefusedBelowV3(t *testing.T) {
-	fix := getShardFixture(t)
-	capped := NewShardReplica(freshShardedBank(t).Shard(0).(*core.Bank), ServerConfig{ProtocolCap: 2})
-	if err := capped.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { capped.Close() })
+	replica := startShardReplica(t, freshShardedBank(t).Shard(0).(*core.Bank))
 
 	packed, err := fingerprint.PackDelta(fix.probes[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := rawLine(t, capped.Addr(), `{"op":"classify","enc":"delta","batch":["`+packed+`"]}`)
-	if m["error"] == nil || m["retryable"] == true {
-		t.Fatalf("delta batch against v2-capped server = %v", m)
+	if m := rawLine(t, replica.Addr(), `{"op":"classify","enc":"delta","batch":["`+packed+`"]}`); m["error"] != nil {
+		t.Fatalf("delta batch = %v", m)
 	}
-	if !strings.Contains(m["error"].(string), "protocol v3") {
-		t.Fatalf("refusal does not name the protocol floor: %v", m)
-	}
-
-	full := startShardReplica(t, freshShardedBank(t).Shard(0).(*core.Bank))
-	if m := rawLine(t, full.Addr(), `{"op":"classify","enc":"delta","batch":["`+packed+`"]}`); m["error"] != nil {
-		t.Fatalf("delta batch against a current server = %v", m)
-	}
-	if m := rawLine(t, full.Addr(), `{"op":"classify","enc":"zstd","batch":[]}`); m["error"] == nil || m["retryable"] == true {
-		t.Fatalf("unknown batch encoding = %v", m)
+	for _, enc := range []string{"", "zstd"} {
+		m := rawLine(t, replica.Addr(), `{"op":"classify","enc":"`+enc+`","batch":["`+packed+`"]}`)
+		if m["error"] == nil || m["retryable"] == true {
+			t.Fatalf("batch encoding %q = %v, want a non-retryable refusal", enc, m)
+		}
 	}
 }
 
@@ -187,12 +126,9 @@ func TestDeltaStreamPushesVersion(t *testing.T) {
 
 	front := NewRemoteShard(replica.Addr(), RemoteShardConfig{Seed: 61})
 	defer front.Close()
-	// Prime the connection (hello + subscription ride the first dial).
+	// Prime the connection (the hello subscribes it on the first dial).
 	if got, want := front.Types(), bank.Types(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("front types %v, want %v", got, want)
-	}
-	if got := front.Proto(); got != ProtocolVersion {
-		t.Fatalf("negotiated protocol %d, want %d", got, ProtocolVersion)
 	}
 	v0 := front.Version()
 	requests0 := front.Counters().Requests

@@ -10,10 +10,9 @@ import (
 	"repro/internal/lineconn"
 )
 
-// Server-side state of the v4 wire-compression generation. Each
-// connection owns one connWire: the per-connection fingerprint
-// dictionary (nil until a hello negotiates one) and the framed-flate
-// handshake state. The read pump is the only writer, so no locking —
+// Server-side wire-compression state. Each connection owns one
+// connWire: the per-connection fingerprint dictionary (nil until a
+// hello negotiates one) and the framed-flate handshake state. The read pump is the only writer, so no locking —
 // dictionary coherence depends on decoding requests in connection line
 // order, which the single read pump guarantees.
 
@@ -48,16 +47,11 @@ type connWire struct {
 // flushed plain, everything after travels compressed.
 type switchFrames struct{}
 
-// negotiateWire applies a hello's wire-compression asks to the
-// connection and echoes the grants into the hello reply. Both peers
-// must speak v4; older clients' hellos carry no asks and older servers
-// grant nothing, so either side negotiates the pair down to plain v3
-// behaviour. Repeated hellos re-echo the standing grants without
-// resetting the dictionary or double-switching the framing.
-func (s *Server) negotiateWire(resp *shardResponse, v int, comp string, dictAsk int, cw *connWire) {
-	if s.cfg.ProtocolCap < 4 || v < 4 {
-		return
-	}
+// negotiate applies a hello's wire-compression asks to the connection
+// and echoes the grants into the hello reply. Repeated hellos re-echo
+// the standing grants without resetting the dictionary or
+// double-switching the framing.
+func (cw *connWire) negotiate(resp *Hello, comp string, dictAsk int) {
 	if dictAsk > 0 && cw.dict == nil {
 		size := dictAsk
 		if size > MaxDictSize {
@@ -79,8 +73,7 @@ func (s *Server) negotiateWire(resp *shardResponse, v int, comp string, dictAsk 
 	}
 }
 
-// maxLineBytes caps one request line, matching the bufio.Scanner
-// buffer the pre-v4 read pumps used.
+// maxLineBytes caps one request line.
 const maxLineBytes = 16 * 1024 * 1024
 
 // lineScanner reads request lines off a connection, in either wire

@@ -4,15 +4,17 @@ import (
 	"bufio"
 	"encoding/base64"
 	"encoding/json"
+	"io"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 )
 
-// dictRemote builds a RemoteShard with the v4 wire compression on and
+// dictRemote builds a RemoteShard with the wire compression on and
 // fast retries, against addr.
 func dictRemote(t *testing.T, addr string, wire WireMode) *RemoteShard {
 	t.Helper()
@@ -81,35 +83,70 @@ func TestRemoteShardWireDictBitEqual(t *testing.T) {
 	}
 }
 
-// TestRemoteShardWireDowngrade: a v4 client asking for dict+flate
-// against protocol-capped servers degrades to that generation's plain
-// wire — same verdicts, zero dictionary traffic.
-func TestRemoteShardWireDowngrade(t *testing.T) {
-	fix := getShardFixture(t)
-	served := freshShardedBank(t)
-	local := served.Shard(0).(*core.Bank)
+// helloFake listens on loopback and answers the first line of every
+// connection with reply, then reads on without answering: a peer from
+// another build, as far as its hello tells.
+func helloFake(t *testing.T, reply string) string {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lis.Close() })
+	go func() {
+		for {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				if _, err := br.ReadBytes('\n'); err == nil {
+					conn.Write([]byte(reply + "\n"))
+					io.Copy(io.Discard, br)
+				}
+			}()
+		}
+	}()
+	return lis.Addr().String()
+}
 
-	for _, cap := range []int{2, 3} {
-		r := NewShardReplica(local, ServerConfig{ProtocolCap: cap})
-		if err := r.Start(); err != nil {
-			t.Fatal(err)
-		}
-		remote := dictRemote(t, r.Addr(), WireDictFlate)
-		got := remote.ClassifyBatch(fix.probes, 0)
-		want := local.ClassifyBatch(fix.probes, 0)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("cap v%d: classify = %v, want %v", cap, got, want)
-		}
-		if p := remote.Proto(); p != cap {
-			t.Errorf("cap v%d: negotiated proto %d", cap, p)
-		}
-		st := remote.Counters().Transport
-		if st.DictHits+st.DictMisses != 0 {
-			t.Errorf("cap v%d: dict engaged against a pre-v4 peer: hits=%d misses=%d",
-				cap, st.DictHits, st.DictMisses)
-		}
-		remote.Close()
-		r.Close()
+// TestRemoteShardStrictHello: a shard whose hello reply does not match
+// this build — another protocol version, no mode, no dictionary grant
+// for a WireDict ask — is refused at connect, so the classify fails
+// open (all-reject, a counted failure, no dictionary traffic) and the
+// error names the mismatch.
+func TestRemoteShardStrictHello(t *testing.T) {
+	fix := getShardFixture(t)
+	for _, tc := range []struct{ name, reply, mention string }{
+		{"v3", `{"op":"hello","line":1,"mode":"shard","v":3,"dict":512}`, "protocol v3"},
+		{"no-mode", `{"op":"hello","line":1,"v":4,"dict":512}`, "mode"},
+		{"no-dict", `{"op":"hello","line":1,"mode":"shard","v":4}`, "dictionary"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			remote := NewRemoteShard(helloFake(t, tc.reply), RemoteShardConfig{
+				Seed:          53,
+				Wire:          WireDict,
+				Timeout:       200 * time.Millisecond,
+				EnrollTimeout: 200 * time.Millisecond,
+				MaxRetries:    2,
+				RetryBackoff:  time.Millisecond,
+				MaxBackoff:    5 * time.Millisecond,
+			})
+			defer remote.Close()
+			if got := remote.ClassifyBatch(fix.probes, 0); !reflect.DeepEqual(got, make([][]string, len(fix.probes))) {
+				t.Fatalf("classify through a mismatched hello = %v, want all-reject", got)
+			}
+			st := remote.Counters()
+			if st.Failures != 1 || st.Transport.DictHits+st.Transport.DictMisses != 0 {
+				t.Errorf("failures %d, dict hits %d misses %d; want 1, 0, 0",
+					st.Failures, st.Transport.DictHits, st.Transport.DictMisses)
+			}
+			if _, err := remote.Snapshot(); err == nil || !strings.Contains(err.Error(), tc.mention) {
+				t.Errorf("snapshot error %v does not name the mismatch (%q)", err, tc.mention)
+			}
+		})
 	}
 }
 
@@ -196,7 +233,7 @@ func TestShardServerStaleDictRefSevers(t *testing.T) {
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
 	br := bufio.NewReader(conn)
 
-	if _, err := conn.Write([]byte(`{"op":"hello","v":4,"dict":64}` + "\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"hello","dict":64}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	helloLine, err := br.ReadBytes('\n')

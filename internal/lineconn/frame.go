@@ -8,7 +8,7 @@ import (
 	"io"
 )
 
-// Framed transport compression (wire protocol v4). When a hello
+// Framed transport compression. When a hello
 // negotiates it, everything after the handshake travels as frames: a
 // 4-byte big-endian length of a DEFLATE-compressed payload, then that
 // payload. Each frame is an independent flate stream (no cross-frame

@@ -49,7 +49,7 @@
 //
 // # Per-incarnation codec state and framed compression
 //
-// Wire protocol v4 makes connections stateful: both ends of one
+// A dictionary wire makes connections stateful: both ends of one
 // connection keep a fingerprint dictionary that must stay in lockstep,
 // and the residual line stream may travel as compressed frames. The
 // transport owns the lifecycle for both. Options.NewState builds a
@@ -136,9 +136,9 @@ type Stats struct {
 	HandshakeBytesWritten uint64 `json:"handshake_bytes_written,omitempty"`
 	HandshakeBytesRead    uint64 `json:"handshake_bytes_read,omitempty"`
 	PushBytesRead         uint64 `json:"push_bytes_read,omitempty"`
-	// DictHits/DictMisses count fingerprints the v4 dictionary codec
+	// DictHits/DictMisses count fingerprints the dictionary codec
 	// sent as references-or-diffs versus in full; DictRefBytes the entry
-	// bytes of the reference forms. Zero on pre-v4 connections.
+	// bytes of the reference forms. Zero on connections without one.
 	DictHits     uint64 `json:"dict_hits,omitempty"`
 	DictMisses   uint64 `json:"dict_misses,omitempty"`
 	DictRefBytes uint64 `json:"dict_ref_bytes,omitempty"`
@@ -254,7 +254,7 @@ type Options[M Message] struct {
 	// Inbound, when non-nil, transforms every post-handshake response
 	// line on the read pump, in wire order, against the incarnation's
 	// codec state — the hook for stateful response codecs whose
-	// decode order must match the peer's encode order (v4 name
+	// decode order must match the peer's encode order (shard name
 	// interning). An error severs the connection. It runs on the pump
 	// goroutine: it must not block or call back into the Conn, and it
 	// is the only reader of whatever state fields it touches (encoders
