@@ -959,7 +959,7 @@ func getFusedBank(b *testing.B, types int) *core.Bank {
 }
 
 // BenchmarkFusedClassify measures stage one through the fused
-// multi-forest arena (one tiled pass, shared worker pool, reused
+// multi-forest index (one tiled pass, shared worker pool, reused
 // votes/accepts buffers — the allocs/op column is the regression gate
 // and must be 0) against the per-forest oracle (one PredictProbBatch
 // fan-out per enrolled type, the pre-fusion engine), over an enrolled-

@@ -18,15 +18,19 @@
 // trains the trees concurrently, bit-identical to the serial sort-based
 // inducer kept in its tests as the oracle.
 //
-// Identification is a concurrent, batched engine. Forest inference runs
-// over a flattened struct-of-arrays node layout with
-// ml.Forest.PredictProbBatch fanning samples across goroutines;
-// core.Bank is safe for concurrent use (Enroll may race Identify) and
+// Identification is a concurrent, batched engine. core.Bank is safe
+// for concurrent use (Enroll may race Identify) and
 // core.Bank.IdentifyBatch pipelines a whole fingerprint batch through
 // the bank — one fused ml.ForestSet pass answering every enrolled
 // forest × every sample (described below), then a worker pool for
 // edit-distance discrimination with reused scratch buffers — returning
-// results bit-identical to the sequential path. The throughput experiment
+// results bit-identical to the sequential path. Stage two scores
+// interned symbol strings: every reference print is interned at
+// enrolment and restore, the probe compiles once per verdict into an
+// editdist.Pattern scored with Hyyrö's bit-parallel OSA (the dynamic
+// program remains for probes over 64 vectors), and the reference draws
+// come from a lazy replay of rand.NewSource that computes only the
+// state words its draws read; TestIdentifyGolden pins every verdict. The throughput experiment
 // (experiments.RunThroughput) and the Throughput* benchmarks measure
 // fingerprints/sec across batch sizes and worker counts.
 //
@@ -246,17 +250,17 @@
 // and FuzzShardOp feeds arbitrary lines to the shard verbs.
 //
 // Stage one is a fused classification engine. Every enrolled forest is
-// fused into one contiguous multi-forest arena (ml.ForestSet: one node
-// array with per-forest root ranges) and a single ForestSet.Votes pass
-// answers all types × all samples, with one join barrier per batch
-// rather than one per forest. The walk is branch-free: thresholds and
-// samples are keyed once into order-preserving unsigned integers, a step
-// picks the child with the borrow of key − x[feature] (a subtract with
-// borrow, no branch), leaves loop on themselves, and each forest's
-// trees, stored deepest first, walk a sample eight at a time in
-// lockstep for their group's deepest path so the eight dependent load
-// chains overlap. Work is tiled into (forest-block × sample-block)
-// units handed out through an atomic cursor to one persistent
+// fused into one QuickScorer index (ml.ForestSet; Lucchese et al.,
+// SIGIR 2015) and a single ForestSet.Votes pass answers all types × all
+// samples, with one join barrier per batch rather than one per forest.
+// Thresholds and samples are keyed once into order-preserving unsigned
+// integers; each tree's leaves are numbered into 64-bit leaf words and
+// each internal node is an entry whose mask clears its left subtree's
+// leaves, sorted by key within each feature. A pass ANDs the masks of
+// the entries a sample's keys exceed — per feature, one contiguous
+// range — and each tree's exit leaf is the lowest set bit of its first
+// non-zero word, read without a data-dependent branch. Rows are tiled
+// and handed out through an atomic cursor to one persistent
 // package-level worker pool, which single-fingerprint Identify rides
 // too; batch inputs are dense row-major ml.SampleMatrix rows filled in
 // place by fingerprint.FixedNInto and only read by a pass (its keys

@@ -71,7 +71,7 @@ func (b *Bank) fillMatrix(m *ml.SampleMatrix, fps []*fingerprint.Fingerprint) {
 // integer tree counts and stage-two reference sampling is a pure
 // function of (bank, fingerprint), so neither depends on scheduling.
 //
-// Stage one runs through the fused multi-forest arena: the batch fills
+// Stage one runs through the fused multi-forest index: the batch fills
 // a pooled dense sample matrix (fingerprint.FixedNInto, no per-sample
 // allocation) and one tiled pass over ml.ForestSet answers every
 // enrolled type × every sample on the shared worker pool. Stage two

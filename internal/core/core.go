@@ -20,6 +20,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -50,7 +51,7 @@ type Config struct {
 	// DiscriminationRefs is the number of reference fingerprints per
 	// candidate type compared in stage two (the paper uses 5). 0 means 5.
 	DiscriminationRefs int
-	// AcceptThreshold is the forest vote fraction above which a
+	// AcceptThreshold is the forest vote fraction at or above which a
 	// classifier accepts a fingerprint. 0 means 0.5.
 	AcceptThreshold float64
 	// FixedPackets is the number of unique packet vectors in the
@@ -138,12 +139,68 @@ type Result struct {
 
 // typeModel is one enrolled device-type: its classifier and stored
 // training fingerprints (which double as the negative pool for other
-// types and the reference pool for discrimination).
+// types and the reference pool for discrimination). syms[i] is
+// prints[i] interned in the bank's alphabet, the form stage two scores.
 type typeModel struct {
 	name   string
 	forest *ml.Forest
 	prints []*fingerprint.Fingerprint
+	syms   [][]int32
 	fixed  [][]float64
+}
+
+// alphabet interns packet feature vectors to dense symbols 0, 1, 2, …
+// so stage two compares small integers rather than 92-byte vectors. A
+// bank's alphabet covers every reference print it holds, tombstones
+// included. It grows under the write lock, and symbols whose prints
+// the bank dropped (a replaced tombstone, a rolled-back enrolment) stay
+// until the alphabet is rebuilt: by Restore, and by an enrolment that
+// finds it twice its size at the last rebuild, so it never exceeds
+// twice the symbols the held prints use.
+type alphabet map[features.Vector]int32
+
+// internAll sets the symbols of every live and tombstoned type in a
+// fresh alphabet, which it returns.
+func internAll(types []*typeModel, retired map[string]*typeModel) alphabet {
+	a := make(alphabet)
+	for _, tm := range types {
+		tm.syms = a.intern(tm.prints)
+	}
+	for _, tm := range retired {
+		tm.syms = a.intern(tm.prints)
+	}
+	return a
+}
+
+// intern returns the symbol sequences of prints, adding unseen vectors.
+func (a alphabet) intern(prints []*fingerprint.Fingerprint) [][]int32 {
+	out := make([][]int32, len(prints))
+	for i, p := range prints {
+		syms := make([]int32, len(p.View()))
+		for j, v := range p.View() {
+			s, ok := a[v]
+			if !ok {
+				s = int32(len(a))
+				a[v] = s
+			}
+			syms[j] = s
+		}
+		out[i] = syms
+	}
+	return out
+}
+
+// lookup appends the symbols of vs to dst; a vector no reference print
+// holds gets -1, which matches nothing.
+func (a alphabet) lookup(dst []int32, vs []features.Vector) []int32 {
+	for _, v := range vs {
+		s, ok := a[v]
+		if !ok {
+			s = -1
+		}
+		dst = append(dst, s)
+	}
+	return dst
 }
 
 // Bank is a bank of per-type classifiers with an edit-distance
@@ -160,15 +217,19 @@ type typeModel struct {
 type Bank struct {
 	cfg Config
 
-	// rw guards types, index and retired: held shared by the
+	// rw guards types, index, retired and symbols: held shared by the
 	// identification paths, exclusively by Enroll and Remove.
 	rw    sync.RWMutex
 	types []*typeModel
 	index map[string]*typeModel
-	// fused is the multi-forest arena every stage-one path classifies
-	// through: all enrolled forests in enrolment order, fused into one
-	// contiguous node layout (see ml.ForestSet). Enroll appends the new
-	// forest incrementally; Remove and Restore rebuild. Guarded by rw
+	// symbols is the alphabet every reference print is interned in;
+	// symbolsAt is its size when last rebuilt.
+	symbols   alphabet
+	symbolsAt int
+	// fused is the QuickScorer index every stage-one path classifies
+	// through: all enrolled forests in enrolment order (see
+	// ml.ForestSet). Enroll merges the new forest in, Remove drops one,
+	// and Train and Restore build it in one pass. Guarded by rw
 	// alongside types.
 	fused *ml.ForestSet
 	// minVotes[f] is the smallest vote count at which forest f's vote
@@ -206,10 +267,13 @@ type Bank struct {
 
 // identScratch is per-goroutine scratch reused across an identification
 // call (and, in IdentifyBatch, across all fingerprints a worker
-// handles): the edit-distance DP rows and the reference slice.
+// handles): the probe's symbols and compiled pattern, the reference
+// draw's source and permutation.
 type identScratch struct {
-	rows editdist.Rows
-	refs []*fingerprint.Fingerprint
+	probe []int32
+	pat   editdist.Pattern
+	src   refSource
+	perm  []int
 }
 
 // NewBank creates an empty classifier bank.
@@ -218,6 +282,7 @@ func NewBank(cfg Config) *Bank {
 	return &Bank{
 		cfg:     cfg,
 		index:   make(map[string]*typeModel),
+		symbols: make(alphabet),
 		retired: make(map[string]*typeModel),
 		fused:   ml.NewForestSet(cfg.Forest.Flat),
 	}
@@ -259,9 +324,10 @@ func TrainOrdered(cfg Config, names []string, trainingSet map[string][]*fingerpr
 			return nil, fmt.Errorf("core: training classifier for %q: %w", tm.name, err)
 		}
 		tm.forest = forest
-		if err := b.appendFusedLocked(forest); err != nil {
-			return nil, err
-		}
+	}
+	var err error
+	if b.fused, b.minVotes, err = b.buildFused(b.types); err != nil {
+		return nil, err
 	}
 	b.version.Add(uint64(len(b.types)))
 	return b, nil
@@ -304,9 +370,9 @@ func (b *Bank) Enroll(name string, prints []*fingerprint.Fingerprint) error {
 	tm := b.types[len(b.types)-1]
 	forest, err := b.trainClassifier(tm)
 	if err == nil {
-		// The fused arena grows incrementally: one append rebases the new
-		// forest's nodes onto the shared arrays, never touching (or
-		// re-flattening) the enrolled ones.
+		// The index grows incrementally: the new forest's entries merge
+		// into it in one linear pass, never re-laying-out the enrolled
+		// forests.
 		err = b.appendFusedLocked(forest)
 	}
 	if err != nil {
@@ -339,23 +405,19 @@ func (b *Bank) Remove(name string) error {
 	if !ok {
 		return fmt.Errorf("core: device-type %q not enrolled", name)
 	}
-	for i, cur := range b.types {
-		if cur == tm {
-			b.types = append(b.types[:i], b.types[i+1:]...)
-			break
-		}
-	}
+	i := slices.Index(b.types, tm)
+	b.types = slices.Delete(b.types, i, i+1)
 	delete(b.index, name)
 	// Drop the classifier and the fixed-size matrix; keep the prints for
 	// drain-window discrimination.
 	tm.forest = nil
 	tm.fixed = nil
 	b.retired[name] = tm
-	// A removal invalidates the fused arena's forest ordering; rebuild
-	// from the surviving types (Reset keeps the backing arrays).
-	if err := b.rebuildFusedLocked(); err != nil {
-		return err
-	}
+	// Forest i leaves the index in one pass; the survivors keep their
+	// order. (Rebuilding the survivors with buildFused would sort every
+	// entry again, several times the cost.)
+	b.fused.Remove(i)
+	b.minVotes = slices.Delete(b.minVotes, i, i+1)
 	b.version.Add(1)
 	return nil
 }
@@ -403,6 +465,7 @@ func (b *Bank) addType(name string, prints []*fingerprint.Fingerprint) error {
 	tm := &typeModel{
 		name:   name,
 		prints: append([]*fingerprint.Fingerprint(nil), prints...),
+		syms:   b.symbols.intern(prints),
 		fixed:  make([][]float64, len(prints)),
 	}
 	for i, f := range prints {
@@ -410,6 +473,10 @@ func (b *Bank) addType(name string, prints []*fingerprint.Fingerprint) error {
 	}
 	b.types = append(b.types, tm)
 	b.index[name] = tm
+	if len(b.symbols) > 2*b.symbolsAt {
+		b.symbols = internAll(b.types, b.retired)
+		b.symbolsAt = len(b.symbols)
+	}
 	return nil
 }
 
@@ -475,7 +542,7 @@ func deriveSeed(seed int64, ordinal uint64) int64 {
 
 // Classify runs stage one only: it returns the names of every device-type
 // whose classifier accepts the fixed-size fingerprint, in enrolment
-// order. The pass runs through the fused multi-forest arena and is
+// order. The pass runs through the fused multi-forest index and is
 // bit-identical to ClassifyOracle, the per-forest reference.
 func (b *Bank) Classify(fixed []float64) []string {
 	b.rw.RLock()
@@ -484,8 +551,8 @@ func (b *Bank) Classify(fixed []float64) []string {
 }
 
 // classifyLocked classifies one fixed-size fingerprint through the
-// fused arena: a pooled one-row sample matrix, the shared worker pool
-// fanning the forest blocks. Callers hold the read lock.
+// fused index on a pooled one-row sample matrix. Callers hold the read
+// lock.
 func (b *Bank) classifyLocked(fixed []float64) []string {
 	scr := classifyScratchPool.Get().(*classifyScratch)
 	scr.m.Reset(1, len(fixed))
@@ -528,7 +595,7 @@ func minVotesFor(trees int, threshold float64) int32 {
 }
 
 // appendFusedLocked fuses one newly trained forest into the serving
-// arena and records its accept threshold in vote counts. Callers hold
+// index and records its accept threshold in vote counts. Callers hold
 // the write lock (or own the bank exclusively, as Train does).
 func (b *Bank) appendFusedLocked(forest *ml.Forest) error {
 	if err := b.fused.Append(forest); err != nil {
@@ -538,18 +605,21 @@ func (b *Bank) appendFusedLocked(forest *ml.Forest) error {
 	return nil
 }
 
-// rebuildFusedLocked reconstructs the fused arena from the enrolled
-// types (after a removal or restore reordered them), reusing the
-// backing arrays. Callers hold the write lock.
-func (b *Bank) rebuildFusedLocked() error {
-	b.fused.Reset()
-	b.minVotes = b.minVotes[:0]
-	for _, tm := range b.types {
-		if err := b.appendFusedLocked(tm.forest); err != nil {
-			return err
-		}
+// buildFused builds the serving index and accept thresholds of types'
+// forests in one pass, touching no bank state: Train installs them, and
+// Restore builds them off-lock before its swap.
+func (b *Bank) buildFused(types []*typeModel) (*ml.ForestSet, []int32, error) {
+	forests := make([]*ml.Forest, len(types))
+	minVotes := make([]int32, len(types))
+	for i, tm := range types {
+		forests[i] = tm.forest
+		minVotes[i] = minVotesFor(tm.forest.Trees(), b.cfg.AcceptThreshold)
 	}
-	return nil
+	fused := ml.NewForestSet(b.cfg.Forest.Flat)
+	if err := fused.Build(forests); err != nil {
+		return nil, nil, err
+	}
+	return fused, minVotes, nil
 }
 
 // ClassifyStats reports the fused stage-one counters: how many
@@ -621,8 +691,16 @@ func (b *Bank) Discriminate(f *fingerprint.Fingerprint, candidates []string) (st
 }
 
 func (b *Bank) discriminateLocked(f *fingerprint.Fingerprint, candidates []string, scratch *identScratch) (string, map[string]float64) {
-	seq := f.View()
-	rng := b.refRNG(f)
+	// The probe compiles once per verdict; its references are interned
+	// already. Reference draws come from a source seeded by the bank
+	// seed and the canonical fingerprint hash, so they are a pure
+	// function of (bank, fingerprint): identifying the same fingerprint
+	// always compares the same references, whether sequentially, in a
+	// batch, or concurrently from many goroutines — the property the
+	// batch/sequential equivalence guarantee rests on.
+	scratch.probe = b.symbols.lookup(scratch.probe[:0], f.View())
+	scratch.pat.Compile(scratch.probe, len(b.symbols))
+	scratch.src.reset(b.cfg.Seed ^ int64(f.Hash()))
 	scores := make(map[string]float64, len(candidates))
 	best := ""
 	bestScore := 0.0
@@ -637,10 +715,9 @@ func (b *Bank) discriminateLocked(f *fingerprint.Fingerprint, candidates []strin
 		if tm == nil {
 			continue
 		}
-		refs := b.sampleRefs(tm, rng, scratch)
 		var s float64
-		for _, ref := range refs {
-			s += editdist.NormalizedBuf(seq, ref.View(), &scratch.rows)
+		for _, j := range b.sampleRefs(tm, scratch) {
+			s += scratch.pat.Normalized(tm.syms[j])
 		}
 		scores[name] = s
 		if best == "" || s < bestScore {
@@ -651,31 +728,22 @@ func (b *Bank) discriminateLocked(f *fingerprint.Fingerprint, candidates []strin
 	return best, scores
 }
 
-// refRNG derives the generator driving reference sampling for one
-// identification. Seeding from the bank seed and the canonical
-// fingerprint hash makes the draw a pure function of (bank,
-// fingerprint): identifying the same fingerprint always compares the
-// same references, whether sequentially, in a batch, or concurrently
-// from many goroutines — the property the batch/sequential equivalence
-// guarantee rests on.
-func (b *Bank) refRNG(f *fingerprint.Fingerprint) *rand.Rand {
-	return rand.New(rand.NewSource(b.cfg.Seed ^ int64(f.Hash())))
-}
-
-// sampleRefs draws up to DiscriminationRefs reference fingerprints of tm
-// through rng, reusing scratch.refs as the backing slice.
-func (b *Bank) sampleRefs(tm *typeModel, rng *rand.Rand, scratch *identScratch) []*fingerprint.Fingerprint {
-	k := b.cfg.DiscriminationRefs
-	if k >= len(tm.prints) {
-		return tm.prints
+// sampleRefs returns the indices of the reference prints of tm this
+// discrimination compares, in scratch.perm: every print when tm has at
+// most DiscriminationRefs of them, else the first DiscriminationRefs of
+// a permutation drawn from scratch.src — the draw
+// ml.SampleWithoutReplacement makes through rand.Rand.Perm.
+func (b *Bank) sampleRefs(tm *typeModel, scratch *identScratch) []int {
+	n, k := len(tm.prints), b.cfg.DiscriminationRefs
+	scratch.perm = slices.Grow(scratch.perm[:0], n)[:n]
+	if k >= n {
+		for i := range scratch.perm {
+			scratch.perm[i] = i
+		}
+		return scratch.perm
 	}
-	idx := ml.SampleWithoutReplacement(len(tm.prints), k, rng)
-	refs := scratch.refs[:0]
-	for _, j := range idx {
-		refs = append(refs, tm.prints[j])
-	}
-	scratch.refs = refs
-	return refs
+	scratch.src.perm(scratch.perm)
+	return scratch.perm[:k]
 }
 
 // DistanceComputations returns how many edit-distance computations a

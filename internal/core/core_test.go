@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/features"
@@ -409,5 +410,62 @@ func TestBankVersionTracksEnrolments(t *testing.T) {
 	}
 	if got := b.Version(); got != 3 {
 		t.Errorf("Version after failed Enroll = %d, want 3", got)
+	}
+}
+
+// TestAlphabetBoundedUnderChurn re-enrols one type name forty times,
+// each time with prints of vectors no earlier print used, removing it in
+// between. Each re-enrolment replaces the tombstone, so the bank holds
+// the same number of prints throughout; the reference alphabet must stay
+// within twice the symbols those prints use, and discrimination over the
+// churned alphabet must match a bank restored (and re-interned) from its
+// snapshot.
+func TestAlphabetBoundedUnderChurn(t *testing.T) {
+	seeds := map[string]int64{"camA": 100, "plugB": 200}
+	bank, test := trainedBank(t, seeds, 8)
+	for round := range 40 {
+		prints := make([]*fingerprint.Fingerprint, 6)
+		for i := range prints {
+			var vs []features.Vector
+			for j := range 10 {
+				vs = append(vs, synthVector(j, int32(100000+round*1000+i*10+j), 1))
+			}
+			prints[i] = fingerprint.FromVectors(vs)
+		}
+		if err := bank.Enroll("churn", prints); err != nil {
+			t.Fatal(err)
+		}
+		if err := bank.Remove("churn"); err != nil {
+			t.Fatal(err)
+		}
+		used := make(map[features.Vector]bool)
+		for _, tm := range append([]*typeModel{bank.retired["churn"]}, bank.types...) {
+			for _, p := range tm.prints {
+				for _, v := range p.View() {
+					used[v] = true
+				}
+			}
+		}
+		if len(bank.symbols) > 2*len(used) {
+			t.Fatalf("round %d: alphabet holds %d symbols for %d used vectors", round, len(bank.symbols), len(used))
+		}
+	}
+	snap, err := bank.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreBank(smallConfig(), snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, prints := range test {
+		for _, fp := range prints {
+			candidates := append(bank.Types(), "churn")
+			gotType, gotScores := bank.Discriminate(fp, candidates)
+			wantType, wantScores := restored.Discriminate(fp, candidates)
+			if gotType != wantType || !reflect.DeepEqual(gotScores, wantScores) {
+				t.Fatalf("%s: churned bank discriminates %q %v, restored %q %v", name, gotType, gotScores, wantType, wantScores)
+			}
+		}
 	}
 }

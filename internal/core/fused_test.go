@@ -131,8 +131,8 @@ func TestClassifyVotesZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFusedSurvivesRemoveAndRestore exercises the arena's rebuild
-// paths: after Remove (in-place rebuild) and after Snapshot/Restore
+// TestFusedSurvivesRemoveAndRestore exercises the index's rebuild
+// paths: after Remove (in-place drop) and after Snapshot/Restore
 // (parse-then-swap), fused verdicts still match the oracle and the
 // restored bank matches the source.
 func TestFusedSurvivesRemoveAndRestore(t *testing.T) {
@@ -182,7 +182,7 @@ func TestClassifyStatsCounts(t *testing.T) {
 // TestEnrollRacesFusedClassify drives the fused entry points — the
 // pooled-scratch batch path and the zero-alloc kernel — from reader
 // goroutines while Enroll grows (and so incrementally re-fuses) the
-// arena, under the race detector. The kernel's returned F must always
+// index, under the race detector. The kernel's returned F must always
 // be consistent with a bank state the reader could have observed.
 func TestEnrollRacesFusedClassify(t *testing.T) {
 	b, fixed := fusedFixture(t, func(c *Config) { c.AcceptThreshold = 0.3 })

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -166,5 +168,90 @@ func BenchmarkClassifyVotesMiss(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch)/1e3, "µs/fp")
 		})
+	}
+}
+
+// goldenIdentifySHA256 pins every verdict TestIdentifyGolden computes:
+// a change to stage one, to the reference draws or to the edit distance
+// that moves any type, stage, accept list or score bit changes it.
+const goldenIdentifySHA256 = "1079e548ff3863c766a48f67b4536d42396604a9d96625c0f7f15cb5f72ceb2d"
+
+// hashResult writes r's type, stage, accept list and the bits of every
+// score (in accept order) into h.
+func hashResult(h hash.Hash, r Result) {
+	var buf [8]byte
+	write := func(u uint64) {
+		binary.LittleEndian.PutUint64(buf[:], u)
+		h.Write(buf[:])
+	}
+	h.Write([]byte(r.Type))
+	write(uint64(r.Stage))
+	write(uint64(len(r.Accepted)))
+	for _, name := range r.Accepted {
+		h.Write([]byte(name))
+		h.Write([]byte{0})
+	}
+	write(uint64(len(r.Scores)))
+	for _, name := range r.Accepted {
+		if s, ok := r.Scores[name]; ok {
+			write(math.Float64bits(s))
+		}
+	}
+}
+
+// TestIdentifyGolden identifies seeded jittered probes end to end through
+// the seeded 27-type bank and its Snapshot/Restore twin, batched on one
+// and two workers, then scores probes by edit distance alone against a
+// bank of 22 prints per type (so one verdict's reference draws run past
+// the first 273 outputs of its generator), and checks the sha256 of
+// every verdict against the pinned value.
+func TestIdentifyGolden(t *testing.T) {
+	bank, cfg, probes := catalogBank(t, 2048)
+	snap, err := bank.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := RestoreBank(cfg, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	discriminated := 0
+	for _, b := range []*Bank{bank, twin} {
+		for _, workers := range []int{1, 2} {
+			for _, r := range b.IdentifyBatch(probes, workers) {
+				hashResult(h, r)
+				if r.Stage == StageDiscrimination {
+					discriminated++
+				}
+			}
+		}
+	}
+	if discriminated == 0 {
+		t.Fatal("no probe reached stage two")
+	}
+
+	ds, err := devices.GenerateDataset(devices.DefaultEnv(), 2, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train := make(map[string][]*fingerprint.Fingerprint, len(ds))
+	var editProbes []*fingerprint.Fingerprint
+	for _, name := range devices.Names() {
+		train[name] = ds[name][:22]
+		editProbes = append(editProbes, ds[name][22:]...)
+	}
+	ecfg := Default()
+	ecfg.Forest = ml.ForestConfig{Trees: 5}
+	ecfg.Seed = -7
+	wide, err := Train(ecfg, train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range editProbes {
+		hashResult(h, wide.IdentifyEditOnly(p))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenIdentifySHA256 {
+		t.Fatalf("verdicts sha256 %s, want %s: identification is no longer bit-identical", got, goldenIdentifySHA256)
 	}
 }

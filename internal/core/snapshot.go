@@ -176,21 +176,18 @@ func (b *Bank) Restore(data []byte) error {
 		return fmt.Errorf("core: bank snapshot: %d trailing bytes", len(data))
 	}
 
-	// Build the fused serving arena off-lock like the rest of the parsed
-	// state, so the swap below stays atomic with respect to concurrent
-	// identifications.
-	fused := ml.NewForestSet(b.cfg.Forest.Flat)
-	minVotes := make([]int32, 0, len(types))
-	for _, tm := range types {
-		if err := fused.Append(tm.forest); err != nil {
-			return fmt.Errorf("core: bank snapshot: type %q: %w", tm.name, err)
-		}
-		minVotes = append(minVotes, minVotesFor(tm.forest.Trees(), b.cfg.AcceptThreshold))
+	// Build the serving index and the reference alphabet off-lock like
+	// the rest of the parsed state, so the swap below stays atomic with
+	// respect to concurrent identifications.
+	fused, minVotes, err := b.buildFused(types)
+	if err != nil {
+		return fmt.Errorf("core: bank snapshot: %w", err)
 	}
+	symbols := internAll(types, retired)
 
 	b.rw.Lock()
 	b.types, b.index, b.retired, b.enrolls = types, index, retired, enrolls
-	b.fused, b.minVotes = fused, minVotes
+	b.fused, b.minVotes, b.symbols, b.symbolsAt = fused, minVotes, symbols, len(symbols)
 	b.rw.Unlock()
 	b.version.Store(version)
 	return nil

@@ -178,3 +178,136 @@ func BenchmarkDistance100x100(b *testing.B) {
 		Distance(x, y)
 	}
 }
+
+// osaPair draws a pattern and a text over an alphabet of 1..300
+// symbols, lengths 0..70. Half the time the text is the pattern with
+// adjacent transpositions and a few point edits, so the transposition
+// term of the recurrence is exercised on every diagonal; a pattern
+// symbol is sometimes negative (a probe character outside the
+// reference alphabet).
+func osaPair(rng *rand.Rand) (pattern, text []int32, alphabet int) {
+	alphabet = 1 + rng.Intn(300)
+	sym := func() int32 { return int32(rng.Intn(alphabet)) }
+	pattern = make([]int32, rng.Intn(71))
+	for i := range pattern {
+		pattern[i] = sym()
+		if rng.Intn(16) == 0 {
+			pattern[i] = -1
+		}
+	}
+	if rng.Intn(2) == 0 {
+		text = make([]int32, rng.Intn(71))
+		for i := range text {
+			text[i] = sym()
+		}
+		return pattern, text, alphabet
+	}
+	for _, c := range pattern {
+		if c < 0 {
+			c = sym()
+		}
+		text = append(text, c)
+	}
+	for i := 0; i+1 < len(text); i++ {
+		if rng.Intn(3) == 0 {
+			text[i], text[i+1] = text[i+1], text[i]
+			i++
+		}
+	}
+	for k := rng.Intn(4); k > 0 && len(text) > 0; k-- {
+		i := rng.Intn(len(text))
+		switch rng.Intn(3) {
+		case 0:
+			text[i] = sym()
+		case 1:
+			text = append(text[:i], text[i+1:]...)
+		default:
+			text = append(text[:i+1], text[i:]...)
+		}
+	}
+	return pattern, text[:min(len(text), 70)], alphabet
+}
+
+// checkOSA holds Pattern to the dynamic program on one pair, through a
+// Pattern reused across compilations.
+func checkOSA(t *testing.T, p *Pattern, pattern, text []int32, alphabet int) {
+	t.Helper()
+	var rows Rows
+	p.Compile(pattern, alphabet)
+	if got, want := p.Distance(text), DistanceBuf(pattern, text, &rows); got != want {
+		t.Fatalf("alphabet %d: Pattern(%v).Distance(%v) = %d, dynamic program %d", alphabet, pattern, text, got, want)
+	}
+	if got, want := p.Normalized(text), NormalizedBuf(pattern, text, &rows); got != want {
+		t.Fatalf("alphabet %d: Pattern(%v).Normalized(%v) = %v, dynamic program %v", alphabet, pattern, text, got, want)
+	}
+}
+
+// TestOSABitsEqualsDP is the bit-parallel kernel's oracle test: on
+// 20 000 seeded pairs over alphabets of 1..300 symbols and lengths
+// 0..70 — past the 64-symbol word, so the fallback runs too — Pattern's
+// distance and normalized distance equal the dynamic program's.
+func TestOSABitsEqualsDP(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	var p Pattern
+	for range 20000 {
+		pattern, text, alphabet := osaPair(rng)
+		checkOSA(t, &p, pattern, text, alphabet)
+	}
+}
+
+// FuzzOSA holds Pattern to the dynamic program on fuzzed sequences: the
+// first byte picks the alphabet size, the second the pattern length,
+// and every further byte is one symbol (pattern, then text).
+func FuzzOSA(f *testing.F) {
+	f.Add([]byte{3, 4, 0, 1, 2, 1, 1, 0, 2, 1})
+	f.Add([]byte{255, 2, 7, 9, 9, 7})
+	f.Add(append([]byte{200, 66}, make([]byte, 140)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		alphabet := 1 + int(data[0])
+		data = data[1:]
+		n := min(int(data[0]), len(data)-1, 70)
+		data = data[1:]
+		sym := func(b byte) int32 {
+			if int(b) >= alphabet {
+				return -1
+			}
+			return int32(b)
+		}
+		pattern := make([]int32, n)
+		for i := range pattern {
+			pattern[i] = sym(data[i])
+		}
+		var text []int32
+		for _, b := range data[n:min(len(data), n+70)] {
+			text = append(text, int32(int(b)%alphabet))
+		}
+		var p Pattern
+		checkOSA(t, &p, pattern, text, alphabet)
+	})
+}
+
+// TestPatternAllocFree pins the kernel's allocation contract: once a
+// Pattern's buffers have grown, compiling a probe and scoring it
+// allocates nothing, on both sides of the 64-symbol word.
+func TestPatternAllocFree(t *testing.T) {
+	short := []int32{1, 2, 3, 2, 1, 0, 4}
+	long := make([]int32, 80)
+	for i := range long {
+		long[i] = int32(i % 7)
+	}
+	var p Pattern
+	for _, probe := range [][]int32{short, long} {
+		p.Compile(probe, 8)
+		p.Distance(long)
+		if n := testing.AllocsPerRun(50, func() {
+			p.Compile(probe, 8)
+			p.Normalized(short)
+			p.Normalized(long)
+		}); n != 0 {
+			t.Errorf("probe of %d symbols: %v allocs per compile and score, want 0", len(probe), n)
+		}
+	}
+}

@@ -111,6 +111,18 @@ func fleetPools(addrs []string, l Load) []*gateway.FleetPool {
 	return out
 }
 
+// awaitFailover returns once any of clients has failed a request over
+// to another backend, or after timeout.
+func awaitFailover(clients []*gateway.FleetPool, timeout time.Duration) {
+	for deadline := time.Now().Add(timeout); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, c := range clients {
+			if c.Counters().Failovers > 0 {
+				return
+			}
+		}
+	}
+}
+
 // checkShardScopedInvalidation enrolls the canary type through the
 // cluster's control plane and verifies with cache counters that exactly
 // the cached verdicts depending on the enrolled shard were invalidated.
@@ -191,9 +203,10 @@ func checkShardScopedInvalidation(svc *iotssp.Service, cl *controlplane.Cluster,
 //   - Fleet: the same workload against Backends frontends of one shared
 //     service over a Shards-shard bank, routed by per-gateway
 //     consistent-hashing FleetPools. A third of the way in, one backend
-//     is killed; two-thirds in, it is revived and probed back into
-//     rotation. Every request must still produce a verdict (failed
-//     attempts retry onto healthy replicas): Lost must be zero.
+//     is killed; two-thirds in, once a request has failed over, it is
+//     revived and probed back into rotation. Every request must still
+//     produce a verdict (failed attempts retry onto healthy replicas):
+//     Lost must be zero.
 //   - Shard-scoped invalidation: after the run, a canary type is
 //     enrolled into one shard and cache counters must show exactly the
 //     dependent verdicts invalidated.
@@ -254,16 +267,23 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	}
 	warm := svc.CacheStats()
 
+	clients := fleetPools(cl.Addrs(), cfg.Load)
 	var drills []drill
 	if cfg.Backends > 1 {
 		res.KilledBackend = cfg.Backends - 1
 		fe := cl.Frontend(res.KilledBackend)
 		drills = []drill{
 			{after: cfg.Requests / 3, fn: func() { fe.Stop() }},
-			{after: 2 * cfg.Requests / 3, fn: func() { res.Restarted = fe.Start() == nil }},
+			// The revival waits for a failover (a second at most): on a
+			// fast bank the requests between the two drills can all be
+			// answered before a retry against the dead replica gives up,
+			// and an early revival would absorb that retry instead.
+			{after: 2 * cfg.Requests / 3, fn: func() {
+				awaitFailover(clients, time.Second)
+				res.Restarted = fe.Start() == nil
+			}},
 		}
 	}
-	clients := fleetPools(cl.Addrs(), cfg.Load)
 	ph := replay(clients, w, cfg.InFlight, drills...)
 	res.FleetPerSec = ph.perSec
 	res.Scaling = res.FleetPerSec / res.BaselinePerSec

@@ -5,14 +5,14 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
 // branchyVotes is the fused pass's oracle: every forest walks every
 // sample on its own flat layout with a compare-and-branch per node
-// (flatForest.votesRange, in the layout's precision), the walk the fused
-// tile kernels ran before they went branch-free. votes[s*F+f] is forest
-// f's positive vote count on row s.
+// (flatForest.votesRange, in the layout's precision). votes[s*F+f] is
+// forest f's positive vote count on row s.
 func branchyVotes(forests []*Forest, m *SampleMatrix) []int32 {
 	F := len(forests)
 	votes := make([]int32, m.Rows()*F)
@@ -48,6 +48,19 @@ func edgeValue(rng *rand.Rand) float64 {
 // probabilities are drawn by edgeValue — trees no inducer would emit,
 // as a hostile snapshot could carry.
 func edgeForest(rng *rand.Rand, trees, dim, maxDepth int, cfg FlatConfig) *Forest {
+	return growForest(rng, trees, dim, maxDepth, func() bool { return rng.Intn(4) == 0 }, cfg)
+}
+
+// fullForest builds a forest of complete edge-value trees depth deep —
+// 2^depth leaves each, so from depth 7 on every tree spans several leaf
+// words.
+func fullForest(rng *rand.Rand, trees, dim, depth int, cfg FlatConfig) *Forest {
+	return growForest(rng, trees, dim, depth, func() bool { return false }, cfg)
+}
+
+// growForest grows random edge-value trees to maxDepth, stopping a
+// branch early wherever stop says so.
+func growForest(rng *rand.Rand, trees, dim, maxDepth int, stop func() bool, cfg FlatConfig) *Forest {
 	ts := make([]*Tree, trees)
 	for i := range ts {
 		t := &Tree{}
@@ -55,7 +68,7 @@ func edgeForest(rng *rand.Rand, trees, dim, maxDepth int, cfg FlatConfig) *Fores
 		grow = func(depth int) int32 {
 			id := int32(len(t.nodes))
 			t.nodes = append(t.nodes, node{feature: -1, prob: edgeValue(rng)})
-			if depth == maxDepth || rng.Intn(4) == 0 {
+			if depth == maxDepth || stop() {
 				return id
 			}
 			l := grow(depth + 1)
@@ -71,8 +84,7 @@ func edgeForest(rng *rand.Rand, trees, dim, maxDepth int, cfg FlatConfig) *Fores
 }
 
 // raggedForests trains a deliberately ragged bank of forests (tree
-// counts straddling the treeBlockTrees grouping threshold) under one
-// flat layout.
+// counts from 1 to well over a hundred) under one flat layout.
 func raggedForests(t *testing.T, cfg FlatConfig) []*Forest {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -103,12 +115,14 @@ func probeMatrix(m *SampleMatrix, rows int) {
 }
 
 // TestForestSetAppendMatchesRebuild holds the incremental enrolment
-// path to the rebuild path: appending forests one at a time (with
-// classify passes interleaved, as live enrolment does) yields the same
-// vote matrix as a Reset + full re-append.
+// path to the bulk one: appending forests one at a time (with classify
+// passes interleaved, as live enrolment does) yields the same vote
+// matrix, footprint and pass view as one Build, and as a Reset followed
+// by re-appends.
 func TestForestSetAppendMatchesRebuild(t *testing.T) {
 	cfg := FlatConfig{Quantize: true}
 	forests := raggedForests(t, cfg)
+	forests = append(forests, forests[3]) // every key of a repeat ties an existing one
 	var m SampleMatrix
 	probeMatrix(&m, 33)
 
@@ -121,25 +135,132 @@ func TestForestSetAppendMatchesRebuild(t *testing.T) {
 		incr.Votes(&m, scratch[:m.Rows()*incr.Forests()], 3)
 	}
 
+	built := NewForestSet(cfg)
+	if err := built.Build(forests); err != nil {
+		t.Fatalf("Build: %v", err)
+	}
 	rebuilt := NewForestSet(cfg)
-	rebuilt.Reset() // Reset on empty is a no-op; exercise it anyway.
+	if err := rebuilt.Build(forests[:2]); err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	rebuilt.Reset()
 	for _, f := range forests {
 		if err := rebuilt.Append(f); err != nil {
 			t.Fatalf("Append after Reset: %v", err)
 		}
 	}
+	requireSameSets(t, &m, incr, built)
+	requireSameSets(t, &m, incr, rebuilt)
+}
 
-	a := make([]int32, m.Rows()*incr.Forests())
-	b := make([]int32, m.Rows()*rebuilt.Forests())
-	incr.Votes(&m, a, 0)
-	rebuilt.Votes(&m, b, 1)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("incremental vs rebuilt diverge at %d: %d vs %d", i, a[i], b[i])
+// TestForestSetAppendNewFeatures appends forests that split on features
+// the index has no run for yet — below, between and above the existing
+// runs — and holds the result to a Build of the same forests.
+func TestForestSetAppendNewFeatures(t *testing.T) {
+	stumps := func(cfg FlatConfig, features ...int) *Forest {
+		var ts []*Tree
+		for i, f := range features {
+			ts = append(ts, &Tree{nodes: []node{
+				{feature: f, threshold: 0.25 * float64(i+1), left: 1, right: 2},
+				{feature: -1, prob: 1},
+				{feature: -1},
+			}})
+		}
+		return &Forest{trees: ts, flat: flatten(ts, cfg)}
+	}
+	for _, cfg := range []FlatConfig{{}, {Quantize: true}} {
+		forests := []*Forest{stumps(cfg, 2, 4), stumps(cfg, 3, 0), stumps(cfg, 5, 1, 3)}
+		var m SampleMatrix
+		m.Reset(40, 6)
+		rng := rand.New(rand.NewSource(32))
+		for s := 0; s < m.Rows(); s++ {
+			for f := range m.Row(s) {
+				m.Row(s)[f] = rng.Float64()
+			}
+		}
+		incr := NewForestSet(cfg)
+		for _, f := range forests {
+			if err := incr.Append(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		built := NewForestSet(cfg)
+		if err := built.Build(forests); err != nil {
+			t.Fatal(err)
+		}
+		requireSameSets(t, &m, incr, built)
+		votes := make([]int32, m.Rows()*len(forests))
+		incr.Votes(&m, votes, 1)
+		if want := branchyVotes(forests, &m); !slices.Equal(votes, want) {
+			t.Fatalf("quantize=%v: votes %v, oracle %v", cfg.Quantize, votes, want)
 		}
 	}
-	if incr.Bytes() != rebuilt.Bytes() {
-		t.Fatalf("Bytes: incremental %d, rebuilt %d", incr.Bytes(), rebuilt.Bytes())
+}
+
+// requireSameSets fails unless a and b hold the same forests: equal
+// vote matrices on m and equal footprints.
+func requireSameSets(t *testing.T, m *SampleMatrix, a, b *ForestSet) {
+	t.Helper()
+	if a.Forests() != b.Forests() {
+		t.Fatalf("Forests: %d vs %d", a.Forests(), b.Forests())
+	}
+	va := make([]int32, m.Rows()*a.Forests())
+	vb := make([]int32, m.Rows()*b.Forests())
+	a.Votes(m, va, 0)
+	b.Votes(m, vb, 1)
+	for i := range va {
+		if va[i] != vb[i] {
+			t.Fatalf("votes diverge at cell %d: %d vs %d", i, va[i], vb[i])
+		}
+	}
+	if a.Bytes() != b.Bytes() {
+		t.Fatalf("Bytes: %d vs %d", a.Bytes(), b.Bytes())
+	}
+	requireSameView(t, &a.ix64, &b.ix64)
+	requireSameView(t, &a.ix32, &b.ix32)
+}
+
+// requireSameView fails unless two indexes give the pass the same view:
+// the view does not depend on how the entries were merged in.
+func requireSameView[K uint32 | uint64](t *testing.T, a, b *index[K]) {
+	t.Helper()
+	if !slices.Equal(a.feats, b.feats) || !slices.Equal(a.ustart, b.ustart) || !slices.Equal(a.ukeys, b.ukeys) || !slices.Equal(a.begin, b.begin) {
+		t.Fatalf("pass views differ:\nfeats %v\n   vs %v\nustart %v\n    vs %v\nukeys %v\n   vs %v\nbegin %v\n   vs %v",
+			a.feats, b.feats, a.ustart, b.ustart, a.ukeys, b.ukeys, a.begin, b.begin)
+	}
+}
+
+// TestForestSetRemoveMatchesBuild holds Remove to a Build of the
+// survivors: dropping each forest in turn — first, middle, last, a
+// multi-word one — and then appending another leaves the same index as
+// building the resulting list in one pass, in both layouts.
+func TestForestSetRemoveMatchesBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, cfg := range []FlatConfig{{}, {Quantize: true}} {
+		forests := raggedForests(t, cfg)
+		forests = append(forests[:3], append([]*Forest{fullForest(rng, 2, 2, 8, cfg)}, forests[3:]...)...)
+		var m SampleMatrix
+		probeMatrix(&m, 40)
+		for drop := range forests {
+			fs := NewForestSet(cfg)
+			if err := fs.Build(forests); err != nil {
+				t.Fatal(err)
+			}
+			fs.Remove(drop)
+			survivors := append(append([]*Forest(nil), forests[:drop]...), forests[drop+1:]...)
+			want := NewForestSet(cfg)
+			if err := want.Build(survivors); err != nil {
+				t.Fatal(err)
+			}
+			requireSameSets(t, &m, fs, want)
+			if err := fs.Append(forests[drop]); err != nil {
+				t.Fatal(err)
+			}
+			if err := want.Build(append(survivors, forests[drop])); err != nil {
+				t.Fatal(err)
+			}
+			requireSameSets(t, &m, fs, want)
+		}
 	}
 }
 
@@ -154,12 +275,15 @@ func TestForestSetAppendLayoutMismatch(t *testing.T) {
 	if err := NewForestSet(FlatConfig{}).Append(f); err == nil {
 		t.Fatal("appending a quantized forest to a float64 set succeeded")
 	}
+	if err := NewForestSet(FlatConfig{}).Build([]*Forest{f}); err == nil {
+		t.Fatal("building a float64 set from a quantized forest succeeded")
+	}
 }
 
 // TestForestSetVotesZeroAlloc pins the fused pass's allocation
-// contract: after one warm-up pass (which sizes the pooled key buffer
-// and spins up the worker pool), a fused classify allocates nothing —
-// sequential or fanned out.
+// contract: after one warm-up pass (which sizes the pooled key and leaf
+// word buffers and spins up the worker pool), a fused classify
+// allocates nothing — sequential or fanned out.
 func TestForestSetVotesZeroAlloc(t *testing.T) {
 	for _, cfg := range []FlatConfig{{}, {Quantize: true}} {
 		forests := raggedForests(t, cfg)
@@ -181,7 +305,7 @@ func TestForestSetVotesZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestForestSetEmpty covers the degenerate shapes: an empty arena and a
+// TestForestSetEmpty covers the degenerate shapes: an empty index and a
 // zero-row matrix both return without touching votes beyond the zeroed
 // prefix.
 func TestForestSetEmpty(t *testing.T) {
@@ -206,12 +330,12 @@ func TestForestSetEmpty(t *testing.T) {
 }
 
 // TestFusedVotesEqualOracle is the fused engine's bit-equality property
-// test: it holds the branch-free kernel to the branchy walk, cell for
-// cell, over ragged trained forests (tree counts below, at and above a
-// lane group, straddling a tree block) plus random edge-value forests,
-// under every layout, on samples holding NaN, ±Inf and ±0, for every
-// batch size from 1 to 130 and every worker count from 1 to
-// 2×GOMAXPROCS+1.
+// test: it holds the QuickScorer pass to the branchy walk, cell for
+// cell, over ragged trained forests, random edge-value forests and
+// complete trees of depth 7 to 9 (two to eight leaf words each), under
+// every layout, on samples holding NaN, ±Inf and ±0 — values the
+// edge-value thresholds sit exactly on — for every batch size from 1 to
+// 130 and every worker count from 1 to 2×GOMAXPROCS+1.
 func TestFusedVotesEqualOracle(t *testing.T) {
 	const maxRows = 130
 	rng := rand.New(rand.NewSource(29))
@@ -223,6 +347,9 @@ func TestFusedVotesEqualOracle(t *testing.T) {
 		forests := raggedForests(t, cfg)
 		for _, trees := range []int{1, 7, 8, 9, 20} {
 			forests = append(forests, edgeForest(rng, trees, 2, 9, cfg))
+		}
+		for depth := 7; depth <= 9; depth++ {
+			forests = append(forests, fullForest(rng, 3, 2, depth, cfg))
 		}
 		fs := NewForestSet(cfg)
 		for _, f := range forests {
@@ -268,8 +395,9 @@ func TestFusedVotesEqualOracle(t *testing.T) {
 const fuzzDim = 3
 
 // FuzzFusedVotes decodes a fuzzed forest snapshot, fuses it (twice, so
-// the votes matrix has two columns) and checks the branch-free kernel
-// against the branchy walk on fuzzed sample values, both layouts.
+// the votes matrix has two columns) and checks the QuickScorer pass
+// against the branchy walk on fuzzed sample values, both layouts. One
+// seed is a complete depth-7 tree, whose 128 leaves take two words.
 func FuzzFusedVotes(f *testing.F) {
 	rng := rand.New(rand.NewSource(30))
 	trained, err := NewForest(intDataset(100, rng), ForestConfig{Trees: 3, Seed: 13})
@@ -284,6 +412,7 @@ func FuzzFusedVotes(f *testing.F) {
 	f.Add(AppendForest(nil, trained), raw[:40], true)
 	f.Add(AppendForest(nil, edgeForest(rng, 9, fuzzDim, 3, FlatConfig{})), raw, false)
 	f.Add(AppendForest(nil, edgeForest(rng, 3, fuzzDim, 5, FlatConfig{})), raw, true)
+	f.Add(AppendForest(nil, fullForest(rng, 1, fuzzDim, 7, FlatConfig{})), raw, false)
 	f.Fuzz(func(t *testing.T, blob, raw []byte, quantize bool) {
 		cfg := FlatConfig{Quantize: quantize}
 		forest, _, err := DecodeForest(blob, fuzzDim, cfg)
@@ -291,7 +420,7 @@ func FuzzFusedVotes(f *testing.F) {
 			return
 		}
 		var m SampleMatrix
-		rows := min(len(raw)/(8*fuzzDim), 2*sampleBlock+1)
+		rows := min(len(raw)/(8*fuzzDim), 4*tileRows+1)
 		m.Reset(rows, fuzzDim)
 		for i := range rows * fuzzDim {
 			m.data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))

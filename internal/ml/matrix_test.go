@@ -26,7 +26,7 @@ func TestSampleMatrixShape(t *testing.T) {
 }
 
 // TestForestSetBytesQuantized pins the footprint accounting both ways:
-// the quantized arena stores float32 thresholds, so at equal tree
+// the quantized index stores float32 keys, so at equal tree
 // structure it must report strictly fewer bytes than the float64 form.
 func TestForestSetBytesQuantized(t *testing.T) {
 	plain := NewForestSet(FlatConfig{})
@@ -46,6 +46,6 @@ func TestForestSetBytesQuantized(t *testing.T) {
 		t.Fatalf("Bytes: plain %d, quantized %d, want both positive", pb, qb)
 	}
 	if qb >= pb {
-		t.Fatalf("quantized arena %d B not smaller than float64 arena %d B", qb, pb)
+		t.Fatalf("quantized index %d B not smaller than float64 index %d B", qb, pb)
 	}
 }

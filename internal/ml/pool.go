@@ -10,7 +10,7 @@ import (
 // instead of spawning goroutines per call: a single-fingerprint
 // Identify used to pay a spawn + join barrier per forest, and a batch
 // paid one per forest per flush. Pool workers block on a channel of
-// jobs; a job is a pooled struct whose run method pulls work units off
+// jobs; a job is a reused struct whose run method pulls work units off
 // an internal atomic cursor until none remain, so any number of workers
 // (including zero — see fanOut) can cooperate on one job without
 // partitioning it up front.
@@ -71,39 +71,66 @@ func (p *workPool) fanOut(j runnable, wg *sync.WaitGroup, extra int) {
 }
 
 // voteJob fills a votes matrix for one ForestSet × SampleMatrix pass.
-// It owns the pass's keyed samples (one buffer per layout precision,
-// reused across passes). The tile index space (forest blocks × sample
-// blocks) is handed out by cursor; tiles touching the same sample are
-// confined to one forest block, so no two workers ever write the same
-// votes cell and the matrix needs no atomics.
+// It owns the pass's keyed samples (one buffer per layout precision)
+// and one leaf-word buffer per worker, all reused across passes. The
+// row tiles are handed out by cursor and each worker claims its own
+// leaf words by slot; no two workers ever write the same votes cell, so
+// the matrix needs no atomics.
 type voteJob struct {
-	fs     *ForestSet
-	votes  []int32
-	keys64 []uint64
-	keys32 []uint32
-	stride int // keyed row stride
-	rows   int
-	nSB    int // sample blocks per forest block
-	tiles  int
-	cursor atomic.Int64
-	wg     sync.WaitGroup
+	fs        *ForestSet
+	votes     []int32
+	keys64    []uint64
+	keys32    []uint32
+	leafWords [][]uint64
+	dim       int // keyed row stride
+	rows      int
+	tiles     int
+	cursor    atomic.Int64
+	slot      atomic.Int64
+	wg        sync.WaitGroup
 }
 
-var voteJobPool = sync.Pool{New: func() any { return new(voteJob) }}
+// voteJobs is the free list of vote jobs. A job carries buffers sized
+// to the index (leaf words for every worker), so it is kept rather than
+// left to a sync.Pool, which may drop it at any collection and then
+// rebuild every buffer on the next pass.
+var voteJobs struct {
+	sync.Mutex
+	free []*voteJob
+}
+
+// getVoteJob takes a job off the free list, or makes one.
+func getVoteJob() *voteJob {
+	voteJobs.Lock()
+	defer voteJobs.Unlock()
+	if n := len(voteJobs.free); n > 0 {
+		j := voteJobs.free[n-1]
+		voteJobs.free = voteJobs.free[:n-1]
+		return j
+	}
+	return new(voteJob)
+}
+
+// putVoteJob returns a finished job to the free list.
+func putVoteJob(j *voteJob) {
+	voteJobs.Lock()
+	voteJobs.free = append(voteJobs.free, j)
+	voteJobs.Unlock()
+}
 
 func (j *voteJob) run() {
+	v := j.leafWords[j.slot.Add(1)-1]
 	for {
 		t := int(j.cursor.Add(1)) - 1
 		if t >= j.tiles {
 			return
 		}
-		fb := j.fs.blocks[t/j.nSB]
-		s0 := (t % j.nSB) * sampleBlock
-		s1 := min(s0+sampleBlock, j.rows)
+		s0 := t * tileRows
+		s1 := min(s0+tileRows, j.rows)
 		if j.fs.quantize {
-			tileVotes(j.fs, j.fs.nodes32, j.keys32, j.stride, j.votes, fb, s0, s1)
+			scoreRows(j.fs, &j.fs.ix32, j.keys32, j.dim, j.votes, v, s0, s1)
 		} else {
-			tileVotes(j.fs, j.fs.nodes64, j.keys64, j.stride, j.votes, fb, s0, s1)
+			scoreRows(j.fs, &j.fs.ix64, j.keys64, j.dim, j.votes, v, s0, s1)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Forest snapshot codec: a versioned, length-prefixed binary encoding
@@ -13,8 +14,10 @@ import (
 // forest can still be leaf-capped); the flattened serving layout is
 // rebuilt on restore from the caller's FlatConfig. Decoding validates
 // every structural invariant — child indices strictly after their
-// parent (traversal terminates), features within the caller's bound —
-// and returns errors, never panics, on corrupt or truncated input.
+// parent (traversal terminates), every node but the root the child of
+// exactly one node (a tree, as ForestSet's leaf numbering needs),
+// features within the caller's bound — and returns errors, never
+// panics, on corrupt or truncated input.
 
 // forestCodecVersion is the forest section's format version.
 const forestCodecVersion = 1
@@ -82,6 +85,7 @@ func DecodeForest(data []byte, maxFeature int, flat FlatConfig) (*Forest, []byte
 			return nil, nil, fmt.Errorf("ml: forest snapshot: tree %d has implausible node count %d", ti, count)
 		}
 		t := &Tree{nodes: make([]node, count)}
+		parented := make([]bool, count)
 		for i := range t.nodes {
 			nd := &t.nodes[i]
 			var fp1 uint64
@@ -118,10 +122,14 @@ func DecodeForest(data []byte, maxFeature int, flat FlatConfig) (*Forest, []byte
 			// Children strictly after the parent and inside the tree:
 			// the induction order's invariant, and what guarantees a
 			// restored tree's traversal terminates.
-			if l <= uint64(i) || r <= uint64(i) || l >= count || r >= count {
+			if l <= uint64(i) || r <= uint64(i) || l >= count || r >= count || l == r || parented[l] || parented[r] {
 				return nil, nil, fmt.Errorf("ml: forest snapshot: tree %d node %d has invalid children (%d, %d) of %d nodes", ti, i, l, r, count)
 			}
+			parented[l], parented[r] = true, true
 			nd.left, nd.right = int32(l), int32(r)
+		}
+		if i := slices.Index(parented[1:], false); i >= 0 {
+			return nil, nil, fmt.Errorf("ml: forest snapshot: tree %d node %d is unreachable", ti, i+1)
 		}
 		f.trees[ti] = t
 	}

@@ -106,6 +106,31 @@ func TestDecodeForestRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// TestDecodeForestRejectsNonTrees rejects node graphs that are not
+// trees — a shared child, one child twice, an unreachable node — which
+// ForestSet could not number leaves for, and still accepts the tree the
+// same nodes form when wired properly.
+func TestDecodeForestRejectsNonTrees(t *testing.T) {
+	split := func(l, r int32) node { return node{feature: 0, threshold: 0.5, left: l, right: r} }
+	leaf := node{feature: -1, prob: 1}
+	for _, tc := range []struct {
+		name  string
+		nodes []node
+		ok    bool
+	}{
+		{"tree", []node{split(1, 2), split(3, 4), leaf, leaf, leaf}, true},
+		{"shared child", []node{split(1, 2), split(2, 3), leaf, leaf}, false},
+		{"child twice", []node{split(1, 1), leaf}, false},
+		{"unreachable", []node{split(1, 2), leaf, leaf, leaf}, false},
+	} {
+		trees := []*Tree{{nodes: tc.nodes}}
+		blob := AppendForest(nil, &Forest{trees: trees})
+		if _, _, err := DecodeForest(blob, 1, FlatConfig{}); (err == nil) != tc.ok {
+			t.Errorf("%s: decode error %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 // TestQuantizedExactOnIntegerFeatures: on integer-valued features (the
 // fingerprint case) CART thresholds are midpoints of small integers,
 // exactly representable in float32 — the quantized layout must vote
