@@ -1012,14 +1012,13 @@ func BenchmarkFusedClassify(b *testing.B) {
 // BenchmarkBytesPerVerdict measures the shard-plane wire cost of a
 // classify batch per verdict, straight off the lineconn byte counters:
 // the stateless delta-packed encoding, and the per-connection
-// dictionary wire (references for recurring fingerprints, with and
-// without framed flate on top). The gap is the cross-request
+// dictionary wire (references for recurring fingerprints). The gap is the cross-request
 // compression payoff the distributed/replicated experiments report as
 // bytes/verdict in BENCH_ci.json.
 func BenchmarkBytesPerVerdict(b *testing.B) {
 	fx := getFixture(b)
 	sb := getShardedBank(b, 2)
-	for _, wire := range []iotssp.WireMode{iotssp.WireOff, iotssp.WireDict, iotssp.WireDictFlate} {
+	for _, wire := range []iotssp.WireMode{iotssp.WireOff, iotssp.WireDict} {
 		name := wire.String()
 		if wire == iotssp.WireOff {
 			name = "delta"

@@ -23,16 +23,15 @@
 //	sentinel-eval -experiment fleet -shards 4 -backends 3
 //	sentinel-eval -experiment distributed -shards 2
 //	sentinel-eval -experiment distributed -wire dict       # dictionary wire + off-twin gain check
-//	sentinel-eval -experiment replicated -replicas 2 -wire dict+flate
+//	sentinel-eval -experiment replicated -replicas 2 -wire dict
 //	sentinel-eval -experiment rebalance -replicas 2 -mint snapshot
 //	sentinel-eval -experiment dataplane -workers 8
 //
-// The -wire flag (off|dict|dict+flate) turns on the wire
-// compression for the distributed, replicated and rebalance
-// experiments: per-connection fingerprint dictionaries, and with
-// dict+flate framed flate transport on top. The distributed and
-// replicated experiments then also replay a wire-off twin phase,
-// assert its verdicts bit-equal, and fail unless the measured
+// The -wire flag (off|dict) turns on per-connection fingerprint
+// dictionaries on the shard legs of the distributed, replicated and
+// rebalance experiments; the gateway legs always speak the plain
+// identify wire. The distributed and replicated experiments then also
+// replay a wire-off twin phase, assert its verdicts bit-equal, and fail unless the measured
 // steady-state bytes-per-verdict gain reaches -min-wire-gain (default
 // 5x).
 package main
@@ -73,7 +72,7 @@ func run(args []string) error {
 		minSpeedup  = fs.Float64("min-speedup", -1, "fail the dataplane experiment unless pipeline/serial packets/sec reaches this ratio (0 = report only; -1 = 2.0 when GOMAXPROCS >= 4, else report only)")
 		maxP99Ratio = fs.Float64("max-p99-ratio", -1, "fail the replicated/rebalance experiments unless the drill run's p99 stays within this multiple of the steady run's (0 = report only; -1 = 2.0 when GOMAXPROCS >= 4, else report only)")
 		mint        = fs.String("mint", "auto", "member-replacement minting strategy for the rebalance experiment: auto|snapshot|replay")
-		wire        = fs.String("wire", "off", "wire compression for the distributed/replicated/rebalance experiments: off|dict|dict+flate")
+		wire        = fs.String("wire", "off", "shard-leg wire for the distributed/replicated/rebalance experiments: off|dict")
 		minWireGain = fs.Float64("min-wire-gain", -1, "fail the distributed/replicated experiments unless wire-off/wire-on steady-state bytes per verdict reaches this ratio (0 = report only; -1 = 5.0 when -wire is on, else off)")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -221,33 +221,35 @@
 // and a CI fuzz-smoke job hammers every serialization codec's decoder
 // with corrupt bytes.
 //
-// The wire can also be stateful, to exploit cross-request redundancy:
+// Every wire is plain JSON lines, one generation per tier. The gateway
+// ↔ verdict-server leg is stateless, as the paper's service requires:
+// gateway.Pool sends packed fingerprint reports with no handshake, and
+// the verdict server keeps nothing about a connection between lines.
+// The shard tier can be stateful, to exploit cross-request redundancy:
 // a fleet's recurring device models submit near-identical F matrices,
-// so each client connection hello-negotiates a per-connection
-// fingerprint dictionary (fingerprint.Dict — recurring
-// matrices travel as 12-byte content-hash references or near-match
-// diffs instead of full packed rows, with LRU eviction and
-// transactional commit so only written lines mutate the pair),
-// per-direction device-type name interning, and optionally framed
-// flate transport compression (lineconn.FrameReader/FrameWriter) on
-// top. Dictionary generation equals connection incarnation: any decode
-// failure answers a non-retryable error and severs, both ends rebuild
-// empty, so reconnects — including mid-run shard kills and control
-// plane member rolls — can never decode against state the peer no
-// longer holds. The hello is a strict match: a peer whose reply names
-// the wrong mode, another iotssp.ProtocolVersion, or no grant for the
-// asked dictionary is refused at connect, never silently downgraded.
-// iotssp.WireMode threads the ask through gateway.Pool/FleetPool,
-// RemoteShard and ShardGroup (whose failover re-encodes per member
-// connection); the distributed and replicated experiments replay a
-// wire-off twin phase, assert bit-equal verdicts, and fail unless the
-// measured steady-state bytes/verdict gain reaches 5x (sentinel-eval
-// -wire dict|dict+flate, -min-wire-gain; handshake, push and
+// so a WireDict RemoteShard hello-negotiates a per-connection
+// fingerprint dictionary (fingerprint.Dict — recurring matrices travel
+// as 12-byte content-hash references or near-match diffs instead of
+// full packed rows, with LRU eviction and transactional commit so only
+// written lines mutate the pair) and per-direction device-type name
+// interning. Dictionary generation equals connection incarnation: any
+// decode failure answers a non-retryable error and severs, both ends
+// rebuild empty, so reconnects — including mid-run shard kills and
+// control plane member rolls — can never decode against state the peer
+// no longer holds. The hello is a strict match: a peer whose reply
+// names the wrong mode, another iotssp.ProtocolVersion, or no grant
+// for the asked dictionary is refused at connect, never silently
+// downgraded. iotssp.WireMode (WireOff or WireDict) threads the ask
+// through RemoteShard and ShardGroup (whose failover re-encodes per
+// member connection); the distributed and replicated experiments
+// replay a wire-off twin phase, assert bit-equal verdicts, and fail
+// unless the measured steady-state bytes/verdict gain reaches 5x
+// (sentinel-eval -wire dict, -min-wire-gain; handshake, push and
 // state-transfer bytes are carved out so the gain is steady-state
 // classify cost, not amortized setup). BenchmarkDictClassify and the
-// dict BytesPerVerdict cases hold the codec's line in
-// BENCH_ci.json, FuzzUnpackRef/FuzzFrameRead smoke the new decoders,
-// and FuzzShardOp feeds arbitrary lines to the shard verbs.
+// dict BytesPerVerdict case hold the codec's line in BENCH_ci.json,
+// FuzzUnpackRef and FuzzUnpack smoke the decoders, and FuzzShardOp
+// feeds arbitrary lines to the shard verbs.
 //
 // Stage one is a fused classification engine. Every enrolled forest is
 // fused into one QuickScorer index (ml.ForestSet; Lucchese et al.,

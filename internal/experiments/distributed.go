@@ -30,10 +30,10 @@ type DistributedConfig struct {
 	// index Types mod Shards — is served remotely; the rest stay
 	// in-process.
 	Shards int
-	// Wire selects the wire compression for every client transport in
-	// the run — the gateway pools toward the front server and the remote
-	// shard toward its shard server. When it is on, the run adds an
-	// uncompressed twin phase and reports the measured gain.
+	// Wire selects the remote shard's wire toward its shard server (the
+	// gateway pools always speak the plain identify wire). When it is
+	// on, the run adds an uncompressed twin phase and reports the
+	// measured gain.
 	Wire iotssp.WireMode
 	// MinWireGain, with Wire on, fails the run unless the uncompressed
 	// twin's steady-state bytes/verdict divided by the compressed run's
@@ -156,7 +156,7 @@ func RunDistributed(cfg DistributedConfig) (*DistributedResult, error) {
 		return nil, err
 	}
 	baseTypes := baseCl.Bank().Types()
-	base := replay(wirePools(baseCl.Addr(), cfg.Load, cfg.Seed, cfg.Wire), w, cfg.InFlight)
+	base := replay(wirePools(baseCl.Addr(), cfg.Load, cfg.Seed), w, cfg.InFlight)
 	baseCl.Close()
 	if base.lost > 0 {
 		return nil, fmt.Errorf("baseline phase lost %d verdicts with no failure injected", base.lost)
@@ -189,7 +189,7 @@ func RunDistributed(cfg DistributedConfig) (*DistributedResult, error) {
 	}
 
 	shardRep := cl.Member(remoteIdx, 0)
-	ph := replay(wirePools(cl.Addr(), cfg.Load, cfg.Seed, cfg.Wire), w, cfg.InFlight, drill{after: cfg.Requests / 3, fn: func() {
+	ph := replay(wirePools(cl.Addr(), cfg.Load, cfg.Seed), w, cfg.InFlight, drill{after: cfg.Requests / 3, fn: func() {
 		res.ShardKilled = true
 		shardRep.Stop()
 		time.Sleep(100 * time.Millisecond)

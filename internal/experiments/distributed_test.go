@@ -65,13 +65,13 @@ func TestRunDistributedTinyConfig(t *testing.T) {
 	}
 }
 
-// TestRunDistributedWireDict runs the same drill with the v4 wire
-// compression on: RunDistributed itself asserts bit-equal verdicts
-// (including the wire-off twin phase), zero lost across the shard
-// restart — which also proves dictionaries reset coherently across the
-// kill+revive — and at least the required compression gain.
+// TestRunDistributedWireDict runs the same drill with the remote
+// shard's dictionary wire on: RunDistributed itself asserts bit-equal
+// verdicts (including the wire-off twin phase), zero lost across the
+// shard restart — which also proves dictionaries reset coherently
+// across the kill+revive — and at least the required compression gain.
 func TestRunDistributedWireDict(t *testing.T) {
-	for _, wire := range []iotssp.WireMode{iotssp.WireDict, iotssp.WireDictFlate} {
+	for _, wire := range []iotssp.WireMode{iotssp.WireDict} {
 		t.Run(wire.String(), func(t *testing.T) {
 			res, err := RunDistributed(DistributedConfig{
 				Load: Load{

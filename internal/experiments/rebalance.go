@@ -38,11 +38,11 @@ type RebalanceConfig struct {
 	// reports the ratio without asserting (callers gate the assertion on
 	// GOMAXPROCS, like the replicated experiment).
 	MaxP99Ratio float64
-	// Wire selects the wire compression on every client leg (gateway
-	// pools and the group's member links), as in DistributedConfig. The
-	// rebalance experiment reports no compression gain of its own — the
-	// distributed/replicated experiments own that assertion — but the
-	// drills then exercise dictionary resets across member replacement.
+	// Wire selects the wire on the group's member links, as in
+	// DistributedConfig. The rebalance experiment reports no compression
+	// gain of its own — the distributed/replicated experiments own that
+	// assertion — but the drills then exercise dictionary resets across
+	// member replacement.
 	Wire iotssp.WireMode
 }
 
@@ -206,7 +206,7 @@ func RunRebalance(cfg RebalanceConfig) (*RebalanceResult, error) {
 	res.MigratedOut = steadyCl.Bank().ShardTypes(0)[0]
 	res.MigratedIn = steadyCl.Bank().ShardTypes(1)[0]
 
-	steady := replay(wirePools(steadyCl.Addr(), cfg.Load, cfg.Seed, cfg.Wire), w, cfg.InFlight)
+	steady := replay(wirePools(steadyCl.Addr(), cfg.Load, cfg.Seed), w, cfg.InFlight)
 	if steady.lost > 0 {
 		return nil, fmt.Errorf("steady phase lost %d verdicts with no topology change", steady.lost)
 	}
@@ -225,7 +225,7 @@ func RunRebalance(cfg RebalanceConfig) (*RebalanceResult, error) {
 		finalCl.Close()
 		return nil, fmt.Errorf("pre-applying the rebalance: %w", err)
 	}
-	final := replay(wirePools(finalCl.Addr(), cfg.Load, cfg.Seed, cfg.Wire), w, cfg.InFlight)
+	final := replay(wirePools(finalCl.Addr(), cfg.Load, cfg.Seed), w, cfg.InFlight)
 	finalCl.Close()
 	if final.lost > 0 {
 		return nil, fmt.Errorf("final-topology phase lost %d verdicts with no mid-run change", final.lost)
@@ -241,7 +241,7 @@ func RunRebalance(cfg RebalanceConfig) (*RebalanceResult, error) {
 	}
 	defer liveCl.Close()
 	var rebalanceErr error
-	live := replay(wirePools(liveCl.Addr(), cfg.Load, cfg.Seed, cfg.Wire), w, cfg.InFlight,
+	live := replay(wirePools(liveCl.Addr(), cfg.Load, cfg.Seed), w, cfg.InFlight,
 		drill{after: cfg.Requests / 3, fn: func() {
 			if rebalanceErr = applyRebalance(liveCl, res.MigratedOut, res.MigratedIn, false, cfg.Mint); rebalanceErr == nil {
 				res.Rebalanced = true

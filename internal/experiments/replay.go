@@ -184,15 +184,15 @@ func pools(addr string, gateways int, cfg gateway.PoolConfig) []*gateway.Pool {
 }
 
 // wirePools opens the remote-bank experiments' gateway clients: two
-// patient, retrying connections per gateway at the given wire mode.
-func wirePools(addr string, l Load, seed int64, wire iotssp.WireMode) []*gateway.Pool {
+// patient, retrying connections per gateway. The gateway leg is always
+// the plain wire; the experiments' wire mode applies to shard legs.
+func wirePools(addr string, l Load, seed int64) []*gateway.Pool {
 	return pools(addr, l.Gateways, gateway.PoolConfig{
 		Conns:        2,
 		Timeout:      30 * time.Second,
 		MaxRetries:   3,
 		RetryBackoff: 2 * time.Millisecond,
 		Seed:         seed,
-		Wire:         wire,
 	})
 }
 
@@ -379,7 +379,7 @@ type WireCost struct {
 func (c *WireCost) priceTwin(twin *controlplane.Cluster, w *workload, l Load, seed int64, on *MetricsSnapshot, ref *phase, minGain float64) error {
 	defer twin.Close()
 	c.DictHitRate = on.DictHitRate
-	off := replay(wirePools(twin.Addr(), l, seed, iotssp.WireOff), w, l.InFlight)
+	off := replay(wirePools(twin.Addr(), l, seed), w, l.InFlight)
 	if off.lost > 0 {
 		return fmt.Errorf("wire-off twin lost %d verdicts with no failure injected", off.lost)
 	}

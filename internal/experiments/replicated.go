@@ -35,10 +35,10 @@ type ReplicatedConfig struct {
 	// asserting (callers gate the assertion on GOMAXPROCS, like the
 	// fleet experiment's MinScaling).
 	MaxP99Ratio float64
-	// Wire selects the wire compression for every client transport in
-	// the run — gateway pools and the group members' shard transports.
-	// When it is on, the run adds an uncompressed twin phase and reports
-	// the measured gain.
+	// Wire selects the group members' shard transports' wire (the
+	// gateway pools always speak the plain identify wire). When it is
+	// on, the run adds an uncompressed twin phase and reports the
+	// measured gain.
 	Wire iotssp.WireMode
 	// MinWireGain, with Wire on, fails the run unless the uncompressed
 	// twin's steady-state bytes/verdict divided by the compressed run's
@@ -195,7 +195,7 @@ func RunReplicatedShards(cfg ReplicatedConfig) (*ReplicatedResult, error) {
 		return nil, err
 	}
 	refTypes := singleCl.Bank().Types()
-	ref := replay(wirePools(singleCl.Addr(), cfg.Load, cfg.Seed, cfg.Wire), w, cfg.InFlight)
+	ref := replay(wirePools(singleCl.Addr(), cfg.Load, cfg.Seed), w, cfg.InFlight)
 	singleCl.Close()
 	if ref.lost > 0 {
 		return nil, fmt.Errorf("single-replica phase lost %d verdicts with no failure injected", ref.lost)
@@ -221,7 +221,7 @@ func RunReplicatedShards(cfg ReplicatedConfig) (*ReplicatedResult, error) {
 		return nil, fmt.Errorf("group-backed bank reassembled order %v, want %v", got, refTypes)
 	}
 
-	noKill := replay(wirePools(cl.Addr(), cfg.Load, cfg.Seed, cfg.Wire), w, cfg.InFlight)
+	noKill := replay(wirePools(cl.Addr(), cfg.Load, cfg.Seed), w, cfg.InFlight)
 	if noKill.lost > 0 {
 		return nil, fmt.Errorf("group no-kill phase lost %d verdicts with no failure injected", noKill.lost)
 	}
@@ -234,7 +234,7 @@ func RunReplicatedShards(cfg ReplicatedConfig) (*ReplicatedResult, error) {
 
 	// Phase 3 — the shard group with a mid-run member restart.
 	member := cl.Member(groupIdx, 0)
-	kill := replay(wirePools(cl.Addr(), cfg.Load, cfg.Seed, cfg.Wire), w, cfg.InFlight, drill{after: cfg.Requests / 3, fn: func() {
+	kill := replay(wirePools(cl.Addr(), cfg.Load, cfg.Seed), w, cfg.InFlight, drill{after: cfg.Requests / 3, fn: func() {
 		res.MemberKilled = true
 		member.Stop()
 		time.Sleep(100 * time.Millisecond)

@@ -85,14 +85,14 @@ func TestRunReplicatedShardsTinyConfig(t *testing.T) {
 	}
 }
 
-// TestRunReplicatedShardsWireDict runs the replicated drill with the v4
-// wire compression on: RunReplicatedShards itself asserts bit-equal
-// verdicts in both group phases and in the wire-off twin, zero lost
-// across the member kill+revive (dictionaries reset coherently on the
-// revived member's fresh connections), and at least the required
-// compression gain over the uncompressed twin.
+// TestRunReplicatedShardsWireDict runs the replicated drill with the
+// members' dictionary wire on: RunReplicatedShards itself asserts
+// bit-equal verdicts in both group phases and in the wire-off twin,
+// zero lost across the member kill+revive (dictionaries reset
+// coherently on the revived member's fresh connections), and at least
+// the required compression gain over the uncompressed twin.
 func TestRunReplicatedShardsWireDict(t *testing.T) {
-	for _, wire := range []iotssp.WireMode{iotssp.WireDict, iotssp.WireDictFlate} {
+	for _, wire := range []iotssp.WireMode{iotssp.WireDict} {
 		t.Run(wire.String(), func(t *testing.T) {
 			res, err := RunReplicatedShards(ReplicatedConfig{
 				Load: Load{

@@ -55,6 +55,10 @@ type ServiceResult struct {
 	// CacheHitRate is the measured fraction of requests served without
 	// a verdict computation during the timed service run.
 	CacheHitRate float64
+	// PhaseClassifications counts the fingerprints the bank classified
+	// during the timed service run (a ClassifyStats delta taken after
+	// the cache warm-up): zero when the warm cache served every request.
+	PhaseClassifications uint64
 	// P50 and P99 are service-mode request latencies.
 	P50, P99 time.Duration
 	// Stats snapshots the service-mode frontend after the run.
@@ -197,12 +201,14 @@ func RunService(cfg ServiceConfig) (*ServiceResult, error) {
 		return nil, err
 	}
 	warm := cl.Frontend(0).Counters().Cache
+	csWarm := cl.Bank().ClassifyStats()
 
 	ph := replay(pools(cl.Addr(), cfg.Gateways, gateway.PoolConfig{Conns: 2, Seed: cfg.Seed}), w, cfg.InFlight)
 	if ph.lost > 0 {
 		return nil, fmt.Errorf("service phase lost %d of %d verdicts", ph.lost, cfg.Requests)
 	}
 	csAfter := cl.Bank().ClassifyStats()
+	res.PhaseClassifications = csAfter.Fingerprints - csWarm.Fingerprints
 	res.ServicePerSec = ph.perSec
 	res.Speedup = res.ServicePerSec / res.BaselinePerSec
 	res.P50, res.P99 = ph.p50, ph.p99

@@ -30,8 +30,7 @@ type MetricsSnapshot struct {
 	// divided by the verdicts served. All are filled by
 	// ComputeBytesPerVerdict; they are measured off the lineconn byte
 	// counters, so codec changes (delta-packed batches, dictionary
-	// references, framed flate) move a reported number rather than an
-	// estimate.
+	// references) move a reported number rather than an estimate.
 	ShardWireBytes    uint64  `json:"shard_wire_bytes,omitempty"`
 	ShardControlBytes uint64  `json:"shard_control_bytes,omitempty"`
 	BytesPerVerdict   float64 `json:"bytes_per_verdict,omitempty"`
@@ -63,13 +62,6 @@ func (m *MetricsSnapshot) ComputeBytesPerVerdict(verdicts int) float64 {
 		all := rs.Transport.BytesWritten + rs.Transport.BytesRead
 		carve := rs.Transport.HandshakeBytesWritten + rs.Transport.HandshakeBytesRead +
 			rs.Transport.PushBytesRead + rs.StateBytes
-		if carve > all {
-			// StateBytes is payload-sized while the transport counters are
-			// wire-sized: framed flate can compress the wire below the
-			// payload carve-out. Clamp — the steady-state remainder is then
-			// zero, never negative.
-			carve = all
-		}
 		steady += all - carve
 		control += carve
 		hits += rs.Transport.DictHits

@@ -36,16 +36,6 @@ type PoolConfig struct {
 	RetryBackoff time.Duration
 	// Seed seeds the jitter generator (0 selects 1).
 	Seed int64
-	// Wire selects the wire compression toward the service:
-	// iotssp.WireOff (the default) keeps the plain JSON-lines wire,
-	// WireDict opens each connection with a hello negotiating a
-	// per-connection fingerprint dictionary, WireDictFlate adds framed
-	// flate transport. A service whose hello does not match
-	// (iotssp.Hello.Match) fails the dial.
-	Wire iotssp.WireMode
-	// DictSize is the dictionary capacity asked for in the hello. 0
-	// selects iotssp.DefaultDictSize.
-	DictSize int
 }
 
 func (c PoolConfig) withDefaults() PoolConfig {
@@ -63,9 +53,6 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.DictSize <= 0 {
-		c.DictSize = iotssp.DefaultDictSize
 	}
 	return c
 }
@@ -91,13 +78,15 @@ func (s PoolStats) Snapshot() stats.Snapshot {
 
 // Pool is a pooled TCP client for the IoT Security Service: N
 // persistent connections with pipelined request multiplexing over
-// internal/lineconn. Each device MAC maps to a fixed connection
-// (spreading the fleet across the pool while keeping a device's
-// requests together), many requests ride each connection at once with
-// responses matched by the service's line echo, and broken connections
-// redial lazily with jittered exponential backoff. Pool implements
-// Identifier and is safe for concurrent use by the gateway's
-// identification workers.
+// internal/lineconn. Connections carry no handshake and no state:
+// every identify line is a plain packed fingerprint report, so the
+// service keeps nothing about the gateway between requests. Each device
+// MAC maps to a fixed connection (spreading the fleet across the pool
+// while keeping a device's requests together), many requests ride each
+// connection at once with responses matched by the service's line
+// echo, and broken connections redial lazily with jittered exponential
+// backoff. Pool implements Identifier and is safe for concurrent use by
+// the gateway's identification workers.
 type Pool struct {
 	cfg       PoolConfig
 	conns     []*lineconn.Conn[iotssp.Response]
@@ -119,41 +108,12 @@ func NewPool(addr string, cfg PoolConfig) *Pool {
 		transport: lineconn.NewCounters(),
 	}
 	p.retry = lineconn.Retry{Base: cfg.RetryBackoff, Jitter: backoff.NewJitter(cfg.Seed)}
-	opts := lineconn.Options[iotssp.Response]{
-		Counters: p.transport,
-	}
-	if cfg.Wire != iotssp.WireOff {
-		// The wire asks ride a hello handshake the plain pool never
-		// needs: the service's reply must match strictly and carries the
-		// grants.
-		opts.Hello = iotssp.HelloLine(cfg.Wire, cfg.DictSize)
-		opts.CheckHello = func(h iotssp.Response) error {
-			if h.Error != "" {
-				return fmt.Errorf("gateway: hello to %s: %s", addr, h.Error)
-			}
-			if err := h.Hello.Match(iotssp.ModeVerdict, cfg.Wire); err != nil {
-				return fmt.Errorf("gateway: hello to %s: %w", addr, err)
-			}
-			return nil
-		}
-		opts.NewState = func(h iotssp.Response) any {
-			return &poolDict{dict: fingerprint.NewDict(h.Dict)}
-		}
-		opts.Framed = func(h iotssp.Response) bool { return h.Comp == iotssp.CompFlate }
-	}
+	opts := lineconn.Options[iotssp.Response]{Counters: p.transport}
 	p.conns = make([]*lineconn.Conn[iotssp.Response], cfg.Conns)
 	for i := range p.conns {
 		p.conns[i] = lineconn.New[iotssp.Response](addr, opts)
 	}
 	return p
-}
-
-// poolDict is a connection's per-incarnation dictionary state: it
-// mirrors the service's side of the same dictionary and dies with the
-// TCP connection, which is what keeps the pair coherent across
-// reconnects.
-type poolDict struct {
-	dict *fingerprint.Dict
 }
 
 // Counters snapshots the pool's typed counters.
@@ -200,7 +160,10 @@ func (p *Pool) identify(ctx context.Context, mac string, fp *fingerprint.Fingerp
 	if fp == nil {
 		return iotssp.Response{}, fmt.Errorf("gateway: identify %s: %w", mac, errNilFingerprint)
 	}
-	enc := p.encodeIdentify(mac, fp)
+	body, err := marshalIdentify(mac, fp)
+	if err != nil {
+		return iotssp.Response{}, fmt.Errorf("gateway: identify %s: %w", mac, err)
+	}
 	pc := p.pick(mac)
 	var lastErr error
 	for attempt := 0; attempt <= p.cfg.MaxRetries; attempt++ {
@@ -211,7 +174,7 @@ func (p *Pool) identify(ctx context.Context, mac string, fp *fingerprint.Fingerp
 				return iotssp.Response{}, fmt.Errorf("gateway: identify %s: %w (last error: %v)", mac, err, lastErr)
 			}
 		}
-		resp, _, err := pc.RoundTripEnc(ctx, enc, p.cfg.Timeout)
+		resp, err := pc.RoundTrip(ctx, body, p.cfg.Timeout)
 		if err != nil {
 			lastErr = err
 			if ctx.Err() != nil {
@@ -257,44 +220,6 @@ func marshalIdentify(mac string, fp *fingerprint.Fingerprint) ([]byte, error) {
 	return append(body, '\n'), nil
 }
 
-// encodeIdentify builds one identify request's per-attempt encoder.
-// Against a connection holding a negotiated dictionary the fingerprint
-// ships dictionary-coded — a recurring model costs a 17-byte reference
-// instead of its packed matrix — with the txn committed only after the
-// body marshals, so a failed attempt never desyncs the pair. On a
-// plain connection the packed report is built once and replayed across
-// attempts.
-func (p *Pool) encodeIdentify(mac string, fp *fingerprint.Fingerprint) lineconn.Encoder {
-	var plainBody []byte
-	return func(state any) ([]byte, error) {
-		if pd, ok := state.(*poolDict); ok {
-			txn := pd.dict.Begin()
-			entry, err := txn.Pack(fp)
-			if err != nil {
-				return nil, err
-			}
-			body, err := json.Marshal(iotssp.Request{
-				Enc:         iotssp.DictEncoding,
-				Fingerprint: fingerprint.Report{MAC: mac, Packed: entry},
-			})
-			if err != nil {
-				return nil, err
-			}
-			txn.Commit()
-			p.transport.AddDict(txn.Stats())
-			return append(body, '\n'), nil
-		}
-		if plainBody == nil {
-			body, err := marshalIdentify(mac, fp)
-			if err != nil {
-				return nil, err
-			}
-			plainBody = body
-		}
-		return plainBody, nil
-	}
-}
-
 // IdentifyBatch implements BatchIdentifier: the batch is grouped by
 // each MAC's home connection and every group goes out as one pipelined
 // burst — a single write carrying all the group's request lines — with
@@ -311,17 +236,21 @@ func (p *Pool) IdentifyBatch(ctx context.Context, macs []string, fps []*fingerpr
 	}
 
 	// Group the batch by home connection, preserving batch order within
-	// each group, with one per-attempt encoder per request (the encoder
-	// adapts each burst entry to its connection's negotiated wire).
+	// each group.
 	groups := make(map[*lineconn.Conn[iotssp.Response]][]int, len(p.conns))
-	encs := make([]lineconn.Encoder, len(macs))
+	bodies := make([][]byte, len(macs))
 	for i, mac := range macs {
 		p.requests.Add(1)
 		if fps[i] == nil {
 			errs[i] = fmt.Errorf("gateway: identify %s: %w", mac, errNilFingerprint)
 			continue
 		}
-		encs[i] = p.encodeIdentify(mac, fps[i])
+		body, err := marshalIdentify(mac, fps[i])
+		if err != nil {
+			errs[i] = fmt.Errorf("gateway: identify %s: %w", mac, err)
+			continue
+		}
+		bodies[i] = body
 		pc := p.pick(mac)
 		groups[pc] = append(groups[pc], i)
 	}
@@ -332,11 +261,11 @@ func (p *Pool) IdentifyBatch(ctx context.Context, macs []string, fps []*fingerpr
 		wg.Add(1)
 		go func(pc *lineconn.Conn[iotssp.Response], idxs []int) {
 			defer wg.Done()
-			burst := make([]lineconn.Encoder, len(idxs))
+			burst := make([][]byte, len(idxs))
 			for j, i := range idxs {
-				burst[j] = encs[i]
+				burst[j] = bodies[i]
 			}
-			got, gerrs := pc.RoundTripBatchEnc(ctx, burst, p.cfg.Timeout)
+			got, gerrs := pc.RoundTripBatch(ctx, burst, p.cfg.Timeout)
 			for j, i := range idxs {
 				resps[i], errs[i] = got[j], gerrs[j]
 			}
@@ -356,8 +285,8 @@ func (p *Pool) IdentifyBatch(ctx context.Context, macs []string, fps []*fingerpr
 				errs[i] = fmt.Errorf("gateway: service error: %s", resps[i].Error)
 				continue
 			}
-		} else if encs[i] == nil {
-			continue // nil fingerprints cannot be retried
+		} else if bodies[i] == nil {
+			continue // unencodable fingerprints cannot be retried
 		}
 		p.retries.Add(1)
 		resps[i], errs[i] = p.identify(ctx, macs[i], fps[i])

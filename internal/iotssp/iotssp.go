@@ -17,17 +17,16 @@
 // answer the hello. One table covers every line:
 //
 //	line               mode     fields and effect
-//	(identify)         verdict  fingerprint {mac, packed}, or {mac,
-//	                            packed: dict entry} with enc "dict";
-//	                            the reply is the verdict (Response)
-//	hello              both     asks dict:N (a per-connection
-//	                            fingerprint.Dict of N entries) and
-//	                            comp:"flate" (framed flate after the
-//	                            reply, lineconn.FrameWriter); the reply
-//	                            carries mode, v (ProtocolVersion) and
-//	                            the grants, dict:min(N, MaxDictSize)
-//	                            and comp:"flate". A shard hello also
-//	                            subscribes the connection to pushes
+//	(identify)         verdict  fingerprint {mac, packed}; the reply
+//	                            is the verdict (Response)
+//	hello              both     the reply carries mode and v
+//	                            (ProtocolVersion). A shard hello may
+//	                            ask dict:N (a per-connection
+//	                            fingerprint.Dict of N entries), granted
+//	                            as dict:min(N, MaxDictSize), and
+//	                            subscribes the connection to pushes. A
+//	                            verdict server grants nothing: its
+//	                            connections hold no state
 //	meta               shard    reply: the shard's type list
 //	classify           shard    batch of F matrices, enc "delta"
 //	                            (fingerprint.PackDelta) or "dict";
@@ -43,15 +42,16 @@
 //	delta              shard    a push, no line echo: the new version
 //	                            and the changed type names
 //
-// Peers must match exactly. RemoteShard opens every connection with a
-// hello, and gateway.Pool does when its WireMode asks for compression;
-// either fails the dial unless the reply names the mode it wants, v
-// equals this build's ProtocolVersion, and the reply grants the
-// dictionary (and flate) that was asked for — a grant smaller than the
-// ask is fine (Hello.Match). There is no downgrade: a peer from another
-// build generation is refused at connect, not served a lesser wire.
+// Every line travels plain: one JSON object per '\n'-terminated line.
+// RemoteShard opens every connection with a hello and fails the dial
+// unless the reply names ModeShard, v equals this build's
+// ProtocolVersion, and the reply grants the dictionary its WireMode
+// asked for — a grant smaller than the ask is fine (Hello.Match).
+// There is no downgrade: a peer from another build generation is
+// refused at connect, not served a lesser wire. gateway.Pool sends no
+// hello; its identify lines need nothing negotiated.
 //
-// On a dictionary connection, "enc":"dict" matrices are dictionary
+// On a shard dictionary connection, "enc":"dict" matrices are dictionary
 // entries ('F' full, 'R' plus the base64url of the 8-byte content hash
 // for an exact reference, 'D' a near-match diff); the recurring
 // device-type names (discriminate candidates; classify accepts, best,
@@ -60,8 +60,9 @@
 // literal, and map keys are reference-or-literal only (marshal order is
 // not definition order); and correlated shard replies drop the op echo
 // (the line echo correlates; hello replies and pushes keep theirs).
-// "enc":"dict" without a negotiated dictionary, and a classify batch
-// with an empty or unknown enc, are refused non-retryably.
+// "enc":"dict" without a negotiated dictionary, a classify batch with
+// an empty or unknown enc, and an identify line carrying any enc are
+// refused non-retryably.
 //
 // A dictionary and its name tables are strictly per-connection state:
 // encoder transactions commit only for lines actually written, the
@@ -206,9 +207,9 @@ const ProtocolVersion = 4
 // an identify request.
 const (
 	// OpHello negotiates: both server modes answer with their mode
-	// ("verdict" or "shard"), ProtocolVersion and the wire-compression
-	// grants, so mismatched clients fail cleanly at connect instead of
-	// mid-pipeline.
+	// ("verdict" or "shard") and ProtocolVersion — a shard server also
+	// with its dictionary grant — so mismatched clients fail cleanly at
+	// connect instead of mid-pipeline.
 	OpHello = "hello"
 	// OpMeta asks a shard server for its type list and version.
 	OpMeta = "meta"
@@ -241,29 +242,23 @@ const (
 const deltaEncoding = "delta"
 
 // DictEncoding is the Enc value selecting dictionary-coded F matrices
-// (fingerprint.Dict entries) in classify, discriminate and identify
-// requests — valid only on a connection whose hello negotiated a
+// (fingerprint.Dict entries) in classify and discriminate requests —
+// valid only on a shard connection whose hello negotiated a
 // dictionary.
 const DictEncoding = "dict"
 
-// CompFlate is the hello Comp value asking for framed flate transport
-// compression after the handshake.
-const CompFlate = "flate"
-
-// DefaultDictSize is the per-connection dictionary capacity clients
-// propose at hello: enough for a fleet's distinct recurring device
-// models without holding a one-off matrix forever.
+// DefaultDictSize is the per-connection dictionary capacity a WireDict
+// RemoteShard asks for at hello: enough for a fleet's distinct
+// recurring device models without holding a one-off matrix forever.
 const DefaultDictSize = 512
 
 // MaxDictSize caps the dictionary capacity a server agrees to,
 // bounding per-connection memory whatever a client asks for.
 const MaxDictSize = 4096
 
-// WireMode selects a client stack's wire compression: off (no
-// connection state: delta-packed classify batches, packed identify and
-// discriminate matrices, plain lines), the per-connection fingerprint
-// dictionary, or the dictionary plus framed flate transport
-// compression. The zero value is off.
+// WireMode selects a RemoteShard's wire: off (no connection state:
+// delta-packed classify batches, packed discriminate matrices) or the
+// per-connection fingerprint dictionary. The zero value is off.
 type WireMode int
 
 const (
@@ -271,21 +266,14 @@ const (
 	WireOff WireMode = iota
 	// WireDict negotiates the per-connection fingerprint dictionary.
 	WireDict
-	// WireDictFlate negotiates the dictionary plus framed flate
-	// transport compression for the residual bytes.
-	WireDictFlate
 )
 
 // String renders the mode as the sentinel-eval -wire flag spells it.
 func (m WireMode) String() string {
-	switch m {
-	case WireDict:
+	if m == WireDict {
 		return "dict"
-	case WireDictFlate:
-		return "dict+flate"
-	default:
-		return "off"
 	}
+	return "off"
 }
 
 // ParseWireMode parses the sentinel-eval -wire flag values.
@@ -295,53 +283,44 @@ func ParseWireMode(s string) (WireMode, error) {
 		return WireOff, nil
 	case "dict":
 		return WireDict, nil
-	case "dict+flate", "flate+dict":
-		return WireDictFlate, nil
 	}
-	return WireOff, fmt.Errorf("iotssp: unknown wire mode %q (want off, dict or dict+flate)", s)
+	return WireOff, fmt.Errorf("iotssp: unknown wire mode %q (want off or dict)", s)
 }
 
-// HelloLine is the handshake line a client opens a connection with:
-// the hello plus the dictionary (and flate) asks wire makes, dictSize
-// being the capacity asked for.
-func HelloLine(wire WireMode, dictSize int) []byte {
+// helloLine is the handshake line a RemoteShard opens a connection
+// with: the hello plus, for WireDict, the DefaultDictSize ask.
+func helloLine(wire WireMode) []byte {
 	req := shardRequest{Op: OpHello}
-	if wire != WireOff {
-		req.Dict = dictSize
-	}
-	if wire == WireDictFlate {
-		req.Comp = CompFlate
+	if wire == WireDict {
+		req.Dict = DefaultDictSize
 	}
 	line, _ := json.Marshal(req)
 	return append(line, '\n')
 }
 
 // Hello is the negotiation a hello reply carries, embedded in both
-// server modes' reply lines: the serving mode, the protocol version and
-// the wire-compression grants. It is empty on every other reply.
+// server modes' reply lines: the serving mode, the protocol version
+// and, from a shard server, the dictionary grant. It is empty on every
+// other reply.
 type Hello struct {
 	Mode string `json:"mode,omitempty"`
 	V    int    `json:"v,omitempty"`
-	// Comp == CompFlate means frames follow this reply; Dict is the
-	// agreed per-connection dictionary capacity.
-	Comp string `json:"comp,omitempty"`
-	Dict int    `json:"dict,omitempty"`
+	// Dict is the agreed per-connection dictionary capacity.
+	Dict int `json:"dict,omitempty"`
 }
 
-// Match is the strict hello check both clients apply before a fresh
-// connection serves traffic: the reply must name mode, speak exactly
-// ProtocolVersion, and grant the dictionary (and flate) that wire
-// asked for. The error names the mismatch.
-func (h Hello) Match(mode string, wire WireMode) error {
+// Match is the strict hello check RemoteShard applies before a fresh
+// connection serves traffic: the reply must name ModeShard, speak
+// exactly ProtocolVersion, and grant the dictionary that wire asked
+// for. The error names the mismatch.
+func (h Hello) Match(wire WireMode) error {
 	switch {
-	case h.Mode != mode:
-		return fmt.Errorf("peer is not a %s server (mode %q)", mode, h.Mode)
+	case h.Mode != ModeShard:
+		return fmt.Errorf("peer is not a %s server (mode %q)", ModeShard, h.Mode)
 	case h.V != ProtocolVersion:
 		return fmt.Errorf("peer speaks protocol v%d, want v%d", h.V, ProtocolVersion)
-	case wire != WireOff && h.Dict <= 0:
+	case wire == WireDict && h.Dict <= 0:
 		return fmt.Errorf("peer granted no fingerprint dictionary (wire %s)", wire)
-	case wire == WireDictFlate && h.Comp != CompFlate:
-		return fmt.Errorf("peer granted no flate framing (wire %s)", wire)
 	}
 	return nil
 }
@@ -355,16 +334,6 @@ type Request struct {
 	Op string `json:"op,omitempty"`
 	// Fingerprint is the device's fingerprint report (MAC + F matrix).
 	Fingerprint fingerprint.Report `json:"fingerprint"`
-	// Comp and Dict are the OpHello wire-compression asks: framed flate
-	// transport compression (CompFlate) and a per-connection fingerprint
-	// dictionary of the given capacity. The server's hello reply echoes
-	// what it agreed to.
-	Comp string `json:"comp,omitempty"`
-	Dict int    `json:"dict,omitempty"`
-	// Enc marks how Fingerprint's matrix travels: empty for the packed
-	// form, DictEncoding for a dictionary entry (Fingerprint.Packed then
-	// holds the entry; a negotiated dictionary is required).
-	Enc string `json:"enc,omitempty"`
 }
 
 // Response is the service's answer.
@@ -405,9 +374,6 @@ type Response struct {
 	// be retried after a backoff. Malformed-request errors are never
 	// retryable.
 	Retryable bool `json:"retryable,omitempty"`
-	// Hello surfaces the server's OpHello answer to a verdict-plane
-	// client (the reply travels as a shardResponse on the wire).
-	Hello
 }
 
 // CorrelationLine implements lineconn.Message: pipelined clients

@@ -44,13 +44,10 @@ type RemoteShardConfig struct {
 	// Seed seeds the jitter generator (0 selects 1).
 	Seed int64
 	// Wire selects the wire compression: WireOff (the default) keeps
-	// connections stateless, WireDict negotiates the per-connection
-	// fingerprint dictionary, WireDictFlate adds framed flate transport.
-	// A peer whose hello grants less than the mode asks is refused.
+	// connections stateless, WireDict negotiates a per-connection
+	// fingerprint dictionary of DefaultDictSize entries. A peer whose
+	// hello grants no dictionary to a WireDict client is refused.
 	Wire WireMode
-	// DictSize is the dictionary capacity asked for in the hello (the
-	// server may cap it to MaxDictSize). 0 selects DefaultDictSize.
-	DictSize int
 }
 
 func (c RemoteShardConfig) withDefaults() RemoteShardConfig {
@@ -74,9 +71,6 @@ func (c RemoteShardConfig) withDefaults() RemoteShardConfig {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.DictSize <= 0 {
-		c.DictSize = DefaultDictSize
 	}
 	return c
 }
@@ -177,14 +171,14 @@ func NewRemoteShard(addr string, cfg RemoteShardConfig) *RemoteShard {
 		Jitter: backoff.NewJitter(cfg.Seed),
 	}
 	// The hello subscribes the connection to the shard's delta pushes
-	// and carries the wire-compression asks.
+	// and carries the dictionary ask.
 	opts := lineconn.Options[shardResponse]{
 		Counters:   rs.transport,
-		Hello:      HelloLine(cfg.Wire, cfg.DictSize),
+		Hello:      helloLine(cfg.Wire),
 		CheckHello: rs.checkHello,
 		Push:       rs.handlePush,
 	}
-	if cfg.Wire != WireOff {
+	if cfg.Wire == WireDict {
 		// The per-incarnation codec state: a dictionary sized by the
 		// server's grant. A reconnect rebuilds it empty — exactly when
 		// the server's side resets too, which is what keeps the pair
@@ -192,7 +186,6 @@ func NewRemoteShard(addr string, cfg RemoteShardConfig) *RemoteShard {
 		opts.NewState = func(h shardResponse) any {
 			return &connDict{dict: fingerprint.NewDict(h.Dict)}
 		}
-		opts.Framed = func(h shardResponse) bool { return h.Comp == CompFlate }
 		// Responses on a dict connection intern the type names they
 		// repeat (accepts, best, score keys); expansion must follow the
 		// server's definition order, which is wire order — so it runs on
@@ -233,7 +226,7 @@ func (rs *RemoteShard) checkHello(resp shardResponse) error {
 	if resp.Error != "" {
 		return fmt.Errorf("iotssp: shard hello to %s: %s", rs.addr, resp.Error)
 	}
-	if err := resp.Hello.Match(ModeShard, rs.cfg.Wire); err != nil {
+	if err := resp.Hello.Match(rs.cfg.Wire); err != nil {
 		return fmt.Errorf("iotssp: shard hello to %s: %w", rs.addr, err)
 	}
 	rs.observeVersion(resp.Version)

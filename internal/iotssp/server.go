@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fingerprint"
-	"repro/internal/lineconn"
 	"repro/internal/stats"
 )
 
@@ -334,13 +333,9 @@ func (w *connWriter) shutdown() {
 }
 
 // pump encodes queued responses until the channel closes or the
-// connection breaks. A switchFrames sentinel in the queue flushes
-// everything before it plain and wraps the writer in the framed-flate
-// transport for everything after — the hello reply granting
-// compression is the last plain line the client sees.
+// connection breaks.
 func (w *connWriter) pump() {
 	bw := bufio.NewWriter(w.conn)
-	var fw *lineconn.FrameWriter
 	enc := json.NewEncoder(bw)
 	fail := func() {
 		w.conn.Close()
@@ -348,45 +343,39 @@ func (w *connWriter) pump() {
 		}
 	}
 	for resp := range w.ch {
-		if _, ok := resp.(switchFrames); ok {
-			if err := bw.Flush(); err != nil {
-				fail()
-				return
-			}
-			fw = lineconn.NewFrameWriter(bw)
-			enc = json.NewEncoder(fw)
-			continue
-		}
 		if err := enc.Encode(resp); err != nil {
 			fail()
 			return
 		}
 		// Flush eagerly when the queue is empty so single requests are
-		// answered immediately; coalesce writes — and, framed, compress
-		// them as one frame — under load.
+		// answered immediately; coalesce writes under load.
 		if len(w.ch) == 0 {
-			if fw != nil {
-				if _, err := fw.Flush(); err != nil {
-					fail()
-					return
-				}
-			}
 			if err := bw.Flush(); err != nil {
 				fail()
 				return
 			}
 		}
 	}
-	if fw != nil {
-		fw.Flush()
-	}
 	bw.Flush()
+}
+
+// identifyLine is a verdict-mode request line as the read pump decodes
+// it: Request's fields plus any "enc" it carries, which the plain
+// identify wire refuses (a client still coding against a dictionary the
+// server never grants). The fields are spelled out rather than
+// embedding Request: encoding/json allocates per decode for fields
+// reached through an embedded struct.
+type identifyLine struct {
+	Op          string             `json:"op,omitempty"`
+	Fingerprint fingerprint.Report `json:"fingerprint"`
+	Enc         json.RawMessage    `json:"enc"`
 }
 
 // handleConn is a connection's read pump: it scans JSON lines, answers
 // malformed ones in place (with the offending line number, keeping the
 // connection alive), and enqueues decoded requests to the dispatcher —
-// or answers with a retryable error when the queue is full.
+// or answers with a retryable error when the queue is full. A verdict
+// connection holds no state: every line decodes on its own.
 func (s *Server) handleConn(conn net.Conn) {
 	w := &connWriter{conn: conn, srv: s, ch: make(chan any, s.cfg.WriteQueue)}
 	var pumpDone sync.WaitGroup
@@ -404,11 +393,10 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 
 	ls := newLineScanner(conn)
-	cw := &connWire{}
 	var line uint64
 	for ls.Scan() {
 		line++
-		var req Request
+		var req identifyLine
 		if err := json.Unmarshal(ls.Bytes(), &req); err != nil {
 			s.malformed.Add(1)
 			if !w.send(Response{Line: line, Error: fmt.Sprintf("line %d: malformed request: %v", line, err)}) {
@@ -418,23 +406,12 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		if req.Op != "" {
 			// Verbs against the verdict endpoint: introduce ourselves to a
-			// hello (negotiating the wire compression it may ask for),
-			// reject shard verbs cleanly (the client dialed the wrong kind
-			// of server; retrying here cannot help).
+			// hello, granting none of the asks it may carry, and reject
+			// shard verbs cleanly (the client dialed the wrong kind of
+			// server; retrying here cannot help).
 			if req.Op == OpHello {
-				resp := shardResponse{Op: OpHello, Line: line, Hello: Hello{Mode: ModeVerdict, V: ProtocolVersion}}
-				cw.negotiate(&resp.Hello, req.Comp, req.Dict)
-				if !w.send(resp) {
+				if !w.send(shardResponse{Op: OpHello, Line: line, Hello: Hello{Mode: ModeVerdict, V: ProtocolVersion}}) {
 					return
-				}
-				if cw.compPending {
-					// The grant above goes out plain; frame everything after.
-					cw.compPending = false
-					cw.comp = true
-					if !w.send(switchFrames{}) {
-						return
-					}
-					ls.startFrames()
 				}
 			} else if !w.send(Response{Line: line, Error: fmt.Sprintf(
 				"line %d: this server speaks the identify protocol (%s mode); shard op %q is not served here", line, ModeVerdict, req.Op)}) {
@@ -442,30 +419,16 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 			continue
 		}
-		var mac string
-		var fp *fingerprint.Fingerprint
-		var err error
-		if req.Enc == DictEncoding {
-			// Dictionary-coded identify: the packed field carries a
-			// fingerprint.Dict entry against this connection's dictionary.
-			if cw.dict == nil {
-				s.malformed.Add(1)
-				w.send(Response{MAC: req.Fingerprint.MAC, Line: line, Error: fmt.Sprintf(
-					"line %d: encoding %q requires a hello-negotiated dictionary", line, req.Enc)})
-				return // protocol misuse of a stateful codec: sever
-			}
-			mac = req.Fingerprint.MAC
-			txn := cw.dict.Begin()
-			fp, err = txn.Unpack(req.Fingerprint.Packed)
-			if err != nil {
-				// Dictionaries can no longer be trusted to agree: answer,
-				// then sever so the reconnect resets both ends.
-				s.malformed.Add(1)
-				w.send(Response{MAC: mac, Line: line, Error: fmt.Sprintf("line %d: %v", line, err)})
+		if req.Enc != nil {
+			s.malformed.Add(1)
+			if !w.send(Response{MAC: req.Fingerprint.MAC, Line: line, Error: fmt.Sprintf(
+				"line %d: identify requests carry no encoding (got enc %s)", line, req.Enc)}) {
 				return
 			}
-			txn.Commit()
-		} else if mac, fp, err = fingerprint.UnmarshalReportStruct(req.Fingerprint); err != nil {
+			continue
+		}
+		mac, fp, err := fingerprint.UnmarshalReportStruct(req.Fingerprint)
+		if err != nil {
 			s.malformed.Add(1)
 			if !w.send(Response{MAC: req.Fingerprint.MAC, Line: line, Error: fmt.Sprintf("line %d: %v", line, err)}) {
 				return

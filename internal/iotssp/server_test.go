@@ -459,3 +459,102 @@ func TestServerOutOfOrderResponsesCarryCorrelation(t *testing.T) {
 		t.Errorf("lines never answered: %v", want)
 	}
 }
+
+// TestServerRefusesEncodedIdentifyLines: the verdict wire is plain
+// packed lines, so an identify line carrying any "enc" — a client
+// coding against a dictionary the server never grants — is answered as
+// malformed and non-retryable, and the connection keeps serving.
+func TestServerRefusesEncodedIdentifyLines(t *testing.T) {
+	svc, ds := testService(t)
+	srv, addr := startServer(t, svc, ServerConfig{})
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	good := requestLine(t, "02:00:00:00:00:01", ds["Aria"][0])
+	encoded := []string{`"dict"`, `"delta"`, `""`, `null`, `7`}
+	var payload []byte
+	for _, enc := range encoded {
+		// A well-formed packed report, so only the enc can be at fault.
+		line := strings.Replace(string(good), `{"fingerprint"`, `{"enc":`+enc+`,"fingerprint"`, 1)
+		payload = append(payload, line...)
+	}
+	payload = append(payload, good...)
+	if _, err := conn.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(conn)
+	byLine := make(map[uint64]Response)
+	for i := 0; i <= len(encoded); i++ {
+		raw, err := br.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("reading response %d: %v", i, err)
+		}
+		var resp Response
+		if err := json.Unmarshal(raw, &resp); err != nil {
+			t.Fatalf("decoding response %d: %v", i, err)
+		}
+		byLine[resp.Line] = resp
+	}
+	for i, enc := range encoded {
+		line := uint64(i + 1)
+		resp := byLine[line]
+		if resp.Error == "" || resp.Retryable || resp.MAC != "02:00:00:00:00:01" ||
+			!strings.Contains(resp.Error, fmt.Sprintf("line %d", line)) {
+			t.Errorf("identify with enc %s answered %+v, want a non-retryable error citing line %d", enc, resp, line)
+		}
+	}
+	if resp := byLine[uint64(len(encoded)+1)]; resp.Error != "" || resp.DeviceType != "Aria" {
+		t.Errorf("plain line after the refused ones: %+v", resp)
+	}
+	if st := srv.Counters(); st.Malformed != uint64(len(encoded)) || st.Requests != 1 {
+		t.Errorf("malformed=%d requests=%d, want %d and 1", st.Malformed, st.Requests, len(encoded))
+	}
+}
+
+// TestVerdictHelloGrantsNothing: a verdict connection holds no state,
+// so a hello asking for a dictionary and flate framing is answered
+// with the mode and protocol version alone, and the lines after it
+// stay plain.
+func TestVerdictHelloGrantsNothing(t *testing.T) {
+	svc, ds := testService(t)
+	_, addr := startServer(t, svc, ServerConfig{})
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	payload := []byte(`{"op":"hello","dict":512,"comp":"flate"}` + "\n")
+	payload = append(payload, requestLine(t, "02:00:00:00:00:02", ds["HueBridge"][0])...)
+	if _, err := conn.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(conn)
+	raw, err := br.ReadBytes('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hello map[string]any
+	if err := json.Unmarshal(raw, &hello); err != nil {
+		t.Fatalf("hello reply %q: %v", raw, err)
+	}
+	want := map[string]any{"op": OpHello, "line": float64(1), "mode": ModeVerdict, "v": float64(ProtocolVersion)}
+	if fmt.Sprint(hello) != fmt.Sprint(want) {
+		t.Fatalf("hello reply %s, want exactly %v", raw, want)
+	}
+	raw, err = br.ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("reading the verdict after the hello: %v", err)
+	}
+	var resp Response
+	if err := json.Unmarshal(raw, &resp); err != nil || resp.Line != 2 || resp.DeviceType != "HueBridge" {
+		t.Fatalf("identify after the hello = %s (%v)", raw, err)
+	}
+}

@@ -48,7 +48,7 @@ func FuzzShardOp(f *testing.F) {
 		}
 		cw := &connWire{}
 		if dict {
-			cw.negotiate(&Hello{}, "", 8)
+			cw.negotiate(&Hello{}, 8)
 		}
 		resp := srv.serveShardOp(req, 1, cw)
 		switch {

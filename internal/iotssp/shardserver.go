@@ -29,11 +29,9 @@ type shardRequest struct {
 	// OpEnroll, OpRemove, OpSnapshot or OpRestore. Empty means the line
 	// is an identify request that reached a shard endpoint by mistake.
 	Op string `json:"op"`
-	// Comp and Dict are the OpHello wire-compression asks: Comp ==
-	// CompFlate requests framed flate transport, Dict > 0 a
+	// Dict is the OpHello dictionary ask: Dict > 0 requests a
 	// per-connection fingerprint dictionary of that capacity.
-	Comp string `json:"comp,omitempty"`
-	Dict int    `json:"dict,omitempty"`
+	Dict int `json:"dict,omitempty"`
 	// Batch is the encoded F matrix of every fingerprint to classify
 	// (OpClassify), batch order preserved in the reply.
 	Batch []string `json:"batch,omitempty"`
@@ -64,7 +62,7 @@ type shardRequest struct {
 type shardResponse struct {
 	Op   string `json:"op,omitempty"`
 	Line uint64 `json:"line,omitempty"`
-	// Hello answers OpHello (mode, ProtocolVersion, grants).
+	// Hello answers OpHello (mode, ProtocolVersion, dictionary grant).
 	Hello
 	// Version is the shard's enrolment version after handling the
 	// request.
@@ -136,8 +134,8 @@ func (s *Server) ShardBank() *core.Bank { return s.shard }
 // microseconds — so they run on their own goroutine and answer out of
 // order through the write pump; classify/discriminate stay inline, and
 // the pipelined line echo keeps correlation exact either way. The
-// connection's wire-compression state (dictionary, framing) lives on
-// this stack and dies with the connection.
+// connection's dictionary state lives on this stack and dies with the
+// connection.
 func (s *Server) handleShardConn(conn net.Conn, w *connWriter) {
 	defer s.unsubscribe(w)
 	ls := newLineScanner(conn)
@@ -217,19 +215,8 @@ func (s *Server) handleShardConn(conn net.Conn, w *connWriter) {
 			return
 		}
 		if req.Op == OpHello {
-			// The hello reply granting flate goes out plain; the sentinel
-			// tells the write pump to frame everything after it, and the
-			// scanner expects frames from the client's next line. Only then
-			// is the connection registered for delta pushes, so no plain
-			// push can slip between the grant and the first frame.
-			if cw.compPending {
-				cw.compPending = false
-				cw.comp = true
-				if !w.send(switchFrames{}) {
-					return
-				}
-				ls.startFrames()
-			}
+			// Subscribe only once the reply is queued, so no push can
+			// precede it.
 			s.subscribe(w)
 		}
 		if cw.fatal {
@@ -242,7 +229,7 @@ func (s *Server) handleShardConn(conn net.Conn, w *connWriter) {
 }
 
 // serveShardOp answers one inline shard verb. cw is the connection's
-// wire-compression state: hellos negotiate into it, dictionary-coded
+// dictionary state: hellos negotiate into it, dictionary-coded
 // batches decode against it, and a failed dictionary decode marks it
 // fatal so the read pump severs after the error reply.
 func (s *Server) serveShardOp(req shardRequest, line uint64, cw *connWire) shardResponse {
@@ -250,7 +237,7 @@ func (s *Server) serveShardOp(req shardRequest, line uint64, cw *connWire) shard
 	case OpHello:
 		// The read pump subscribes the connection after sending this reply.
 		resp := shardResponse{Op: OpHello, Line: line, Hello: Hello{Mode: ModeShard, V: ProtocolVersion}, Version: s.shard.Version()}
-		cw.negotiate(&resp.Hello, req.Comp, req.Dict)
+		cw.negotiate(&resp.Hello, req.Dict)
 		return resp
 	case OpMeta:
 		s.requests.Add(1)

@@ -7,16 +7,16 @@ import (
 	"net"
 
 	"repro/internal/fingerprint"
-	"repro/internal/lineconn"
 )
 
-// Server-side wire-compression state. Each connection owns one
-// connWire: the per-connection fingerprint dictionary (nil until a
-// hello negotiates one) and the framed-flate handshake state. The read pump is the only writer, so no locking —
-// dictionary coherence depends on decoding requests in connection line
-// order, which the single read pump guarantees.
+// Server-side dictionary state. Each shard connection owns one
+// connWire: the per-connection fingerprint dictionary and name tables,
+// nil until a hello negotiates them. The read pump is the only writer,
+// so no locking — dictionary coherence depends on decoding requests in
+// connection line order, which the single read pump guarantees.
+// Verdict connections hold none: their identify lines are plain.
 
-// connWire is one connection's negotiated wire-compression state.
+// connWire is one shard connection's negotiated dictionary state.
 type connWire struct {
 	// dict is the per-connection fingerprint dictionary, created by the
 	// first hello that asks for one. It lives and dies with the TCP
@@ -24,11 +24,6 @@ type connWire struct {
 	// on both ends, which is what keeps the two coherent.
 	dict     *fingerprint.Dict
 	dictSize int
-	// comp reports that responses travel as compressed frames;
-	// compPending that the hello granting them has not been sent yet
-	// (the grant itself must go out plain).
-	comp        bool
-	compPending bool
 	// reqNames and respNames are the connection's type-name intern
 	// tables (one per direction), created with the dictionary: requests
 	// reference candidate names they sent before, responses reference
@@ -42,16 +37,10 @@ type connWire struct {
 	fatal bool
 }
 
-// switchFrames is the write pump's in-band signal to start framing:
-// everything queued before it (the hello reply granting flate) is
-// flushed plain, everything after travels compressed.
-type switchFrames struct{}
-
-// negotiate applies a hello's wire-compression asks to the connection
-// and echoes the grants into the hello reply. Repeated hellos re-echo
-// the standing grants without resetting the dictionary or
-// double-switching the framing.
-func (cw *connWire) negotiate(resp *Hello, comp string, dictAsk int) {
+// negotiate applies a hello's dictionary ask to the connection and
+// echoes the grant into the hello reply. Repeated hellos re-echo the
+// standing grant without resetting the dictionary.
+func (cw *connWire) negotiate(resp *Hello, dictAsk int) {
 	if dictAsk > 0 && cw.dict == nil {
 		size := dictAsk
 		if size > MaxDictSize {
@@ -65,25 +54,17 @@ func (cw *connWire) negotiate(resp *Hello, comp string, dictAsk int) {
 	if cw.dictSize > 0 {
 		resp.Dict = cw.dictSize
 	}
-	if comp == CompFlate && !cw.comp && !cw.compPending {
-		cw.compPending = true
-	}
-	if cw.comp || cw.compPending {
-		resp.Comp = CompFlate
-	}
 }
 
 // maxLineBytes caps one request line.
 const maxLineBytes = 16 * 1024 * 1024
 
-// lineScanner reads request lines off a connection, in either wire
-// shape: plain '\n'-terminated JSON lines, or — after startFrames —
-// lines carried inside compressed frames. It mirrors bufio.Scanner's
-// contract (Scan/Bytes/Err, a final unterminated line is still
-// returned) so the read pumps keep their shape.
+// lineScanner reads '\n'-terminated request lines off a connection,
+// capped at maxLineBytes. It mirrors bufio.Scanner's contract
+// (Scan/Bytes/Err, a final unterminated line is still returned) so the
+// read pumps keep their shape.
 type lineScanner struct {
 	br   *bufio.Reader
-	fr   *lineconn.FrameReader
 	line []byte
 	buf  []byte
 	err  error
@@ -93,28 +74,10 @@ func newLineScanner(conn net.Conn) *lineScanner {
 	return &lineScanner{br: bufio.NewReaderSize(conn, 64*1024)}
 }
 
-// startFrames switches the scanner to the framed transport. Bytes
-// already buffered stay in play: the first frame may begin immediately
-// after the hello line that negotiated it.
-func (s *lineScanner) startFrames() {
-	s.fr = lineconn.NewFrameReader(s.br)
-}
-
 // Scan advances to the next request line.
 func (s *lineScanner) Scan() bool {
 	if s.err != nil {
 		return false
-	}
-	if s.fr != nil {
-		line, _, err := s.fr.Next()
-		if err != nil {
-			if err != io.EOF {
-				s.err = err
-			}
-			return false
-		}
-		s.line = trimLine(line)
-		return true
 	}
 	s.buf = s.buf[:0]
 	for {

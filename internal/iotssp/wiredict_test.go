@@ -28,8 +28,8 @@ func dictRemote(t *testing.T, addr string, wire WireMode) *RemoteShard {
 	return rs
 }
 
-// TestRemoteShardWireDictBitEqual: the dictionary-coded wire (with and
-// without framed flate) answers bit-equal to the plain wire and the
+// TestRemoteShardWireDictBitEqual: the dictionary-coded wire answers
+// bit-equal to the plain wire and the
 // local bank, while writing a fraction of the bytes on a recurring
 // workload.
 func TestRemoteShardWireDictBitEqual(t *testing.T) {
@@ -41,7 +41,7 @@ func TestRemoteShardWireDictBitEqual(t *testing.T) {
 
 	const rounds = 8
 	types := local.Types()
-	for _, wire := range []WireMode{WireDict, WireDictFlate} {
+	for _, wire := range []WireMode{WireDict} {
 		t.Run(wire.String(), func(t *testing.T) {
 			remote := dictRemote(t, replica.Addr(), wire)
 			for round := 0; round < rounds; round++ {

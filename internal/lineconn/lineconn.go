@@ -47,24 +47,21 @@
 // serves traffic, so a mode or version mismatch fails the dial cleanly
 // instead of surfacing mid-pipeline.
 //
-// # Per-incarnation codec state and framed compression
+// # Per-incarnation codec state
 //
 // A dictionary wire makes connections stateful: both ends of one
-// connection keep a fingerprint dictionary that must stay in lockstep,
-// and the residual line stream may travel as compressed frames. The
-// transport owns the lifecycle for both. Options.NewState builds a
-// fresh codec-state value from each successful handshake reply — the
+// connection keep a fingerprint dictionary that must stay in lockstep.
+// The transport owns its lifecycle. Options.NewState builds a fresh
+// codec-state value from each successful handshake reply — the
 // connection incarnation IS the state's generation, so a severed
 // connection can never encode against state the peer no longer holds —
-// and encoder callbacks (RoundTripEnc/RoundTripBatchEnc) run against
-// that state under the connection lock, atomically with the write that
-// ships their output. Options.Framed inspects the same reply to decide
-// whether everything after the handshake is framed flate
-// (FrameWriter/FrameReader); the hello itself always travels
-// uncompressed both ways. Handshake bytes, push bytes and
-// dictionary hit/miss/reference-byte tallies are counted separately so
-// steady-state bytes/verdict can be measured without the negotiation
-// noise.
+// and RoundTripEnc's encoder callback runs against that state under the
+// connection lock, atomically with the write that ships its output;
+// Options.Inbound decodes responses against the same state on the read
+// pump. Every line travels plain, handshake included. Handshake bytes,
+// push bytes and dictionary hit/miss/reference-byte tallies are counted
+// separately so steady-state bytes/verdict can be measured without the
+// negotiation noise.
 //
 // Reconnects are lazy (the next round-trip redials) and the jittered
 // exponential backoff between retry attempts comes from the shared
@@ -132,7 +129,7 @@ type Stats struct {
 	// BytesWritten/BytesRead spent on handshake lines and their replies;
 	// PushBytesRead the subset of BytesRead spent on server-initiated
 	// push lines. Steady-state accounting subtracts them so a
-	// compression win is not diluted by negotiation traffic.
+	// dictionary win is not diluted by negotiation traffic.
 	HandshakeBytesWritten uint64 `json:"handshake_bytes_written,omitempty"`
 	HandshakeBytesRead    uint64 `json:"handshake_bytes_read,omitempty"`
 	PushBytesRead         uint64 `json:"push_bytes_read,omitempty"`
@@ -246,11 +243,6 @@ type Options[M Message] struct {
 	// builds a fresh one, so state never outlives the connection the
 	// peer mirrors it on. Requires Hello.
 	NewState func(M) any
-	// Framed, when non-nil, inspects the handshake reply and reports
-	// whether everything after the handshake travels as compressed
-	// frames (FrameWriter/FrameReader) instead of plain lines. Requires
-	// Hello; the handshake itself is always plain.
-	Framed func(M) bool
 	// Inbound, when non-nil, transforms every post-handshake response
 	// line on the read pump, in wire order, against the incarnation's
 	// codec state — the hook for stateful response codecs whose
@@ -272,23 +264,12 @@ type Options[M Message] struct {
 // untouched, since nothing will be written).
 type Encoder func(state any) ([]byte, error)
 
-// Sizes reports one round-trip's payload byte counts: the request line
-// as encoded (pre-framing) and the correlated response line as decoded
-// (post-deframing). On a plain connection these equal wire bytes; on a
-// framed connection the wire cost is the compressed frames, counted in
-// Stats.BytesWritten/BytesRead. Clients use Sizes to attribute payload
+// Sizes reports one round-trip's byte counts: the request line written
+// and the correlated response line read. Clients use Sizes to attribute
 // bytes to traffic classes (state transfer versus steady-state
-// classifies) independently of transport compression.
+// classifies).
 type Sizes struct {
 	Wrote, Read int
-}
-
-// pumpStart is the handshake decision ensureConnLocked hands the read
-// pump: whether the rest of the stream is framed, and the incarnation's
-// codec state for the Inbound hook.
-type pumpStart struct {
-	framed bool
-	state  any
 }
 
 // result is one completed round-trip.
@@ -303,22 +284,22 @@ type result[M Message] struct {
 // after any failure, and is safe for concurrent use — many goroutines
 // may have round-trips in flight at once.
 type Conn[M Message] struct {
-	addr       string
-	counters   *Counters
-	hello      []byte
-	check      func(M) error
-	push       func(M)
-	newState   func(M) any
-	framedHook func(M) bool
-	inbound    func(state any, msg M) (M, error)
+	addr     string
+	counters *Counters
+	hello    []byte
+	check    func(M) error
+	push     func(M)
+	newState func(M) any
+	inbound  func(state any, msg M) (M, error)
 
 	mu   sync.Mutex
 	conn net.Conn
 	// dialing is non-nil while one goroutine dials and handshakes; it is
 	// closed when that attempt resolves. Concurrent round-trips wait on
 	// it instead of treating the half-handshaken conn as established —
-	// a request written before the framing/state decision would go out
-	// plain and unstated on a connection the peer is about to frame.
+	// a request encoded before the handshake reply builds the codec
+	// state would go out unstated on a connection the peer holds state
+	// for.
 	dialing chan struct{}
 	// gen counts connection incarnations (the generation guard: pumps
 	// carry their generation and stale deliveries are discarded).
@@ -328,12 +309,9 @@ type Conn[M Message] struct {
 	lines   uint64
 	waiters map[uint64]chan result[M]
 	closed  bool
-	// state, framed and fw belong to the current incarnation: the codec
-	// state NewState built from its handshake reply, whether its
-	// post-handshake stream is framed, and the frame writer when so.
-	state  any
-	framed bool
-	fw     *FrameWriter
+	// state is the current incarnation's codec state, built by NewState
+	// from its handshake reply.
+	state any
 }
 
 // New creates a connection to addr (host:port). Nothing is dialed until
@@ -343,15 +321,14 @@ func New[M Message](addr string, opts Options[M]) *Conn[M] {
 		opts.Counters = NewCounters()
 	}
 	return &Conn[M]{
-		addr:       addr,
-		counters:   opts.Counters,
-		hello:      opts.Hello,
-		check:      opts.CheckHello,
-		push:       opts.Push,
-		newState:   opts.NewState,
-		framedHook: opts.Framed,
-		inbound:    opts.Inbound,
-		waiters:    make(map[uint64]chan result[M]),
+		addr:     addr,
+		counters: opts.Counters,
+		hello:    opts.Hello,
+		check:    opts.CheckHello,
+		push:     opts.Push,
+		newState: opts.NewState,
+		inbound:  opts.Inbound,
+		waiters:  make(map[uint64]chan result[M]),
 	}
 }
 
@@ -415,7 +392,7 @@ func (c *Conn[M]) ensureConnLocked(ctx context.Context, deadline time.Time) erro
 	c.conn = conn
 	c.gen++
 	c.lines = 0
-	c.state, c.framed, c.fw = nil, false, nil
+	c.state = nil
 	c.counters.dials.Add(1)
 	gen := c.gen
 	if len(c.hello) == 0 {
@@ -424,21 +401,21 @@ func (c *Conn[M]) ensureConnLocked(ctx context.Context, deadline time.Time) erro
 	}
 
 	// The handshake consumes line 1 of the fresh connection. The pump
-	// reads the reply plain, then blocks on decide: whether the rest of
-	// the stream is framed is known only after the reply is validated
-	// here, and the pump must not read past the reply until then (a
-	// framed peer may push frames right behind it).
+	// reads the reply, then blocks on decide for the incarnation's codec
+	// state: it is built only after the reply is validated here, and the
+	// Inbound hook must decode every later line against it (a peer may
+	// push lines right behind the reply).
 	c.lines = 1
 	helloCh := make(chan result[M], 1)
 	c.waiters[1] = helloCh
-	decide := make(chan pumpStart, 1)
+	decide := make(chan any, 1)
 	go c.readPump(conn, gen, decide)
 	conn.SetWriteDeadline(deadline)
 	if _, err := conn.Write(c.hello); err != nil {
 		// The pump is still blocked reading the reply; closing the
 		// socket in dropLocked unblocks it without a decision.
 		c.dropLocked(conn, err)
-		decide <- pumpStart{}
+		decide <- nil
 		return fmt.Errorf("lineconn: handshake with %s: %w", c.addr, err)
 	}
 	c.counters.bytesWritten.Add(uint64(len(c.hello)))
@@ -460,29 +437,25 @@ func (c *Conn[M]) ensureConnLocked(ctx context.Context, deadline time.Time) erro
 
 	if res.err != nil {
 		c.dropLocked(conn, res.err)
-		decide <- pumpStart{}
+		decide <- nil
 		return res.err
 	}
 	if c.check != nil {
 		if err := c.check(res.msg); err != nil {
 			c.dropLocked(conn, err)
-			decide <- pumpStart{}
+			decide <- nil
 			return err
 		}
 	}
 	if c.conn != conn {
 		// The connection died while the lock was released.
-		decide <- pumpStart{}
+		decide <- nil
 		return fmt.Errorf("lineconn: %s: connection lost during handshake", c.addr)
 	}
 	if c.newState != nil {
 		c.state = c.newState(res.msg)
 	}
-	if c.framedHook != nil && c.framedHook(res.msg) {
-		c.framed = true
-		c.fw = NewFrameWriter(conn)
-	}
-	decide <- pumpStart{framed: c.framed, state: c.state}
+	decide <- c.state
 	return nil
 }
 
@@ -551,22 +524,8 @@ func (c *Conn[M]) RoundTripEnc(ctx context.Context, enc Encoder, timeout time.Du
 // describe bodies[j]; a transport failure mid-burst fails the affected
 // entries (the caller decides whether to retry them individually).
 func (c *Conn[M]) RoundTripBatch(ctx context.Context, bodies [][]byte, timeout time.Duration) ([]M, []error) {
-	encs := make([]Encoder, len(bodies))
-	for j := range bodies {
-		body := bodies[j]
-		encs[j] = func(any) ([]byte, error) { return body, nil }
-	}
-	return c.RoundTripBatchEnc(ctx, encs, timeout)
-}
-
-// RoundTripBatchEnc is RoundTripBatch with each request line produced
-// by an Encoder against the connection's codec state, in burst order —
-// on a stateful connection the peer decodes the lines in exactly the
-// order they were encoded. An encoder error fails only its own entry
-// (no line is written for it); the rest of the burst proceeds.
-func (c *Conn[M]) RoundTripBatchEnc(ctx context.Context, encs []Encoder, timeout time.Duration) ([]M, []error) {
-	msgs := make([]M, len(encs))
-	errs := make([]error, len(encs))
+	msgs := make([]M, len(bodies))
+	errs := make([]error, len(bodies))
 	deadline := deadlineFor(ctx, timeout)
 
 	c.mu.Lock()
@@ -585,24 +544,17 @@ func (c *Conn[M]) RoundTripBatchEnc(ctx context.Context, encs []Encoder, timeout
 		return msgs, errs
 	}
 	conn := c.conn
-	chans := make([]chan result[M], len(encs))
+	chans := make([]chan result[M], len(bodies))
 	var burst []byte
-	registered := 0
-	for j, enc := range encs {
-		body, err := enc(c.state)
-		if err != nil {
-			errs[j] = err
-			continue
-		}
+	for j, body := range bodies {
 		chans[j] = make(chan result[M], 1)
 		c.lines++
 		c.waiters[c.lines] = chans[j]
 		burst = append(burst, body...)
-		registered++
 	}
-	if registered > 0 {
+	if len(bodies) > 0 {
 		c.counters.bursts.Add(1)
-		c.counters.burstReqs.Add(uint64(registered))
+		c.counters.burstReqs.Add(uint64(len(bodies)))
 		conn.SetWriteDeadline(deadline)
 		if err := c.writeLocked(conn, burst); err != nil {
 			// dropLocked fails every registered waiter, ours included; the
@@ -616,9 +568,6 @@ func (c *Conn[M]) RoundTripBatchEnc(ctx context.Context, encs []Encoder, timeout
 	defer timer.Stop()
 	severed := false
 	for j, ch := range chans {
-		if ch == nil {
-			continue // encoder failure; errs[j] already set
-		}
 		select {
 		case res := <-ch:
 			msgs[j], errs[j] = res.msg, res.err
@@ -641,27 +590,13 @@ func (c *Conn[M]) RoundTripBatchEnc(ctx context.Context, encs []Encoder, timeout
 	return msgs, errs
 }
 
-// writeLocked ships one already-encoded payload onto conn: directly on
-// a plain connection, or as one compressed frame when the incarnation
-// negotiated framing. Wire bytes (frame overhead included, compression
-// applied) land in the counters on success either way. Callers hold mu
-// with conn current.
+// writeLocked ships one already-encoded payload onto conn and counts
+// its bytes on success. Callers hold mu with conn current.
 func (c *Conn[M]) writeLocked(conn net.Conn, body []byte) error {
-	if !c.framed {
-		if _, err := conn.Write(body); err != nil {
-			return err
-		}
-		c.counters.bytesWritten.Add(uint64(len(body)))
-		return nil
-	}
-	if _, err := c.fw.Write(body); err != nil {
+	if _, err := conn.Write(body); err != nil {
 		return err
 	}
-	wire, err := c.fw.Flush()
-	if err != nil {
-		return err
-	}
-	c.counters.bytesWritten.Add(uint64(wire))
+	c.counters.bytesWritten.Add(uint64(len(body)))
 	return nil
 }
 
@@ -669,33 +604,20 @@ func (c *Conn[M]) writeLocked(conn net.Conn, body []byte) error {
 // the connection breaks or a younger incarnation takes over (buffered
 // lines can outlive the socket close; they must not resolve the new
 // connection's waiters). On a handshaking connection, decide carries
-// the framing decision: the pump reads exactly one plain line (the
+// the incarnation's codec state: the pump reads exactly one line (the
 // handshake reply), then waits for ensureConnLocked to validate it and
-// announce whether the rest of the stream is framed before reading on.
-func (c *Conn[M]) readPump(conn net.Conn, gen uint64, decide chan pumpStart) {
+// hand over the state the Inbound hook decodes later lines against.
+func (c *Conn[M]) readPump(conn net.Conn, gen uint64, decide chan any) {
 	br := bufio.NewReader(conn)
-	var fr *FrameReader
 	var state any
 	first := decide != nil
 	for {
-		var line []byte
-		var err error
-		if fr != nil {
-			var wire int
-			line, wire, err = fr.Next()
-			if err == nil {
-				c.counters.bytesRead.Add(uint64(wire))
-			}
-		} else {
-			line, err = br.ReadBytes('\n')
-			if err == nil {
-				c.counters.bytesRead.Add(uint64(len(line)))
-			}
-		}
+		line, err := br.ReadBytes('\n')
 		if err != nil {
 			c.fail(conn, fmt.Errorf("lineconn: reading from %s: %w", c.addr, err))
 			return
 		}
+		c.counters.bytesRead.Add(uint64(len(line)))
 		if first {
 			c.counters.handshakeRead.Add(uint64(len(line)))
 		}
@@ -716,11 +638,7 @@ func (c *Conn[M]) readPump(conn net.Conn, gen uint64, decide chan pumpStart) {
 		}
 		if first {
 			first = false
-			start := <-decide
-			state = start.state
-			if start.framed {
-				fr = NewFrameReader(br)
-			}
+			state = <-decide
 		}
 	}
 }
@@ -773,7 +691,7 @@ func (c *Conn[M]) dropLocked(conn net.Conn, err error) {
 	}
 	conn.Close()
 	c.conn = nil
-	c.state, c.framed, c.fw = nil, false, nil
+	c.state = nil
 	waiters := c.waiters
 	c.waiters = make(map[uint64]chan result[M])
 	for _, ch := range waiters {

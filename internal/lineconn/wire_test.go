@@ -6,18 +6,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// framedEchoServer speaks the v4-style negotiation: line 1 is a plain
-// hello answered plain with mode "framed", after which both directions
-// travel as compressed frames. Every later request line is echoed back
-// with its tag. killAfter > 0 severs each connection after that many
-// post-hello requests (testing state reset across reconnects).
-func framedEchoServer(t *testing.T, killAfter int) string {
+// statefulEchoServer answers a hello on line 1 with mode "stateful",
+// then echoes every later request line's tag. killAfter > 0 severs each
+// connection after that many post-hello requests (testing state reset
+// across reconnects).
+func statefulEchoServer(t *testing.T, killAfter int) string {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -36,13 +34,11 @@ func framedEchoServer(t *testing.T, killAfter int) string {
 				if _, err := br.ReadBytes('\n'); err != nil {
 					return
 				}
-				respond(t, conn, testMsg{Line: 1, Mode: "framed"})
-				fr := NewFrameReader(br)
-				fw := NewFrameWriter(conn)
+				respond(t, conn, testMsg{Line: 1, Mode: "stateful"})
 				line := uint64(1)
 				served := 0
 				for {
-					raw, _, err := fr.Next()
+					raw, err := br.ReadBytes('\n')
 					if err != nil {
 						return
 					}
@@ -51,11 +47,7 @@ func framedEchoServer(t *testing.T, killAfter int) string {
 					if err := json.Unmarshal(raw, &req); err != nil {
 						return
 					}
-					b, _ := json.Marshal(testMsg{Line: line, Tag: req.Tag})
-					fw.Write(append(b, '\n'))
-					if _, err := fw.Flush(); err != nil {
-						return
-					}
+					respond(t, conn, testMsg{Line: line, Tag: req.Tag})
 					served++
 					if killAfter > 0 && served >= killAfter {
 						return
@@ -67,16 +59,16 @@ func framedEchoServer(t *testing.T, killAfter int) string {
 	return lis.Addr().String()
 }
 
-// connState is the per-incarnation codec state of the framed tests: a
+// connState is the per-incarnation codec state of these tests: a
 // request counter proving encoders see the incarnation's own state.
 type connState struct{ sent int }
 
-func framedOptions(counters *Counters, births *atomic.Uint64) Options[testMsg] {
+func statefulOptions(counters *Counters, births *atomic.Uint64) Options[testMsg] {
 	return Options[testMsg]{
 		Counters: counters,
 		Hello:    []byte(`{"op":"hello"}` + "\n"),
 		CheckHello: func(m testMsg) error {
-			if m.Mode != "framed" {
+			if m.Mode != "stateful" {
 				return fmt.Errorf("mode %q", m.Mode)
 			}
 			return nil
@@ -87,54 +79,56 @@ func framedOptions(counters *Counters, births *atomic.Uint64) Options[testMsg] {
 			}
 			return &connState{}
 		},
-		Framed: func(m testMsg) bool { return m.Mode == "framed" },
 	}
 }
 
-func TestFramedConnectionRoundTripsAndCounts(t *testing.T) {
-	addr := framedEchoServer(t, 0)
+// TestStatefulConnectionThreadsStateAndCounts: encoders run against the
+// incarnation's state, and handshake bytes are counted apart from the
+// steady-state lines.
+func TestStatefulConnectionThreadsStateAndCounts(t *testing.T) {
+	addr := statefulEchoServer(t, 0)
 	counters := NewCounters()
-	c := New[testMsg](addr, framedOptions(counters, nil))
+	c := New[testMsg](addr, statefulOptions(counters, nil))
 	defer c.Close()
 
-	// A highly repetitive payload must cost fewer wire bytes than
-	// payload bytes once frames carry it.
-	tag := strings.Repeat("recurring-model-", 256)
-	var payloadOut int
+	var out, in int
 	for i := 0; i < 8; i++ {
 		enc := func(state any) ([]byte, error) {
 			st := state.(*connState)
 			st.sent++
-			return reqLine(fmt.Sprintf("%s#%d", tag, st.sent)), nil
+			return reqLine(fmt.Sprintf("n%d", st.sent)), nil
 		}
 		msg, sizes, err := c.RoundTripEnc(context.Background(), enc, 2*time.Second)
 		if err != nil {
 			t.Fatalf("round-trip %d: %v", i, err)
 		}
-		if want := fmt.Sprintf("%s#%d", tag, i+1); msg.Tag != want {
-			t.Fatalf("round-trip %d echoed %.40q, state not threaded", i, msg.Tag)
+		if want := fmt.Sprintf("n%d", i+1); msg.Tag != want {
+			t.Fatalf("round-trip %d echoed %q, want %q: state not threaded", i, msg.Tag, want)
 		}
 		if sizes.Wrote == 0 || sizes.Read == 0 {
 			t.Fatalf("round-trip %d sizes = %+v", i, sizes)
 		}
-		payloadOut += sizes.Wrote
+		out += sizes.Wrote
+		in += sizes.Read
 	}
 
 	st := counters.Snapshot()
 	if st.HandshakeBytesWritten == 0 || st.HandshakeBytesRead == 0 {
 		t.Fatalf("handshake bytes not accounted: %+v", st)
 	}
-	steadyOut := st.BytesWritten - st.HandshakeBytesWritten
-	if steadyOut == 0 || steadyOut >= uint64(payloadOut) {
-		t.Fatalf("framed steady-state wrote %d wire bytes for %d payload bytes — no compression", steadyOut, payloadOut)
+	if got := st.BytesWritten - st.HandshakeBytesWritten; got != uint64(out) {
+		t.Errorf("steady bytes written %d, want the %d the round-trips reported", got, out)
+	}
+	if got := st.BytesRead - st.HandshakeBytesRead; got != uint64(in) {
+		t.Errorf("steady bytes read %d, want the %d the round-trips reported", got, in)
 	}
 }
 
-func TestFramedStateResetsOnReconnect(t *testing.T) {
-	addr := framedEchoServer(t, 3)
+func TestStateResetsOnReconnect(t *testing.T) {
+	addr := statefulEchoServer(t, 3)
 	counters := NewCounters()
 	var births atomic.Uint64
-	c := New[testMsg](addr, framedOptions(counters, &births))
+	c := New[testMsg](addr, statefulOptions(counters, &births))
 	defer c.Close()
 
 	firstOfConn := 0
@@ -165,17 +159,17 @@ func TestFramedStateResetsOnReconnect(t *testing.T) {
 	}
 }
 
-func TestPlainHelloPeerStaysUnframed(t *testing.T) {
-	// A peer that answers the hello without the framed mode keeps the
-	// connection plain: Framed/NewState hooks negotiate down.
+func TestStatelessHelloReplyGetsNilState(t *testing.T) {
+	// A NewState hook that declines the reply leaves the connection
+	// stateless: encoders see nil.
 	addr := scriptedServer(t, func(conn net.Conn, line int, raw []byte) bool {
 		respond(t, conn, testMsg{Line: uint64(line), Tag: "plain"})
 		return true
 	})
-	opts := framedOptions(NewCounters(), nil)
-	opts.CheckHello = nil // accept any hello reply; mode decides framing
+	opts := statefulOptions(NewCounters(), nil)
+	opts.CheckHello = nil // accept any hello reply; mode decides state
 	opts.NewState = func(m testMsg) any {
-		if m.Mode == "framed" {
+		if m.Mode == "stateful" {
 			return &connState{}
 		}
 		return nil
@@ -185,7 +179,7 @@ func TestPlainHelloPeerStaysUnframed(t *testing.T) {
 
 	enc := func(state any) ([]byte, error) {
 		if state != nil {
-			return nil, fmt.Errorf("downgraded peer got state %T", state)
+			return nil, fmt.Errorf("stateless peer got state %T", state)
 		}
 		return reqLine("x"), nil
 	}
