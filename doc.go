@@ -69,16 +69,18 @@
 // timer: batches grow with load, a lone request leaves at once),
 // answering overload with retryable backpressure responses instead of
 // unbounded queues. Identification results are cached in an LRU keyed
-// by the canonical fingerprint hash (fingerprint.Hash), with
-// singleflight collapsing of duplicate in-flight fingerprints — the
+// by a per-service seeded maphash of the fingerprint's canonical bytes
+// (fingerprint.AppendBinary), probed on the raw frame bytes before any
+// decode, with singleflight collapsing of duplicate in-flight
+// fingerprints — the
 // fleet's repeat device models cost a cache probe instead of a forest
 // pass — while the isolation level is assessed against the
 // vulnerability repository on every request, so a new advisory
 // re-levels the next verdict. On the client side,
 // gateway.Pool multiplexes pipelined requests over N persistent
-// connections (correlated by MAC and line, reconnecting with jittered
-// backoff from a per-pool seeded source), and the compact packed wire
-// form of fingerprint reports keeps protocol CPU out of the hot path.
+// connections (correlated by line, reconnecting with jittered backoff
+// from a per-pool seeded source), and binary identify and verdict
+// frames — no JSON, no base64 — keep protocol CPU out of the hot path.
 // The load experiment (experiments.RunService) replays a multi-gateway
 // fleet workload over TCP and reports throughput against the
 // per-request baseline, cache hit rate, latency percentiles and a

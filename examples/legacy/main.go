@@ -103,15 +103,7 @@ func main() {
 		log.Fatal(err)
 	}
 	tr := p.GenerateStandby(env, 555, 0, 30)
-	resp := svc.Handle(mustRequest(p.MAC.String(), tr.Fingerprint()))
+	resp := svc.Identify(p.MAC.String(), tr.Fingerprint())
 	fmt.Printf("\nIoTSSP verdict for the camera's standby traffic: type=%s level=%s advisories=%v\n",
 		resp.DeviceType, resp.Level, resp.Vulnerabilities)
-}
-
-func mustRequest(mac string, fp *fingerprint.Fingerprint) iotssp.Request {
-	report, err := fingerprint.MarshalReportStruct(mac, fp)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return iotssp.Request{Fingerprint: report}
 }

@@ -86,8 +86,9 @@ func Unpack(packed string) (*Fingerprint, error) {
 
 // AppendBinary appends the raw binary form of the F matrix to buf — the
 // same row-major zigzag varints as Pack, without the base64 shell. It
-// is the fingerprint encoding inside bank snapshots, where the
-// container is already binary and length-prefixed.
+// is the canonical matrix encoding: bank snapshots store it, identify
+// frames carry it, and the verdict cache keys entries by a seeded hash
+// of it.
 func AppendBinary(buf []byte, f *Fingerprint) []byte {
 	for _, v := range f.vectors {
 		for _, c := range v {
@@ -97,31 +98,63 @@ func AppendBinary(buf []byte, f *Fingerprint) []byte {
 	return buf
 }
 
+// CheckBinary validates an AppendBinary encoding without decoding it:
+// every varint complete and within int32, and a positive whole number
+// of packet columns. It allocates nothing, so a server can refuse a
+// hostile matrix before it spends anything on it. Data CheckBinary
+// accepts, DecodeBinary decodes.
+func CheckBinary(data []byte) error {
+	_, err := binaryValues(data)
+	return err
+}
+
+// binaryValues counts the values of a valid AppendBinary encoding.
+func binaryValues(data []byte) (int, error) {
+	n := 0
+	for len(data) > 0 {
+		u, k := binary.Uvarint(data)
+		if k <= 0 {
+			return 0, fmt.Errorf("decoding fingerprint matrix: truncated varint")
+		}
+		if u > 0xffffffff {
+			return 0, fmt.Errorf("decoding fingerprint matrix: value overflows int32")
+		}
+		data = data[k:]
+		n++
+	}
+	if n == 0 || n%features.NumFeatures != 0 {
+		return 0, fmt.Errorf("decoding fingerprint matrix: %d values, want a positive multiple of %d",
+			n, features.NumFeatures)
+	}
+	return n, nil
+}
+
 // DecodeBinary decodes an AppendBinary encoding. The whole of data must
 // be consumed; corrupt or truncated input returns an error, never
-// panics (the snapshot fuzz harness holds the codec to that).
+// panics (the snapshot fuzz harness holds the codec to that). It
+// decodes straight into one vector slice and drops consecutive
+// duplicate columns in place, so a fingerprint costs two allocations
+// whatever its length.
 func DecodeBinary(data []byte) (*Fingerprint, error) {
-	var flat []int32
-	for len(data) > 0 {
-		u, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, fmt.Errorf("decoding fingerprint snapshot: truncated matrix")
-		}
-		data = data[n:]
-		if u > 0xffffffff {
-			return nil, fmt.Errorf("decoding fingerprint snapshot: value overflows int32")
-		}
-		flat = append(flat, int32(uint32(u)>>1)^-int32(u&1))
+	n, err := binaryValues(data)
+	if err != nil {
+		return nil, err
 	}
-	if len(flat) == 0 || len(flat)%features.NumFeatures != 0 {
-		return nil, fmt.Errorf("decoding fingerprint snapshot: matrix holds %d values, want a positive multiple of %d",
-			len(flat), features.NumFeatures)
-	}
-	vs := make([]features.Vector, len(flat)/features.NumFeatures)
+	vs := make([]features.Vector, n/features.NumFeatures)
 	for i := range vs {
-		copy(vs[i][:], flat[i*features.NumFeatures:(i+1)*features.NumFeatures])
+		for j := range vs[i] {
+			u, k := binary.Uvarint(data)
+			data = data[k:]
+			vs[i][j] = int32(uint32(u)>>1) ^ -int32(u&1)
+		}
 	}
-	return FromVectors(vs), nil
+	out := vs[:1]
+	for _, v := range vs[1:] {
+		if v != out[len(out)-1] {
+			out = append(out, v)
+		}
+	}
+	return &Fingerprint{vectors: out}, nil
 }
 
 // PackDelta encodes a fingerprint's F matrix into the delta-packed wire

@@ -139,6 +139,9 @@ func FuzzDecodeBinary(f *testing.F) {
 	f.Add([]byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fp, err := DecodeBinary(data)
+		if cerr := CheckBinary(data); (cerr == nil) != (err == nil) {
+			t.Fatalf("CheckBinary says %v, DecodeBinary says %v", cerr, err)
+		}
 		if err != nil {
 			return
 		}
@@ -151,4 +154,28 @@ func FuzzDecodeBinary(f *testing.F) {
 			t.Fatal("AppendBinary/DecodeBinary not a fixpoint")
 		}
 	})
+}
+
+// TestDecodeBinaryAllocs bounds the cache-miss decode: a 13-packet
+// print decodes into one vector slice plus the Fingerprint, duplicate
+// columns dropped in place, and checking it allocates nothing.
+func TestDecodeBinaryAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	fp := similarMatrix(rng, 13)
+	vs := fp.Vectors()
+	vs = append(vs[:4], append([]features.Vector{vs[3]}, vs[4:]...)...) // one repeated column
+	data := AppendBinary(nil, &Fingerprint{vectors: vs})
+	got, err := DecodeBinary(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(fp) {
+		t.Fatal("decode did not drop the repeated column")
+	}
+	if n := testing.AllocsPerRun(50, func() { DecodeBinary(data) }); n > 2 {
+		t.Errorf("DecodeBinary: %.0f allocations, want at most 2", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { CheckBinary(data) }); n != 0 {
+		t.Errorf("CheckBinary: %.0f allocations, want 0", n)
+	}
 }

@@ -165,7 +165,7 @@ type dictOp struct {
 }
 
 // DictTxn stages the dictionary effects of one request (one classify
-// batch, or one identify line). Pack/Unpack record mutations against an
+// batch, or one discriminate line). Pack/Unpack record mutations against an
 // overlay; Commit replays them onto the dictionary once the request is
 // actually on its way. Dropping an uncommitted transaction aborts it:
 // the dictionary is exactly as before, which is what keeps a failed

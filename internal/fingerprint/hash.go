@@ -9,15 +9,17 @@ const (
 // Hash returns a canonical 64-bit FNV-1a hash of the variable-length
 // fingerprint F. Two fingerprints with identical packet sequences hash
 // identically, regardless of how they were constructed, so the hash can
-// key caches and deterministic derivations (verdict caching in the IoT
-// Security Service, reference sampling in the discrimination stage).
+// key deterministic derivations (reference sampling in the
+// discrimination stage, dictionary entries on the shard wire). It is
+// unkeyed, so it must not key anything a remote peer can aim
+// collisions at: the IoT Security Service keys its verdict cache with
+// a per-service seeded hash of AppendBinary instead.
 //
 // The hash folds every component of every feature vector in sequence
 // order as little-endian uint32s; it is not a cryptographic digest, but
 // at 64 bits accidental collisions between the fingerprints a deployment
-// observes are negligible. The FNV-1a loop is inlined: the hash runs
-// on every cache miss, where hash/fnv's per-element Write calls cost
-// more than the folding itself.
+// observes are negligible. The FNV-1a loop is inlined: hash/fnv's
+// per-element Write calls cost more than the folding itself.
 func (f *Fingerprint) Hash() uint64 {
 	h := uint64(fnvOffset64)
 	for _, v := range f.vectors {

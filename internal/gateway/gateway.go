@@ -59,15 +59,10 @@ type LocalService struct {
 
 // Identify implements Identifier.
 func (l LocalService) Identify(_ context.Context, mac string, fp *fingerprint.Fingerprint) (iotssp.Response, error) {
-	report, err := fingerprint.MarshalReportStruct(mac, fp)
-	if err != nil {
-		return iotssp.Response{}, err
+	if fp == nil {
+		return iotssp.Response{}, fmt.Errorf("gateway: identify %s: %w", mac, errNilFingerprint)
 	}
-	resp := l.Svc.Handle(iotssp.Request{Fingerprint: report})
-	if resp.Error != "" {
-		return resp, fmt.Errorf("gateway: service error: %s", resp.Error)
-	}
-	return resp, nil
+	return l.Svc.Identify(mac, fp), nil
 }
 
 // IdentifyBatch implements BatchIdentifier straight onto the service's

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,11 +78,12 @@ func (s PoolStats) Snapshot() stats.Snapshot {
 // Pool is a pooled TCP client for the IoT Security Service: N
 // persistent connections with pipelined request multiplexing over
 // internal/lineconn. Connections carry no handshake and no state:
-// every identify line is a plain packed fingerprint report, so the
-// service keeps nothing about the gateway between requests. Each device
-// MAC maps to a fixed connection (spreading the fleet across the pool
-// while keeping a device's requests together), many requests ride each
-// connection at once with responses matched by the service's line
+// every request is one binary identify frame
+// (iotssp.AppendIdentifyFrame) and every reply one verdict frame, so
+// the service keeps nothing about the gateway between requests. Each
+// device MAC maps to a fixed connection (spreading the fleet across the
+// pool while keeping a device's requests together), many requests ride
+// each connection at once with responses matched by the service's line
 // echo, and broken connections redial lazily with jittered exponential
 // backoff. Pool implements Identifier and is safe for concurrent use by
 // the gateway's identification workers.
@@ -108,7 +108,7 @@ func NewPool(addr string, cfg PoolConfig) *Pool {
 		transport: lineconn.NewCounters(),
 	}
 	p.retry = lineconn.Retry{Base: cfg.RetryBackoff, Jitter: backoff.NewJitter(cfg.Seed)}
-	opts := lineconn.Options[iotssp.Response]{Counters: p.transport}
+	opts := lineconn.Options[iotssp.Response]{Counters: p.transport, Decoder: iotssp.NewVerdictReader}
 	p.conns = make([]*lineconn.Conn[iotssp.Response], cfg.Conns)
 	for i := range p.conns {
 		p.conns[i] = lineconn.New[iotssp.Response](addr, opts)
@@ -138,11 +138,14 @@ func (p *Pool) Healthy() bool {
 	return !p.unhealthy.Load()
 }
 
-// pick maps a MAC to its home connection.
+// pick maps a MAC to its home connection by the MAC's 32-bit FNV-1a
+// hash (inlined: hash/fnv allocates per call).
 func (p *Pool) pick(mac string) *lineconn.Conn[iotssp.Response] {
-	h := fnv.New32a()
-	h.Write([]byte(mac))
-	return p.conns[h.Sum32()%uint32(len(p.conns))]
+	h := uint32(2166136261)
+	for i := 0; i < len(mac); i++ {
+		h = (h ^ uint32(mac[i])) * 16777619
+	}
+	return p.conns[h%uint32(len(p.conns))]
 }
 
 // Identify implements Identifier: it submits the fingerprint over the
@@ -160,10 +163,7 @@ func (p *Pool) identify(ctx context.Context, mac string, fp *fingerprint.Fingerp
 	if fp == nil {
 		return iotssp.Response{}, fmt.Errorf("gateway: identify %s: %w", mac, errNilFingerprint)
 	}
-	body, err := marshalIdentify(mac, fp)
-	if err != nil {
-		return iotssp.Response{}, fmt.Errorf("gateway: identify %s: %w", mac, err)
-	}
+	body := iotssp.AppendIdentifyFrame(nil, mac, fp)
 	pc := p.pick(mac)
 	var lastErr error
 	for attempt := 0; attempt <= p.cfg.MaxRetries; attempt++ {
@@ -175,6 +175,7 @@ func (p *Pool) identify(ctx context.Context, mac string, fp *fingerprint.Fingerp
 			}
 		}
 		resp, err := pc.RoundTrip(ctx, body, p.cfg.Timeout)
+		resp.MAC = mac
 		if err != nil {
 			lastErr = err
 			if ctx.Err() != nil {
@@ -202,27 +203,13 @@ func (p *Pool) identify(ctx context.Context, mac string, fp *fingerprint.Fingerp
 	return iotssp.Response{}, fmt.Errorf("gateway: identify %s: %w", mac, lastErr)
 }
 
-// errNilFingerprint is the non-retryable marshal failure of the
-// identify paths (everything else about a fingerprint packs).
+// errNilFingerprint is the non-retryable encode failure of the
+// identify paths (everything else about a fingerprint encodes).
 var errNilFingerprint = fmt.Errorf("nil fingerprint")
-
-// marshalIdentify encodes one identify request line (packed fingerprint
-// report plus trailing newline).
-func marshalIdentify(mac string, fp *fingerprint.Fingerprint) ([]byte, error) {
-	report, err := fingerprint.MarshalReportPacked(mac, fp)
-	if err != nil {
-		return nil, err
-	}
-	body, err := json.Marshal(iotssp.Request{Fingerprint: report})
-	if err != nil {
-		return nil, fmt.Errorf("gateway: encoding request: %w", err)
-	}
-	return append(body, '\n'), nil
-}
 
 // IdentifyBatch implements BatchIdentifier: the batch is grouped by
 // each MAC's home connection and every group goes out as one pipelined
-// burst — a single write carrying all the group's request lines — with
+// burst — a single write carrying all the group's request frames — with
 // the multiplexed responses correlated by line echo as usual. Entries
 // that fail retryably (transport errors, service backpressure) fall
 // back to the single-request path, which carries the jittered-backoff
@@ -245,12 +232,7 @@ func (p *Pool) IdentifyBatch(ctx context.Context, macs []string, fps []*fingerpr
 			errs[i] = fmt.Errorf("gateway: identify %s: %w", mac, errNilFingerprint)
 			continue
 		}
-		body, err := marshalIdentify(mac, fps[i])
-		if err != nil {
-			errs[i] = fmt.Errorf("gateway: identify %s: %w", mac, err)
-			continue
-		}
-		bodies[i] = body
+		bodies[i] = iotssp.AppendIdentifyFrame(nil, mac, fps[i])
 		pc := p.pick(mac)
 		groups[pc] = append(groups[pc], i)
 	}
@@ -268,6 +250,7 @@ func (p *Pool) IdentifyBatch(ctx context.Context, macs []string, fps []*fingerpr
 			got, gerrs := pc.RoundTripBatch(ctx, burst, p.cfg.Timeout)
 			for j, i := range idxs {
 				resps[i], errs[i] = got[j], gerrs[j]
+				resps[i].MAC = macs[i]
 			}
 		}(pc, idxs)
 	}
@@ -286,7 +269,7 @@ func (p *Pool) IdentifyBatch(ctx context.Context, macs []string, fps []*fingerpr
 				continue
 			}
 		} else if bodies[i] == nil {
-			continue // unencodable fingerprints cannot be retried
+			continue // nil fingerprints cannot be retried
 		}
 		p.retries.Add(1)
 		resps[i], errs[i] = p.identify(ctx, macs[i], fps[i])

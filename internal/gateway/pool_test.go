@@ -3,7 +3,6 @@ package gateway
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"reflect"
@@ -94,9 +93,9 @@ func probeFor(t *testing.T, name string) *devicesProbe {
 	return &devicesProbe{fp: traces[0].Fingerprint()}
 }
 
-// fakeService runs a hand-scripted JSON-lines peer for failure
-// injection. handle is called per connection with its decoded request
-// lines; returning false closes the connection.
+// fakeService runs a hand-scripted frame peer for failure injection.
+// handle is called per connection with its decoded identify frames;
+// returning false closes the connection.
 func fakeService(t *testing.T, handle func(conn net.Conn, count int, req iotssp.Request) bool) string {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -115,15 +114,11 @@ func fakeService(t *testing.T, handle func(conn net.Conn, count int, req iotssp.
 				br := bufio.NewReader(conn)
 				count := 0
 				for {
-					line, err := br.ReadBytes('\n')
+					req, err := iotssp.ReadRequest(br)
 					if err != nil {
 						return
 					}
 					count++
-					var req iotssp.Request
-					if err := json.Unmarshal(line, &req); err != nil {
-						return
-					}
 					if !handle(conn, count, req) {
 						return
 					}
@@ -134,14 +129,8 @@ func fakeService(t *testing.T, handle func(conn net.Conn, count int, req iotssp.
 	return lis.Addr().String()
 }
 
-func respondJSON(t *testing.T, conn net.Conn, resp iotssp.Response) {
-	t.Helper()
-	b, err := json.Marshal(resp)
-	if err != nil {
-		t.Error(err)
-		return
-	}
-	conn.Write(append(b, '\n'))
+func respond(conn net.Conn, resp iotssp.Response) {
+	conn.Write(iotssp.AppendVerdictFrame(nil, &resp))
 }
 
 func TestPoolRetriesBackpressure(t *testing.T) {
@@ -156,15 +145,14 @@ func TestPoolRetriesBackpressure(t *testing.T) {
 		}
 		mu.Unlock()
 		if first {
-			respondJSON(t, conn, iotssp.Response{
-				MAC:       req.Fingerprint.MAC,
+			respond(conn, iotssp.Response{
 				Line:      uint64(count),
 				Error:     "server overloaded: request queue full",
 				Retryable: true,
 			})
 			return true
 		}
-		respondJSON(t, conn, iotssp.Response{MAC: req.Fingerprint.MAC, Line: uint64(count), Known: true, DeviceType: "Aria", Stage: "classification", Level: "trusted"})
+		respond(conn, iotssp.Response{Line: uint64(count), Known: true, DeviceType: "Aria", Stage: "classification", Level: "trusted"})
 		return true
 	})
 
@@ -185,7 +173,7 @@ func TestPoolRetriesBackpressure(t *testing.T) {
 func TestPoolReconnectsAfterConnDrop(t *testing.T) {
 	probe := probeFor(t, "Aria")
 	addr := fakeService(t, func(conn net.Conn, count int, req iotssp.Request) bool {
-		respondJSON(t, conn, iotssp.Response{MAC: req.Fingerprint.MAC, Line: uint64(count), Known: true, DeviceType: "Aria", Stage: "classification", Level: "trusted"})
+		respond(conn, iotssp.Response{Line: uint64(count), Known: true, DeviceType: "Aria", Stage: "classification", Level: "trusted"})
 		return count < 1 // close after the first response on each connection
 	})
 
@@ -225,8 +213,8 @@ func TestPoolMultiplexesOutOfOrderResponses(t *testing.T) {
 		}
 		for i := len(parked) - 1; i >= 0; i-- {
 			p := parked[i]
-			respondJSON(t, conn, iotssp.Response{
-				MAC: p.req.Fingerprint.MAC, Line: uint64(p.line), Known: true,
+			respond(conn, iotssp.Response{
+				Line: uint64(p.line), Known: true,
 				DeviceType: fmt.Sprintf("type-for-line-%d", p.line),
 				Stage:      "classification", Level: "trusted",
 			})
@@ -377,14 +365,14 @@ func TestPoolIdentifyBatchFallsBackOnBackpressure(t *testing.T) {
 		}
 		mu.Unlock()
 		if first {
-			respondJSON(t, conn, iotssp.Response{
-				MAC: req.Fingerprint.MAC, Line: uint64(count),
+			respond(conn, iotssp.Response{
+				Line:  uint64(count),
 				Error: "overloaded", Retryable: true,
 			})
 			return true
 		}
-		respondJSON(t, conn, iotssp.Response{
-			MAC: req.Fingerprint.MAC, Line: uint64(count), Known: true,
+		respond(conn, iotssp.Response{
+			Line: uint64(count), Known: true,
 			DeviceType: "Aria", Stage: "classification", Level: "trusted",
 		})
 		return true
@@ -408,4 +396,33 @@ func TestPoolIdentifyBatchFallsBackOnBackpressure(t *testing.T) {
 	} else if st.Requests != uint64(len(macs)) {
 		t.Errorf("requests = %d, want %d (fallback retries must not double-count)", st.Requests, len(macs))
 	}
+}
+
+// TestPoolAndLocalServiceShareCacheKeys: an in-process caller and a
+// frame client key a print by the same canonical bytes, so a verdict
+// cached through LocalService is a hit when the print arrives as a Pool
+// frame, and the reverse.
+func TestPoolAndLocalServiceShareCacheKeys(t *testing.T) {
+	svc := trainedService(t, "Aria", "HueBridge")
+	pool := NewPool(startTestServer(t, svc), PoolConfig{Conns: 1, Seed: 5})
+	defer pool.Close()
+	local := LocalService{Svc: svc}
+	ctx := context.Background()
+
+	step := func(name string, id Identifier, fp *fingerprint.Fingerprint, wantHits, wantMisses uint64) {
+		t.Helper()
+		before := svc.CacheStats()
+		if _, err := id.Identify(ctx, "02:7a:00:00:00:01", fp); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		after := svc.CacheStats()
+		if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != wantHits || misses != wantMisses {
+			t.Errorf("%s: %d hits, %d misses; want %d and %d", name, hits, misses, wantHits, wantMisses)
+		}
+	}
+	aria, hue := probeFor(t, "Aria").fp, probeFor(t, "HueBridge").fp
+	step("local, first sight", local, aria, 0, 1)
+	step("pool frame after local", pool, aria, 1, 0)
+	step("pool frame, first sight", pool, hue, 0, 1)
+	step("local after pool frame", local, hue, 1, 0)
 }

@@ -392,17 +392,13 @@ func TestServiceShardScopedEnrollKeepsOtherShardVerdicts(t *testing.T) {
 func TestServiceSingleflightAcrossHandleCalls(t *testing.T) {
 	svc, ds := testService(t)
 	fp := ds["HueBridge"][0]
-	report, err := fingerprint.MarshalReportStruct("02:ab:00:00:00:01", fp)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const callers = 16
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp := svc.Handle(Request{Fingerprint: report})
+			resp := svc.Identify("02:ab:00:00:00:01", fp)
 			if resp.Error != "" || resp.DeviceType != "HueBridge" {
 				t.Errorf("storm response: %+v", resp)
 			}
@@ -411,7 +407,7 @@ func TestServiceSingleflightAcrossHandleCalls(t *testing.T) {
 	wg.Wait()
 	st := svc.CacheStats()
 	if st.Misses != 1 {
-		t.Fatalf("concurrent Handle storm computed %d verdicts, want 1 (%+v)", st.Misses, st)
+		t.Fatalf("concurrent Identify storm computed %d verdicts, want 1 (%+v)", st.Misses, st)
 	}
 	if st.Hits+st.Shared != callers-1 {
 		t.Errorf("storm stats do not add up: %+v", st)

@@ -5,20 +5,33 @@
 //
 // # Wire protocol
 //
-// The service speaks a JSON-lines protocol over TCP: one request object
-// per line, one reply object per line. It is stateless with respect
-// to its clients — it stores nothing about gateways between requests, so
-// gateways can reach it through an anonymizing transport.
+// The service speaks two wires over TCP. Identify requests from
+// Security Gateways travel as binary frames, one request frame and one
+// verdict frame each (frame.go has the layout); everything else is
+// JSON lines, one request object per line and one reply object per
+// line. The service is stateless with respect to its clients — it
+// stores nothing about gateways between requests, so gateways can
+// reach it through an anonymizing transport.
+//
+// Each message's first byte tells the two apart: an identify frame
+// opens with its kind byte (0x01), anything else is a JSON line. Both
+// server modes read both, so a client at the wrong kind of endpoint is
+// answered at once in its own wire, never left to wait out a deadline.
 //
 // A Server runs in one of two modes. A verdict server (NewServer)
-// answers identify requests — a line without an "op" — for Security
-// Gateways; a shard server (NewShardServer) hosts one core.Bank shard
-// of a distributed logical bank and answers the shard verbs. Both
-// answer the hello. One table covers every line:
+// answers identify frames for Security Gateways; a shard server
+// (NewShardServer) hosts one core.Bank shard of a distributed logical
+// bank and answers the shard verbs. Both answer the hello. One table
+// covers every message:
 //
-//	line               mode     fields and effect
-//	(identify)         verdict  fingerprint {mac, packed}; the reply
-//	                            is the verdict (Response)
+//	message            mode     fields and effect
+//	identify frame     verdict  the MAC and the F matrix as
+//	                            fingerprint.AppendBinary varints; the
+//	                            reply is a verdict frame (Response).
+//	                            A shard server refuses it retryably
+//	(JSON identify)    verdict  a line without an "op": refused
+//	                            non-retryably (identify travels only
+//	                            as frames)
 //	hello              both     the reply carries mode and v
 //	                            (ProtocolVersion). A shard hello may
 //	                            ask dict:N (a per-connection
@@ -42,14 +55,14 @@
 //	delta              shard    a push, no line echo: the new version
 //	                            and the changed type names
 //
-// Every line travels plain: one JSON object per '\n'-terminated line.
+// Every JSON line travels plain: one object per '\n'-terminated line.
 // RemoteShard opens every connection with a hello and fails the dial
 // unless the reply names ModeShard, v equals this build's
 // ProtocolVersion, and the reply grants the dictionary its WireMode
 // asked for — a grant smaller than the ask is fine (Hello.Match).
 // There is no downgrade: a peer from another build generation is
 // refused at connect, not served a lesser wire. gateway.Pool sends no
-// hello; its identify lines need nothing negotiated.
+// hello; its identify frames need nothing negotiated.
 //
 // On a shard dictionary connection, "enc":"dict" matrices are dictionary
 // entries ('F' full, 'R' plus the base64url of the 8-byte content hash
@@ -60,9 +73,8 @@
 // literal, and map keys are reference-or-literal only (marshal order is
 // not definition order); and correlated shard replies drop the op echo
 // (the line echo correlates; hello replies and pushes keep theirs).
-// "enc":"dict" without a negotiated dictionary, a classify batch with
-// an empty or unknown enc, and an identify line carrying any enc are
-// refused non-retryably.
+// "enc":"dict" without a negotiated dictionary and a classify batch
+// with an empty or unknown enc are refused non-retryably.
 //
 // A dictionary and its name tables are strictly per-connection state:
 // encoder transactions commit only for lines actually written, the
@@ -77,17 +89,21 @@
 // reorder them: the read pump answers malformed-request and
 // backpressure errors in place, ahead of earlier well-formed requests
 // still queued for the dispatcher; and verdicts are written as their
-// batch flushes complete. Every response therefore echoes the request's
-// MAC and its 1-based line number on the connection (the "line" field);
-// clients pipelining several requests on one connection must correlate
-// by line (MAC alone is ambiguous once two requests for one device are
-// in flight — the pooled gateway client correlates by line).
+// batch flushes complete. Every response therefore echoes the
+// request's 1-based message number on the connection (its line, frames
+// and JSON lines counted alike); clients pipelining several requests
+// on one connection correlate by line (a MAC would be ambiguous once
+// two requests for one device are in flight, so a verdict frame
+// carries none).
 //
 // Two kinds of error response exist:
 //
-//   - Malformed requests (bad JSON, wrong feature dimensionality) get a
-//     response whose "error" names the offending line number. The
-//     connection stays open; subsequent lines are processed normally.
+//   - Malformed requests (bad JSON, a matrix that is truncated or not
+//     a whole number of packet columns) get a response whose error
+//     names the offending line number. The connection stays open;
+//     subsequent messages are processed normally. Only a frame header
+//     the stream cannot be read past (a body over the frame cap, or
+//     cut short) severs the connection after its answer.
 //   - Backpressure: when the server's request queue or a connection's
 //     response queue is full, or the connection limit is reached, the
 //     server answers {"error": ..., "retryable": true} instead of
@@ -103,7 +119,10 @@
 // is queued when the previous one returns, up to BatchSize, and never
 // waits for more — so a lone request is identified at once, while
 // under load the requests that queue during one flush form the next,
-// and the service amortizes forest inference across the fleet. Served
+// and the service amortizes forest inference across the fleet. The
+// read pump checks each frame's varints without allocating and keys it
+// from its matrix bytes; the dispatcher decodes only the requests that
+// lead a cache miss, so a cache hit never builds a Fingerprint. Served
 // from a core.ShardedBank, each flush scatters across the bank's shards
 // concurrently and gathers the merged verdicts. Duplicate in-flight
 // fingerprints collapse to a single computation (singleflight); repeat
@@ -113,7 +132,12 @@
 // # Shard-versioned verdict cache
 //
 // Identification results (core.Result) are cached in an LRU keyed by
-// the canonical fingerprint hash (fingerprint.Hash); the isolation
+// maphash of the fingerprint's canonical bytes (fingerprint.AppendBinary,
+// exactly what an identify frame carries) under a random seed per
+// Service: in-process callers (Service.Identify, IdentifyBatch) encode
+// the fingerprint they hold and share the frames' entries, and since
+// the server never takes a hash from a client, a hostile gateway
+// cannot aim a collision at a popular model's entry. The isolation
 // level, advisories and permitted endpoints are assessed per request,
 // cache hits included, so an advisory added to the vulnerability
 // repository re-levels the very next verdict. Each entry is tagged
@@ -155,10 +179,10 @@
 // mints replacement group members by snapshot transfer — O(snapshot
 // bytes) instead of replaying and retraining the partition's enrolment
 // history — and the snapshot's canonical encoding makes bit-identity a
-// byte compare (core.SnapshotsEqual). Identify requests that reach a
-// shard endpoint get a clean retryable error naming the mode (never a
-// malformed-line reply); shard verbs against a verdict endpoint fail
-// non-retryably the same way. A shard served behind a Replica
+// byte compare (core.SnapshotsEqual). Identify frames that reach a
+// shard endpoint get a clean retryable verdict-frame refusal naming
+// the mode (never a malformed-line reply); shard verbs against a
+// verdict endpoint fail non-retryably the same way. A shard served behind a Replica
 // (NewShardReplica) restarts in place, and RemoteShard's
 // reconnect/retry with jittered backoff carries in-flight scatters
 // across the outage.
@@ -192,6 +216,8 @@ package iotssp
 import (
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/enforce"
@@ -203,8 +229,7 @@ import (
 // replies carry it, and clients refuse a peer whose reply differs.
 const ProtocolVersion = 4
 
-// Wire operations (the Request/shardRequest "op" field). An empty op is
-// an identify request.
+// Wire operations (the JSON lines' "op" field).
 const (
 	// OpHello negotiates: both server modes answer with their mode
 	// ("verdict" or "shard") and ProtocolVersion — a shard server also
@@ -325,55 +350,44 @@ func (h Hello) Match(wire WireMode) error {
 	return nil
 }
 
-// Request is one identification request from a Security Gateway.
-type Request struct {
-	// Op selects the wire operation. Empty means identify; OpHello asks
-	// the server to introduce itself. The shard verbs are only valid
-	// against a shard-serving server — a verdict server answers them
-	// with a non-retryable error naming its mode.
-	Op string `json:"op,omitempty"`
-	// Fingerprint is the device's fingerprint report (MAC + F matrix).
-	Fingerprint fingerprint.Report `json:"fingerprint"`
-}
-
 // Response is the service's answer.
 type Response struct {
-	// MAC echoes the device MAC from the request so the gateway can
-	// correlate concurrent requests.
-	MAC string `json:"mac"`
-	// Line echoes the 1-based request line number on the connection that
-	// carried it (0 for responses not tied to a connection line, e.g.
-	// from Service.Handle directly). With out-of-order responses it
-	// gives clients an exact correlation key.
-	Line uint64 `json:"line,omitempty"`
+	// MAC is the device MAC the verdict is for. It does not travel: a
+	// frame client stamps the MAC it asked about.
+	MAC string
+	// Line echoes the 1-based message number of the request on the
+	// connection that carried it (0 for verdicts not tied to a
+	// connection, e.g. from Service.Identify directly). With
+	// out-of-order responses it gives clients an exact correlation key.
+	Line uint64
 	// Known reports whether any classifier accepted the fingerprint.
-	Known bool `json:"known"`
+	Known bool
 	// DeviceType is the identified type (empty if unknown).
-	DeviceType string `json:"device_type,omitempty"`
+	DeviceType string
 	// Stage is the pipeline stage that decided ("classification",
 	// "discrimination" or "none").
-	Stage string `json:"stage"`
+	Stage string
 	// Level is the isolation level to enforce ("strict", "restricted",
 	// "trusted").
-	Level string `json:"level"`
+	Level string
 	// PermittedEndpoints lists the cloud endpoints a restricted device
 	// may contact, as dotted-quad strings.
-	PermittedEndpoints []string `json:"permitted_endpoints,omitempty"`
+	PermittedEndpoints []string
 	// Vulnerabilities lists the advisory IDs behind a restricted verdict.
-	Vulnerabilities []string `json:"vulnerabilities,omitempty"`
+	Vulnerabilities []string
 	// NotifyUser is set when the device has flaws reachable over
 	// channels the gateway cannot filter (Bluetooth, LTE, proprietary
 	// radios): isolation is insufficient and the user should remove the
 	// device (§III-C3). UncontrolledChannels names the channels.
-	NotifyUser           bool     `json:"notify_user,omitempty"`
-	UncontrolledChannels []string `json:"uncontrolled_channels,omitempty"`
+	NotifyUser           bool
+	UncontrolledChannels []string
 	// Error is set when the request could not be processed.
-	Error string `json:"error,omitempty"`
+	Error string
 	// Retryable marks an error as transient server backpressure (request
 	// queue full, connection limit): the request was well-formed and may
 	// be retried after a backoff. Malformed-request errors are never
 	// retryable.
-	Retryable bool `json:"retryable,omitempty"`
+	Retryable bool
 }
 
 // CorrelationLine implements lineconn.Message: pipelined clients
@@ -411,12 +425,15 @@ type Bank interface {
 }
 
 // Service identifies fingerprints and maps device-types to isolation
-// levels, caching verdicts by fingerprint hash. It is safe for
-// concurrent use — including concurrent use from several Servers, the
-// replicated-fleet topology where multiple listeners share one bank
-// and one verdict cache.
+// levels, caching verdicts by a seeded hash of the fingerprint's
+// canonical bytes. It is safe for concurrent use — including
+// concurrent use from several Servers, the replicated-fleet topology
+// where multiple listeners share one bank and one verdict cache.
 type Service struct {
 	bank Bank
+	// seed keys the verdict cache: a fresh random seed per Service, so
+	// no client can aim a hash collision at another print's entry.
+	seed maphash.Seed
 	db   *vulndb.DB
 	// endpoints maps device-type to the permitted cloud endpoints used
 	// for the Restricted level.
@@ -451,7 +468,7 @@ func NewService(bank Bank, cfg ServiceConfig) *Service {
 	for t, list := range cfg.Endpoints {
 		eps[t] = append([]string(nil), list...)
 	}
-	return &Service{bank: bank, db: cfg.DB, endpoints: eps, cache: newVerdictCache(cfg.CacheSize)}
+	return &Service{bank: bank, seed: maphash.MakeSeed(), db: cfg.DB, endpoints: eps, cache: newVerdictCache(cfg.CacheSize)}
 }
 
 // Bank returns the identification backend the service serves from.
@@ -483,35 +500,49 @@ func (s *Service) depsFor(res core.Result, snapshot []uint64) verdictDeps {
 	return depsOn(snapshot, shards)
 }
 
-// Handle processes one request.
-func (s *Service) Handle(req Request) Response {
-	mac, fp, err := fingerprint.UnmarshalReportStruct(req.Fingerprint)
-	if err != nil {
-		return Response{Error: err.Error()}
-	}
-	return s.Identify(mac, fp)
+// keyBufs recycles the scratch in-process callers encode a fingerprint
+// into to key it.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// keyBytes is the verdict-cache key of a matrix in
+// fingerprint.AppendBinary form: what identify frames carry.
+func (s *Service) keyBytes(matrix []byte) uint64 { return maphash.Bytes(s.seed, matrix) }
+
+// key is the verdict-cache key of a decoded fingerprint. It hashes the
+// same canonical bytes a frame carries, so in-process callers and
+// frame clients share cache entries.
+func (s *Service) key(fp *fingerprint.Fingerprint) uint64 {
+	buf := keyBufs.Get().(*[]byte)
+	*buf = fingerprint.AppendBinary((*buf)[:0], fp)
+	k := s.keyBytes(*buf)
+	keyBufs.Put(buf)
+	return k
 }
 
 // Identify returns the verdict for one decoded fingerprint, consulting
 // the verdict cache. Concurrent calls with the same fingerprint
 // collapse to one bank identification.
 func (s *Service) Identify(mac string, fp *fingerprint.Fingerprint) Response {
-	resp := s.verdict(fp)
+	var key uint64
+	if s.cache != nil {
+		key = s.key(fp)
+	}
+	resp := s.verdict(key, fp)
 	resp.MAC = mac
 	return resp
 }
 
-// verdict computes or recalls fp's identification and assesses it into
-// the MAC-less verdict. The version-vector snapshot is taken per
-// request — a few atomic loads and one small allocation, noise next to
-// the JSON encode every response pays, and the vector must outlive the
-// call anyway when a miss registers it on the singleflight flight.
-func (s *Service) verdict(fp *fingerprint.Fingerprint) Response {
+// verdict computes or recalls fp's identification under key and
+// assesses it into the MAC-less verdict. The version-vector snapshot is
+// taken per request — a few atomic loads and one small allocation, and
+// the vector must outlive the call anyway when a miss registers it on
+// the singleflight flight.
+func (s *Service) verdict(key uint64, fp *fingerprint.Fingerprint) Response {
 	if s.cache == nil {
 		return s.assemble(s.bank.Identify(fp))
 	}
 	snapshot := s.bank.Versions()
-	res, _ := s.cache.do(fp.Hash(), snapshot, func() (core.Result, verdictDeps, bool) {
+	res, _ := s.cache.do(key, snapshot, func() (core.Result, verdictDeps, bool) {
 		res := s.bank.Identify(fp)
 		return res, s.depsFor(res, snapshot), true
 	})
@@ -551,31 +582,6 @@ func (s *Service) assemble(res core.Result) Response {
 	return resp
 }
 
-// HandleBatch processes a batch of requests and returns responses in
-// input order. Well-formed requests flow through IdentifyBatch (cache,
-// dedup, batched bank inference); malformed ones get per-request error
-// responses without poisoning the rest of the batch.
-func (s *Service) HandleBatch(reqs []Request, workers int) []Response {
-	out := make([]Response, len(reqs))
-	macs := make([]string, 0, len(reqs))
-	fps := make([]*fingerprint.Fingerprint, 0, len(reqs))
-	idx := make([]int, 0, len(reqs))
-	for i, req := range reqs {
-		mac, fp, err := fingerprint.UnmarshalReportStruct(req.Fingerprint)
-		if err != nil {
-			out[i] = Response{Error: err.Error()}
-			continue
-		}
-		macs = append(macs, mac)
-		fps = append(fps, fp)
-		idx = append(idx, i)
-	}
-	for j, resp := range s.IdentifyBatch(macs, fps, workers) {
-		out[idx[j]] = resp
-	}
-	return out
-}
-
 // IdentifyBatch returns verdicts for decoded fingerprints in input
 // order, stamping macs[i] on the i-th response. Repeat fingerprints are
 // served from the verdict cache; the distinct misses are deduplicated
@@ -583,14 +589,51 @@ func (s *Service) HandleBatch(reqs []Request, workers int) []Response {
 // (<= 0 selects GOMAXPROCS); duplicates in flight elsewhere are waited
 // on rather than recomputed.
 func (s *Service) IdentifyBatch(macs []string, fps []*fingerprint.Fingerprint, workers int) []Response {
-	out := make([]Response, len(fps))
-	if len(fps) == 0 {
+	var keys []uint64
+	if s.cache != nil {
+		keys = make([]uint64, len(fps))
+		for i, fp := range fps {
+			keys[i] = s.key(fp)
+		}
+	}
+	out := s.identifyKeyed(len(fps), keys, func(i int) *fingerprint.Fingerprint { return fps[i] }, workers)
+	for i := range out {
+		out[i].MAC = macs[i]
+	}
+	return out
+}
+
+// identifyMatrices is IdentifyBatch for the server's dispatcher:
+// matrices are checked fingerprint.AppendBinary encodings and keys
+// their cache keys. Only the flights this batch leads are decoded, so a
+// cache hit never builds a Fingerprint.
+func (s *Service) identifyMatrices(keys []uint64, matrices [][]byte, workers int) []Response {
+	return s.identifyKeyed(len(matrices), keys, func(i int) *fingerprint.Fingerprint {
+		fp, err := fingerprint.DecodeBinary(matrices[i])
+		if err != nil {
+			// Unreachable: DecodeBinary decodes whatever CheckBinary
+			// passed (FuzzDecodeBinary holds them to it).
+			panic("iotssp: a checked matrix does not decode: " + err.Error())
+		}
+		return fp
+	}, workers)
+}
+
+// identifyKeyed is the batch verdict path over n requests: keys are
+// their cache keys (nil when caching is disabled) and fp(i) yields the
+// i-th fingerprint, called only when the bank must see it.
+func (s *Service) identifyKeyed(n int, keys []uint64, fp func(int) *fingerprint.Fingerprint, workers int) []Response {
+	out := make([]Response, n)
+	if n == 0 {
 		return out
 	}
 	if s.cache == nil {
+		fps := make([]*fingerprint.Fingerprint, n)
+		for i := range fps {
+			fps[i] = fp(i)
+		}
 		for i, res := range s.bank.IdentifyBatch(fps, workers) {
 			out[i] = s.assemble(res)
-			out[i].MAC = macs[i]
 		}
 		return out
 	}
@@ -600,20 +643,17 @@ func (s *Service) IdentifyBatch(macs []string, fps []*fingerprint.Fingerprint, w
 	// every batch index waiting on it.
 	type lead struct {
 		key  uint64
-		fp   *fingerprint.Fingerprint
 		f    *flight
 		idxs []int
 	}
 	type waiter struct {
 		idx int
-		fp  *fingerprint.Fingerprint
 		f   *flight
 	}
 	var leads []*lead
 	byKey := make(map[uint64]*lead)
 	var waits []waiter
-	for i, fp := range fps {
-		key := fp.Hash()
+	for i, key := range keys {
 		if l := byKey[key]; l != nil {
 			// In-batch duplicate: ride the leader's computation.
 			l.idxs = append(l.idxs, i)
@@ -625,9 +665,9 @@ func (s *Service) IdentifyBatch(macs []string, fps []*fingerprint.Fingerprint, w
 		case beginHit:
 			out[i] = s.assemble(res)
 		case beginShared:
-			waits = append(waits, waiter{idx: i, fp: fp, f: f})
+			waits = append(waits, waiter{idx: i, f: f})
 		default: // beginLeader
-			l := &lead{key: key, fp: fp, f: f, idxs: []int{i}}
+			l := &lead{key: key, f: f, idxs: []int{i}}
 			byKey[key] = l
 			leads = append(leads, l)
 		}
@@ -636,7 +676,7 @@ func (s *Service) IdentifyBatch(macs []string, fps []*fingerprint.Fingerprint, w
 	if len(leads) > 0 {
 		batch := make([]*fingerprint.Fingerprint, len(leads))
 		for j, l := range leads {
-			batch[j] = l.fp
+			batch[j] = fp(l.idxs[0])
 		}
 		results := s.bank.IdentifyBatch(batch, workers)
 		for j, l := range leads {
@@ -648,19 +688,15 @@ func (s *Service) IdentifyBatch(macs []string, fps []*fingerprint.Fingerprint, w
 		}
 	}
 
-	// Fingerprints being computed by concurrent callers (Handle or
+	// Fingerprints being computed by concurrent callers (Identify or
 	// another batch): wait for their verdicts.
 	for _, w := range waits {
 		<-w.f.done
 		if w.f.ok {
 			out[w.idx] = s.assemble(w.f.res)
 		} else {
-			out[w.idx] = s.verdict(w.fp)
+			out[w.idx] = s.verdict(keys[w.idx], fp(w.idx))
 		}
-	}
-
-	for i := range out {
-		out[i].MAC = macs[i]
 	}
 	return out
 }

@@ -1,10 +1,12 @@
 package iotssp
 
 import (
+	"bufio"
 	"context"
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/devices"
@@ -66,14 +68,9 @@ func TestHandleIdentifiesAndAssignsLevels(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.typ, func(t *testing.T) {
-			fp := ds[tt.typ][0]
-			report, err := fingerprint.MarshalReportStruct("02:00:00:00:00:77", fp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp := svc.Handle(Request{Fingerprint: report})
+			resp := svc.Identify("02:00:00:00:00:77", ds[tt.typ][0])
 			if resp.Error != "" {
-				t.Fatalf("Handle error: %s", resp.Error)
+				t.Fatalf("Identify error: %s", resp.Error)
 			}
 			if !resp.Known || resp.DeviceType != tt.typ {
 				t.Fatalf("identified as %q (known=%v), want %q", resp.DeviceType, resp.Known, tt.typ)
@@ -100,13 +97,9 @@ func TestHandleUnknownDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := fingerprint.MarshalReportStruct("02:00:00:00:00:88", traces[0].Fingerprint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := svc.Handle(Request{Fingerprint: report})
+	resp := svc.Identify("02:00:00:00:00:88", traces[0].Fingerprint())
 	if resp.Error != "" {
-		t.Fatalf("Handle error: %s", resp.Error)
+		t.Fatalf("Identify error: %s", resp.Error)
 	}
 	if resp.Known {
 		t.Fatalf("unenrolled type identified as %q", resp.DeviceType)
@@ -116,14 +109,27 @@ func TestHandleUnknownDevice(t *testing.T) {
 	}
 }
 
+// TestHandleMalformedFingerprint: a frame whose matrix holds a partial
+// packet column (3 values, not 23) is answered with a non-retryable
+// error, and the bank never sees it.
 func TestHandleMalformedFingerprint(t *testing.T) {
 	svc, _ := testService(t)
-	resp := svc.Handle(Request{Fingerprint: fingerprint.Report{
-		MAC:     "x",
-		Vectors: [][]int32{{1, 2, 3}},
-	}})
-	if resp.Error == "" {
-		t.Error("malformed fingerprint accepted")
+	srv, addr := startServer(t, svc, ServerConfig{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(rawIdentifyFrame("x", []byte{2, 4, 6})); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	resp := readReply(t, bufio.NewReader(conn))
+	if resp.Error == "" || resp.Retryable || resp.Line != 1 {
+		t.Errorf("malformed fingerprint answered %+v", resp)
+	}
+	if st := srv.Counters(); st.Malformed != 1 || st.Requests != 0 {
+		t.Errorf("malformed=%d requests=%d, want 1 and 0", st.Malformed, st.Requests)
 	}
 }
 

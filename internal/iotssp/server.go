@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fingerprint"
 	"repro/internal/stats"
 )
 
@@ -70,7 +69,7 @@ type ServerStats struct {
 	ConnsRefused  uint64 `json:"conns_refused"`
 	// Requests counts well-formed requests enqueued to the dispatcher.
 	Requests uint64 `json:"requests"`
-	// Malformed counts request lines rejected at parse/decode time.
+	// Malformed counts requests rejected at parse/decode time.
 	Malformed uint64 `json:"malformed"`
 	// Overloaded counts requests refused with a retryable error because
 	// the dispatcher queue was full.
@@ -121,16 +120,17 @@ func (s ServerStats) Snapshot() stats.Snapshot {
 	return stats.New("server", s)
 }
 
-// dispatchItem is one decoded request waiting for the dispatcher.
+// dispatchItem is one checked identify request waiting for the
+// dispatcher: its cache key and its matrix, still encoded.
 type dispatchItem struct {
-	mac  string
-	fp   *fingerprint.Fingerprint
-	line uint64
-	out  *connWriter
+	key    uint64
+	matrix []byte
+	line   uint64
+	out    *connWriter
 }
 
-// Server serves the JSON-lines protocol in one of two modes. In
-// verdict mode (NewServer) it fronts a Service: a
+// Server serves the wire in one of two modes. In verdict mode
+// (NewServer) it fronts a Service with identify frames: a
 // bounded accept loop, one read and one write pump per connection, and
 // a micro-batching dispatcher that aggregates requests across all
 // connections into Bank.IdentifyBatch flushes; it owns a dispatcher
@@ -260,7 +260,7 @@ func (s *Server) ServeConn(conn net.Conn) bool {
 		s.connsRefused.Add(1)
 		// Backpressure at the accept loop: tell the client to retry
 		// rather than holding a connection slot hostage.
-		refusal, _ := json.Marshal(Response{
+		refusal, _ := json.Marshal(shardResponse{
 			Error:     fmt.Sprintf("server at connection capacity (%d)", s.cfg.MaxConns),
 			Retryable: true,
 		})
@@ -295,22 +295,35 @@ type connWriter struct {
 
 	mu     sync.Mutex
 	closed bool
-	// ch carries whatever JSON-lines message the serving mode answers
-	// with: Response in verdict mode, shardResponse in shard mode.
-	ch chan any
+	ch     chan reply
 }
 
-// send queues a response for the write pump. A full queue means the
-// client stopped reading: the connection is dropped rather than letting
-// its backlog grow without bound.
-func (w *connWriter) send(resp any) bool {
+// reply is one queued response: a verdict frame, or — when line is set
+// — a JSON line (shard replies, and a verdict server's answers to JSON
+// requests). Verdicts travel by value, so queueing one allocates
+// nothing.
+type reply struct {
+	verdict Response
+	line    any
+}
+
+// send queues a verdict frame for the write pump.
+func (w *connWriter) send(resp Response) bool { return w.queue(reply{verdict: resp}) }
+
+// sendLine queues a JSON line for the write pump.
+func (w *connWriter) sendLine(msg any) bool { return w.queue(reply{line: msg}) }
+
+// queue hands a reply to the write pump. A full queue means the client
+// stopped reading: the connection is dropped rather than letting its
+// backlog grow without bound.
+func (w *connWriter) queue(r reply) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return false
 	}
 	select {
-	case w.ch <- resp:
+	case w.ch <- r:
 		return true
 	default:
 		w.closed = true
@@ -342,8 +355,16 @@ func (w *connWriter) pump() {
 		for range w.ch { // drain so senders never block
 		}
 	}
-	for resp := range w.ch {
-		if err := enc.Encode(resp); err != nil {
+	var frame []byte
+	for r := range w.ch {
+		var err error
+		if r.line != nil {
+			err = enc.Encode(r.line)
+		} else {
+			frame = AppendVerdictFrame(frame[:0], &r.verdict)
+			_, err = bw.Write(frame)
+		}
+		if err != nil {
 			fail()
 			return
 		}
@@ -359,25 +380,16 @@ func (w *connWriter) pump() {
 	bw.Flush()
 }
 
-// identifyLine is a verdict-mode request line as the read pump decodes
-// it: Request's fields plus any "enc" it carries, which the plain
-// identify wire refuses (a client still coding against a dictionary the
-// server never grants). The fields are spelled out rather than
-// embedding Request: encoding/json allocates per decode for fields
-// reached through an embedded struct.
-type identifyLine struct {
-	Op          string             `json:"op,omitempty"`
-	Fingerprint fingerprint.Report `json:"fingerprint"`
-	Enc         json.RawMessage    `json:"enc"`
-}
-
-// handleConn is a connection's read pump: it scans JSON lines, answers
-// malformed ones in place (with the offending line number, keeping the
-// connection alive), and enqueues decoded requests to the dispatcher —
-// or answers with a retryable error when the queue is full. A verdict
-// connection holds no state: every line decodes on its own.
+// handleConn is a connection's read pump. In verdict mode it checks
+// identify frames without decoding them, answers malformed ones in
+// place (with the offending message number, keeping the connection
+// alive), and enqueues the rest to the dispatcher — or answers with a
+// retryable error when the queue is full. JSON lines get JSON answers:
+// a hello is introduced to, anything else refused (identify requests
+// travel only as frames). A verdict connection holds no state: every
+// message stands alone.
 func (s *Server) handleConn(conn net.Conn) {
-	w := &connWriter{conn: conn, srv: s, ch: make(chan any, s.cfg.WriteQueue)}
+	w := &connWriter{conn: conn, srv: s, ch: make(chan reply, s.cfg.WriteQueue)}
 	var pumpDone sync.WaitGroup
 	pumpDone.Add(1)
 	go func() {
@@ -387,64 +399,50 @@ func (s *Server) handleConn(conn net.Conn) {
 	defer pumpDone.Wait()
 	defer w.shutdown()
 
+	mr := newMsgReader(conn)
 	if s.shard != nil {
-		s.handleShardConn(conn, w)
+		s.handleShardConn(mr, w)
 		return
 	}
 
-	ls := newLineScanner(conn)
+	var arena []byte
 	var line uint64
-	for ls.Scan() {
+	for {
+		msg, frame, err := mr.next()
 		line++
-		var req identifyLine
-		if err := json.Unmarshal(ls.Bytes(), &req); err != nil {
-			s.malformed.Add(1)
-			if !w.send(Response{Line: line, Error: fmt.Sprintf("line %d: malformed request: %v", line, err)}) {
+		if err != nil {
+			if frame {
+				// A frame header or body the stream cannot be read past:
+				// answer, then sever.
+				s.malformed.Add(1)
+				w.send(Response{Line: line, Error: fmt.Sprintf("line %d: %v", line, err)})
+			}
+			return
+		}
+		if !frame {
+			if !s.answerLine(w, line, msg) {
 				return
 			}
 			continue
 		}
-		if req.Op != "" {
-			// Verbs against the verdict endpoint: introduce ourselves to a
-			// hello, granting none of the asks it may carry, and reject
-			// shard verbs cleanly (the client dialed the wrong kind of
-			// server; retrying here cannot help).
-			if req.Op == OpHello {
-				if !w.send(shardResponse{Op: OpHello, Line: line, Hello: Hello{Mode: ModeVerdict, V: ProtocolVersion}}) {
-					return
-				}
-			} else if !w.send(Response{Line: line, Error: fmt.Sprintf(
-				"line %d: this server speaks the identify protocol (%s mode); shard op %q is not served here", line, ModeVerdict, req.Op)}) {
-				return
-			}
-			continue
-		}
-		if req.Enc != nil {
-			s.malformed.Add(1)
-			if !w.send(Response{MAC: req.Fingerprint.MAC, Line: line, Error: fmt.Sprintf(
-				"line %d: identify requests carry no encoding (got enc %s)", line, req.Enc)}) {
-				return
-			}
-			continue
-		}
-		mac, fp, err := fingerprint.UnmarshalReportStruct(req.Fingerprint)
+		_, matrix, err := splitIdentify(msg)
 		if err != nil {
 			s.malformed.Add(1)
-			if !w.send(Response{MAC: req.Fingerprint.MAC, Line: line, Error: fmt.Sprintf("line %d: %v", line, err)}) {
+			if !w.send(Response{Line: line, Error: fmt.Sprintf("line %d: malformed identify frame: %v", line, err)}) {
 				return
 			}
 			continue
 		}
+		item := dispatchItem{key: s.svc.keyBytes(matrix), matrix: carve(&arena, matrix), line: line, out: w}
 		// Count before enqueueing: once queued, the reply can reach the
 		// client before this goroutine runs again.
 		s.requests.Add(1)
 		select {
-		case s.queue <- dispatchItem{mac: mac, fp: fp, line: line, out: w}:
+		case s.queue <- item:
 		default:
 			s.requests.Add(^uint64(0)) // refused, not enqueued
 			s.overloaded.Add(1)
 			if !w.send(Response{
-				MAC:       mac,
 				Line:      line,
 				Error:     fmt.Sprintf("line %d: server overloaded: request queue full (capacity %d)", line, s.cfg.QueueCapacity),
 				Retryable: true,
@@ -455,19 +453,61 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
+// arenaChunk sizes the blocks carve cuts request matrices from.
+const arenaChunk = 32 * 1024
+
+// carve copies b into the connection's arena — a block many requests'
+// matrices share, released once the last of them is done — so
+// admitting a request allocates nothing of its own.
+func carve(arena *[]byte, b []byte) []byte {
+	if cap(*arena)-len(*arena) < len(b) {
+		*arena = make([]byte, 0, max(arenaChunk, len(b)))
+	}
+	start := len(*arena)
+	*arena = append(*arena, b...)
+	return (*arena)[start:len(*arena):len(*arena)]
+}
+
+// answerLine answers a JSON line on a verdict connection: the hello
+// gets the mode and protocol version and grants none of the asks it
+// may carry; shard verbs and JSON identify requests are refused
+// non-retryably (the client dialed the wrong kind of server, or speaks
+// a wire this build no longer serves: retrying cannot help). It reports
+// whether the connection is still writable.
+func (s *Server) answerLine(w *connWriter, line uint64, msg []byte) bool {
+	var req struct {
+		Op string `json:"op"`
+	}
+	if err := json.Unmarshal(msg, &req); err != nil {
+		s.malformed.Add(1)
+		return w.sendLine(shardResponse{Line: line, Error: fmt.Sprintf("line %d: malformed request: %v", line, err)})
+	}
+	switch req.Op {
+	case OpHello:
+		return w.sendLine(shardResponse{Op: OpHello, Line: line, Hello: Hello{Mode: ModeVerdict, V: ProtocolVersion}})
+	case "":
+		s.malformed.Add(1)
+		return w.sendLine(shardResponse{Line: line, Error: fmt.Sprintf(
+			"line %d: identify requests travel as binary frames; JSON identify lines are not served", line)})
+	default:
+		return w.sendLine(shardResponse{Line: line, Error: fmt.Sprintf(
+			"line %d: this server speaks the identify protocol (%s mode); shard op %q is not served here", line, ModeVerdict, req.Op)})
+	}
+}
+
 // dispatch is the micro-batching loop: it blocks for the first pending
 // request, takes whatever else is already queued without waiting (up to
 // BatchSize), and flushes through the service. A lone request leaves at
 // once; under load, requests that queue while a batch is in the bank
 // form the next one, so batches grow with load and no timer is needed.
-// The batch and the macs/fps columns it is split into are reused
-// across flushes; batch and fps are cleared after each, so no
-// fingerprint or connection is retained past its flush.
+// The batch and the keys/matrices columns it is split into are reused
+// across flushes; batch and matrices are cleared after each, so no
+// request or connection is retained past its flush.
 func (s *Server) dispatch() {
 	defer s.dwg.Done()
 	batch := make([]dispatchItem, 0, s.cfg.BatchSize)
-	macs := make([]string, 0, s.cfg.BatchSize)
-	fps := make([]*fingerprint.Fingerprint, 0, s.cfg.BatchSize)
+	keys := make([]uint64, 0, s.cfg.BatchSize)
+	matrices := make([][]byte, 0, s.cfg.BatchSize)
 	for {
 		first, ok := <-s.queue
 		if !ok {
@@ -488,24 +528,24 @@ func (s *Server) dispatch() {
 				break drain
 			}
 		}
-		macs, fps = macs[:0], fps[:0]
+		keys, matrices = keys[:0], matrices[:0]
 		for _, item := range batch {
-			macs = append(macs, item.mac)
-			fps = append(fps, item.fp)
+			keys = append(keys, item.key)
+			matrices = append(matrices, item.matrix)
 		}
-		s.processBatch(batch, macs, fps)
+		s.processBatch(batch, keys, matrices)
 		clear(batch)
-		clear(fps)
+		clear(matrices)
 		if !open {
 			return
 		}
 	}
 }
 
-// processBatch identifies one flush worth of requests — macs and fps
-// are the batch's columns — and routes each verdict back to its
-// connection.
-func (s *Server) processBatch(batch []dispatchItem, macs []string, fps []*fingerprint.Fingerprint) {
+// processBatch identifies one flush worth of requests — keys and
+// matrices are the batch's columns — and routes each verdict back to
+// its connection.
+func (s *Server) processBatch(batch []dispatchItem, keys []uint64, matrices [][]byte) {
 	s.batches.Add(1)
 	s.batchedReqs.Add(uint64(len(batch)))
 	for {
@@ -514,7 +554,7 @@ func (s *Server) processBatch(batch []dispatchItem, macs []string, fps []*finger
 			break
 		}
 	}
-	resps := s.svc.IdentifyBatch(macs, fps, s.cfg.Workers)
+	resps := s.svc.identifyMatrices(keys, matrices, s.cfg.Workers)
 	for i, item := range batch {
 		resps[i].Line = item.line
 		item.out.send(resps[i])

@@ -31,24 +31,47 @@ func startServer(t *testing.T, svc *Service, cfg ServerConfig) (*Server, string)
 	return srv, lis.Addr().String()
 }
 
-// requestLine marshals one request line for raw-conn tests.
-func requestLine(t *testing.T, mac string, fp *fingerprint.Fingerprint) []byte {
+// requestFrame encodes one identify frame for raw-conn tests.
+func requestFrame(mac string, fp *fingerprint.Fingerprint) []byte {
+	return AppendIdentifyFrame(nil, mac, fp)
+}
+
+// rawIdentifyFrame frames an arbitrary matrix, checked or not.
+func rawIdentifyFrame(mac string, matrix []byte) []byte {
+	frame := append(appendString([]byte{frameIdentify, 0, 0, 0, 0}, mac), matrix...)
+	return sealFrame(frame, 0)
+}
+
+// readReply reads one reply off a raw connection: a JSON line when it
+// opens with '{', else a verdict frame.
+func readReply(t *testing.T, br *bufio.Reader) Response {
 	t.Helper()
-	report, err := fingerprint.MarshalReportPacked(mac, fp)
+	first, err := br.Peek(1)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("reading reply: %v", err)
 	}
-	body, err := json.Marshal(Request{Fingerprint: report})
-	if err != nil {
-		t.Fatal(err)
+	var resp Response
+	if first[0] == '{' {
+		raw, err := br.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("reading reply line: %v", err)
+		}
+		if err := json.Unmarshal(raw, &resp); err != nil {
+			t.Fatalf("decoding reply line %q: %v", raw, err)
+		}
+		return resp
 	}
-	return append(body, '\n')
+	if resp, _, err = NewVerdictReader()(br); err != nil {
+		t.Fatalf("decoding reply frame: %v", err)
+	}
+	return resp
 }
 
 // TestServerMalformedLinesKeepConnectionAlive interleaves good and bad
-// request lines on one connection: every bad line must be answered with
-// an error naming its line number, and the good lines around it must
-// still be served on the same connection.
+// requests on one connection — a JSON line that is not JSON, a frame
+// whose matrix ends inside a varint: every bad message must be answered
+// with an error naming its line (message) number, and the good frames
+// around it must still be served on the same connection.
 func TestServerMalformedLinesKeepConnectionAlive(t *testing.T) {
 	svc, ds := testService(t)
 	_, addr := startServer(t, svc, ServerConfig{})
@@ -60,11 +83,11 @@ func TestServerMalformedLinesKeepConnectionAlive(t *testing.T) {
 	defer conn.Close()
 
 	var payload []byte
-	payload = append(payload, requestLine(t, "02:00:00:00:00:01", ds["Aria"][0])...)         // line 1: good
-	payload = append(payload, []byte("this is not json\n")...)                               // line 2: bad JSON
-	payload = append(payload, requestLine(t, "02:00:00:00:00:03", ds["HueBridge"][0])...)    // line 3: good
-	payload = append(payload, []byte(`{"fingerprint":{"mac":"x","packed":"gA=="}}`+"\n")...) // line 4: bad matrix
-	payload = append(payload, requestLine(t, "02:00:00:00:00:05", ds["Aria"][1])...)         // line 5: good
+	payload = append(payload, requestFrame("02:00:00:00:00:01", ds["Aria"][0])...)      // line 1: good
+	payload = append(payload, []byte("this is not json\n")...)                          // line 2: bad JSON
+	payload = append(payload, requestFrame("02:00:00:00:00:03", ds["HueBridge"][0])...) // line 3: good
+	payload = append(payload, rawIdentifyFrame("x", []byte{0x80})...)                   // line 4: bad matrix
+	payload = append(payload, requestFrame("02:00:00:00:00:05", ds["Aria"][1])...)      // line 5: good
 	if _, err := conn.Write(payload); err != nil {
 		t.Fatal(err)
 	}
@@ -73,14 +96,7 @@ func TestServerMalformedLinesKeepConnectionAlive(t *testing.T) {
 	br := bufio.NewReader(conn)
 	byLine := make(map[uint64]Response)
 	for i := 0; i < 5; i++ {
-		raw, err := br.ReadBytes('\n')
-		if err != nil {
-			t.Fatalf("reading response %d: %v", i, err)
-		}
-		var resp Response
-		if err := json.Unmarshal(raw, &resp); err != nil {
-			t.Fatalf("decoding response %d: %v", i, err)
-		}
+		resp := readReply(t, br)
 		byLine[resp.Line] = resp
 	}
 
@@ -152,14 +168,14 @@ func dispatchFingerprint(t *testing.T) *fingerprint.Fingerprint {
 	return traces[0].Fingerprint()
 }
 
-// dispatchLines returns request lines first..last (MACs derived from
+// dispatchLines returns identify frames first..last (MACs derived from
 // the line number) carrying dispatchFingerprint.
 func dispatchLines(t *testing.T, first, last int) []byte {
 	t.Helper()
 	fp := dispatchFingerprint(t)
 	var payload []byte
 	for i := first; i <= last; i++ {
-		payload = append(payload, requestLine(t, fmt.Sprintf("02:00:00:00:%02x:%02x", i>>8, i&0xff), fp)...)
+		payload = append(payload, requestFrame(fmt.Sprintf("02:00:00:00:%02x:%02x", i>>8, i&0xff), fp)...)
 	}
 	return payload
 }
@@ -230,14 +246,7 @@ func TestDispatchDrainsQueueIntoFullBatches(t *testing.T) {
 	br := bufio.NewReader(conn)
 	seen := make(map[uint64]bool)
 	for i := 0; i < 65; i++ {
-		raw, err := br.ReadBytes('\n')
-		if err != nil {
-			t.Fatalf("response %d: %v", i, err)
-		}
-		var resp Response
-		if err := json.Unmarshal(raw, &resp); err != nil {
-			t.Fatal(err)
-		}
+		resp := readReply(t, br)
 		if resp.Error != "" || resp.Line < 1 || resp.Line > 65 || seen[resp.Line] {
 			t.Fatalf("response %d = %+v", i, resp)
 		}
@@ -306,7 +315,7 @@ func TestServerBackpressureQueueFull(t *testing.T) {
 	const burst = 400
 	var payload []byte
 	for i := 0; i < burst; i++ {
-		payload = append(payload, requestLine(t, fmt.Sprintf("02:00:00:00:02:%02x", i%256), ds["Aria"][i%len(ds["Aria"])])...)
+		payload = append(payload, requestFrame(fmt.Sprintf("02:00:00:00:02:%02x", i%256), ds["Aria"][i%len(ds["Aria"])])...)
 	}
 	if _, err := conn.Write(payload); err != nil {
 		t.Fatal(err)
@@ -316,14 +325,7 @@ func TestServerBackpressureQueueFull(t *testing.T) {
 	br := bufio.NewReaderSize(conn, 1<<20)
 	var served, refused int
 	for i := 0; i < burst; i++ {
-		raw, err := br.ReadBytes('\n')
-		if err != nil {
-			t.Fatalf("response %d/%d: %v", i, burst, err)
-		}
-		var resp Response
-		if err := json.Unmarshal(raw, &resp); err != nil {
-			t.Fatal(err)
-		}
+		resp := readReply(t, br)
 		switch {
 		case resp.Error == "":
 			served++
@@ -344,7 +346,7 @@ func TestServerBackpressureQueueFull(t *testing.T) {
 	}
 
 	// The connection is still usable after the storm.
-	if _, err := conn.Write(requestLine(t, "02:00:00:00:03:01", ds["HueBridge"][0])); err != nil {
+	if _, err := conn.Write(requestFrame("02:00:00:00:03:01", ds["HueBridge"][0])); err != nil {
 		t.Fatal(err)
 	}
 	deadlineScan(t, br, func(resp Response) bool { return resp.Error == "" && resp.DeviceType == "HueBridge" })
@@ -355,15 +357,7 @@ func TestServerBackpressureQueueFull(t *testing.T) {
 func deadlineScan(t *testing.T, br *bufio.Reader, pred func(Response) bool) {
 	t.Helper()
 	for {
-		raw, err := br.ReadBytes('\n')
-		if err != nil {
-			t.Fatalf("scanning for response: %v", err)
-		}
-		var resp Response
-		if err := json.Unmarshal(raw, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if pred(resp) {
+		if pred(readReply(t, br)) {
 			return
 		}
 	}
@@ -413,7 +407,8 @@ func TestServerConnectionLimit(t *testing.T) {
 
 // TestServerOutOfOrderResponsesCarryCorrelation pipelines distinct
 // fingerprints on one connection and checks every response can be
-// matched to its request by MAC and line, whatever the arrival order.
+// matched to its request by line, whatever the arrival order: the
+// verdict on each line is the one for the type sent on it.
 func TestServerOutOfOrderResponsesCarryCorrelation(t *testing.T) {
 	svc, ds := testService(t)
 	_, addr := startServer(t, svc, ServerConfig{BatchSize: 4})
@@ -426,11 +421,10 @@ func TestServerOutOfOrderResponsesCarryCorrelation(t *testing.T) {
 
 	types := []string{"Aria", "HueBridge", "EdimaxCam", "WeMoSwitch"}
 	var payload []byte
-	want := make(map[uint64]string) // line -> expected MAC
+	want := make(map[uint64]string) // line -> expected type
 	for i, typ := range types {
-		mac := fmt.Sprintf("02:00:00:00:05:%02x", i)
-		want[uint64(i+1)] = mac
-		payload = append(payload, requestLine(t, mac, ds[typ][0])...)
+		want[uint64(i+1)] = typ
+		payload = append(payload, requestFrame(fmt.Sprintf("02:00:00:00:05:%02x", i), ds[typ][0])...)
 	}
 	if _, err := conn.Write(payload); err != nil {
 		t.Fatal(err)
@@ -438,21 +432,14 @@ func TestServerOutOfOrderResponsesCarryCorrelation(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	br := bufio.NewReader(conn)
 	for range types {
-		raw, err := br.ReadBytes('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		var resp Response
-		if err := json.Unmarshal(raw, &resp); err != nil {
-			t.Fatal(err)
-		}
-		mac, ok := want[resp.Line]
+		resp := readReply(t, br)
+		typ, ok := want[resp.Line]
 		if !ok {
 			t.Fatalf("response for unknown line %d", resp.Line)
 		}
 		delete(want, resp.Line)
-		if resp.MAC != mac {
-			t.Errorf("line %d: MAC %q, want %q", resp.Line, resp.MAC, mac)
+		if resp.DeviceType != typ {
+			t.Errorf("line %d: verdict %q, want %q", resp.Line, resp.DeviceType, typ)
 		}
 	}
 	if len(want) != 0 {
@@ -460,10 +447,10 @@ func TestServerOutOfOrderResponsesCarryCorrelation(t *testing.T) {
 	}
 }
 
-// TestServerRefusesEncodedIdentifyLines: the verdict wire is plain
-// packed lines, so an identify line carrying any "enc" — a client
-// coding against a dictionary the server never grants — is answered as
-// malformed and non-retryable, and the connection keeps serving.
+// TestServerRefusesEncodedIdentifyLines: identify requests travel only
+// as frames, so a JSON identify line — plain, or carrying an "enc" for
+// a dictionary the server never grants — is refused non-retryably,
+// citing its line, and the connection keeps serving frames.
 func TestServerRefusesEncodedIdentifyLines(t *testing.T) {
 	svc, ds := testService(t)
 	srv, addr := startServer(t, svc, ServerConfig{})
@@ -473,15 +460,16 @@ func TestServerRefusesEncodedIdentifyLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	good := requestLine(t, "02:00:00:00:00:01", ds["Aria"][0])
-	encoded := []string{`"dict"`, `"delta"`, `""`, `null`, `7`}
-	var payload []byte
-	for _, enc := range encoded {
-		// A well-formed packed report, so only the enc can be at fault.
-		line := strings.Replace(string(good), `{"fingerprint"`, `{"enc":`+enc+`,"fingerprint"`, 1)
-		payload = append(payload, line...)
+	const plain = `{"fingerprint":{"mac":"02:00:00:00:00:01","packed":"AAIEAAIEAAIEAAIEAAIEAAIEAAIEAAIJBQECBgoOEhYaHiImKi4yNjo+QkZKTg=="}}`
+	lines := []string{plain}
+	for _, enc := range []string{`"dict"`, `"delta"`, `""`, `null`, `7`} {
+		lines = append(lines, strings.Replace(plain, `{"fingerprint"`, `{"enc":`+enc+`,"fingerprint"`, 1))
 	}
-	payload = append(payload, good...)
+	var payload []byte
+	for _, line := range lines {
+		payload = append(payload, line+"\n"...)
+	}
+	payload = append(payload, requestFrame("02:00:00:00:00:01", ds["Aria"][0])...)
 	if _, err := conn.Write(payload); err != nil {
 		t.Fatal(err)
 	}
@@ -489,37 +477,29 @@ func TestServerRefusesEncodedIdentifyLines(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	br := bufio.NewReader(conn)
 	byLine := make(map[uint64]Response)
-	for i := 0; i <= len(encoded); i++ {
-		raw, err := br.ReadBytes('\n')
-		if err != nil {
-			t.Fatalf("reading response %d: %v", i, err)
-		}
-		var resp Response
-		if err := json.Unmarshal(raw, &resp); err != nil {
-			t.Fatalf("decoding response %d: %v", i, err)
-		}
+	for i := 0; i <= len(lines); i++ {
+		resp := readReply(t, br)
 		byLine[resp.Line] = resp
 	}
-	for i, enc := range encoded {
+	for i, raw := range lines {
 		line := uint64(i + 1)
 		resp := byLine[line]
-		if resp.Error == "" || resp.Retryable || resp.MAC != "02:00:00:00:00:01" ||
-			!strings.Contains(resp.Error, fmt.Sprintf("line %d", line)) {
-			t.Errorf("identify with enc %s answered %+v, want a non-retryable error citing line %d", enc, resp, line)
+		if resp.Error == "" || resp.Retryable || !strings.Contains(resp.Error, fmt.Sprintf("line %d", line)) {
+			t.Errorf("JSON identify %s answered %+v, want a non-retryable error citing line %d", raw, resp, line)
 		}
 	}
-	if resp := byLine[uint64(len(encoded)+1)]; resp.Error != "" || resp.DeviceType != "Aria" {
-		t.Errorf("plain line after the refused ones: %+v", resp)
+	if resp := byLine[uint64(len(lines)+1)]; resp.Error != "" || resp.DeviceType != "Aria" {
+		t.Errorf("frame after the refused lines: %+v", resp)
 	}
-	if st := srv.Counters(); st.Malformed != uint64(len(encoded)) || st.Requests != 1 {
-		t.Errorf("malformed=%d requests=%d, want %d and 1", st.Malformed, st.Requests, len(encoded))
+	if st := srv.Counters(); st.Malformed != uint64(len(lines)) || st.Requests != 1 {
+		t.Errorf("malformed=%d requests=%d, want %d and 1", st.Malformed, st.Requests, len(lines))
 	}
 }
 
 // TestVerdictHelloGrantsNothing: a verdict connection holds no state,
 // so a hello asking for a dictionary and flate framing is answered
-// with the mode and protocol version alone, and the lines after it
-// stay plain.
+// with the mode and protocol version alone, and identify frames after
+// it are served as on any connection.
 func TestVerdictHelloGrantsNothing(t *testing.T) {
 	svc, ds := testService(t)
 	_, addr := startServer(t, svc, ServerConfig{})
@@ -530,7 +510,7 @@ func TestVerdictHelloGrantsNothing(t *testing.T) {
 	}
 	defer conn.Close()
 	payload := []byte(`{"op":"hello","dict":512,"comp":"flate"}` + "\n")
-	payload = append(payload, requestLine(t, "02:00:00:00:00:02", ds["HueBridge"][0])...)
+	payload = append(payload, requestFrame("02:00:00:00:00:02", ds["HueBridge"][0])...)
 	if _, err := conn.Write(payload); err != nil {
 		t.Fatal(err)
 	}
@@ -549,12 +529,7 @@ func TestVerdictHelloGrantsNothing(t *testing.T) {
 	if fmt.Sprint(hello) != fmt.Sprint(want) {
 		t.Fatalf("hello reply %s, want exactly %v", raw, want)
 	}
-	raw, err = br.ReadBytes('\n')
-	if err != nil {
-		t.Fatalf("reading the verdict after the hello: %v", err)
-	}
-	var resp Response
-	if err := json.Unmarshal(raw, &resp); err != nil || resp.Line != 2 || resp.DeviceType != "HueBridge" {
-		t.Fatalf("identify after the hello = %s (%v)", raw, err)
+	if resp := readReply(t, br); resp.Line != 2 || resp.DeviceType != "HueBridge" {
+		t.Fatalf("identify after the hello = %+v", resp)
 	}
 }

@@ -2,6 +2,7 @@ package iotssp
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 
@@ -26,8 +27,7 @@ const (
 // JSON form.
 type shardRequest struct {
 	// Op is the verb: OpHello, OpMeta, OpClassify, OpDiscriminate,
-	// OpEnroll, OpRemove, OpSnapshot or OpRestore. Empty means the line
-	// is an identify request that reached a shard endpoint by mistake.
+	// OpEnroll, OpRemove, OpSnapshot or OpRestore.
 	Op string `json:"op"`
 	// Dict is the OpHello dictionary ask: Dict > 0 requests a
 	// per-connection fingerprint dictionary of that capacity.
@@ -78,7 +78,7 @@ type shardResponse struct {
 	// Snapshot carries OpSnapshot's serialized bank state (base64 on the
 	// wire).
 	Snapshot []byte `json:"snapshot,omitempty"`
-	// Error/Retryable follow the identify protocol's error contract:
+	// Error/Retryable follow the verdict wire's error contract:
 	// malformed shard requests are never retryable, backpressure and
 	// mode mismatches a failover can fix are.
 	Error     string `json:"error,omitempty"`
@@ -99,7 +99,7 @@ func (r shardResponse) CorrelationLine() uint64 { return r.Line }
 // pumps, slow-client drops — but there is no micro-batching dispatcher:
 // shard clients already batch (a whole scatter flush arrives as one
 // OpClassify), so requests are answered straight off the read pump.
-// Identify requests are answered with a clean retryable error naming
+// Identify frames are answered with a clean retryable error naming
 // the mode, so a gateway pointed at a shard endpoint backs off and
 // fails over instead of choking on a malformed-line reply.
 func NewShardServer(bank *core.Bank, cfg ServerConfig) *Server {
@@ -128,45 +128,45 @@ const maxConcurrentEnrolls = 4
 // verdict mode).
 func (s *Server) ShardBank() *core.Bank { return s.shard }
 
-// handleShardConn is the shard-mode read pump: it scans JSON lines,
+// handleShardConn is the shard-mode read pump: it reads JSON lines,
 // answers malformed ones in place, and serves each shard verb against
 // the hosted bank. Enrolments train a forest — seconds, not
 // microseconds — so they run on their own goroutine and answer out of
 // order through the write pump; classify/discriminate stay inline, and
 // the pipelined line echo keeps correlation exact either way. The
 // connection's dictionary state lives on this stack and dies with the
-// connection.
-func (s *Server) handleShardConn(conn net.Conn, w *connWriter) {
+// connection. An identify frame — a gateway pointed at a shard
+// endpoint — is refused retryably in a verdict frame naming the mode,
+// so the gateway backs off and fails over instead of waiting out a
+// deadline.
+func (s *Server) handleShardConn(mr *msgReader, w *connWriter) {
 	defer s.unsubscribe(w)
-	ls := newLineScanner(conn)
 	cw := &connWire{}
 	var line uint64
-	for ls.Scan() {
+	for {
+		msg, frame, err := mr.next()
+		if err != nil {
+			return
+		}
 		line++
+		if frame {
+			s.malformed.Add(1)
+			if !w.send(Response{
+				Line:      line,
+				Error:     fmt.Sprintf("line %d: this server hosts a classifier-bank shard (%s mode, protocol v%d); identify requests are not served here", line, ModeShard, ProtocolVersion),
+				Retryable: true,
+			}) {
+				return
+			}
+			continue
+		}
 		var req shardRequest
-		err := json.Unmarshal(ls.Bytes(), &req)
-		if err != nil || req.Op == "" {
-			// Not a shard verb. An identify request decodes as a Request
-			// (its "fingerprint" field is an object, which fails the
-			// shardRequest decode above): refuse it cleanly and retryably,
-			// echoing the fields its correlator needs, so the client backs
-			// off and fails over instead of parsing a surprise. Anything
-			// else is malformed.
-			var ident Request
-			if verr := json.Unmarshal(ls.Bytes(), &ident); verr == nil && (err == nil || ident.Fingerprint.MAC != "" || ident.Fingerprint.Packed != "" || len(ident.Fingerprint.Vectors) > 0) {
-				s.malformed.Add(1)
-				if !w.send(Response{
-					MAC:       ident.Fingerprint.MAC,
-					Line:      line,
-					Error:     fmt.Sprintf("line %d: this server hosts a classifier-bank shard (%s mode, protocol v%d); identify requests are not served here", line, ModeShard, ProtocolVersion),
-					Retryable: true,
-				}) {
-					return
-				}
-				continue
+		if err := json.Unmarshal(msg, &req); err != nil || req.Op == "" {
+			if err == nil {
+				err = errors.New("no op")
 			}
 			s.malformed.Add(1)
-			if !w.send(shardResponse{Line: line, Error: fmt.Sprintf("line %d: malformed shard request: %v", line, err)}) {
+			if !w.sendLine(shardResponse{Line: line, Error: fmt.Sprintf("line %d: malformed shard request: %v", line, err)}) {
 				return
 			}
 			continue
@@ -179,14 +179,14 @@ func (s *Server) handleShardConn(conn net.Conn, w *connWriter) {
 				reqLine := line
 				go func() {
 					defer func() { <-s.enrollSem }()
-					w.send(s.serveEnroll(req, reqLine))
+					w.sendLine(s.serveEnroll(req, reqLine))
 				}()
 			default:
 				// The enrolment waiting room is full: answer with the same
 				// retryable backpressure contract the verdict mode's queue
 				// uses instead of growing an unbounded goroutine pile.
 				s.overloaded.Add(1)
-				if !w.send(shardResponse{
+				if !w.sendLine(shardResponse{
 					Line:      line,
 					Error:     fmt.Sprintf("line %d: shard overloaded: %d enrolments already in flight", line, maxConcurrentEnrolls),
 					Retryable: true,
@@ -211,7 +211,7 @@ func (s *Server) handleShardConn(conn net.Conn, w *connWriter) {
 				resp.Op = ""
 			}
 		}
-		if !w.send(resp) {
+		if !w.sendLine(resp) {
 			return
 		}
 		if req.Op == OpHello {
@@ -385,7 +385,7 @@ func (s *Server) notifyDelta(changed []string) {
 	}
 	resp := shardResponse{Op: OpDelta, Version: s.shard.Version(), Types: changed}
 	for w := range s.subs {
-		w.send(resp)
+		w.sendLine(resp)
 	}
 	s.subMu.Unlock()
 }

@@ -14,7 +14,7 @@ import (
 // nil until a hello negotiates them. The read pump is the only writer,
 // so no locking — dictionary coherence depends on decoding requests in
 // connection line order, which the single read pump guarantees.
-// Verdict connections hold none: their identify lines are plain.
+// Verdict connections hold none: every identify frame stands alone.
 
 // connWire is one shard connection's negotiated dictionary state.
 type connWire struct {
@@ -59,62 +59,49 @@ func (cw *connWire) negotiate(resp *Hello, dictAsk int) {
 // maxLineBytes caps one request line.
 const maxLineBytes = 16 * 1024 * 1024
 
-// lineScanner reads '\n'-terminated request lines off a connection,
-// capped at maxLineBytes. It mirrors bufio.Scanner's contract
-// (Scan/Bytes/Err, a final unterminated line is still returned) so the
-// read pumps keep their shape.
-type lineScanner struct {
-	br   *bufio.Reader
-	line []byte
-	buf  []byte
-	err  error
+// msgReader reads requests off a connection. Each message's first
+// byte tells its form: frameIdentify opens an identify frame, anything
+// else a '\n'-terminated JSON line (capped at maxLineBytes; a final
+// unterminated line is still returned). Both server modes read through
+// it, so each answers the other mode's clients cleanly.
+type msgReader struct {
+	br  *bufio.Reader
+	buf []byte
 }
 
-func newLineScanner(conn net.Conn) *lineScanner {
-	return &lineScanner{br: bufio.NewReaderSize(conn, 64*1024)}
+func newMsgReader(conn net.Conn) *msgReader {
+	return &msgReader{br: bufio.NewReaderSize(conn, 64*1024)}
 }
 
-// Scan advances to the next request line.
-func (s *lineScanner) Scan() bool {
-	if s.err != nil {
-		return false
+// next returns the next message: an identify frame's body (frame set)
+// or a JSON line without its line ending, valid until the next call.
+// io.EOF marks a clean end of stream; any other error leaves the stream
+// unreadable.
+func (r *msgReader) next() (msg []byte, frame bool, err error) {
+	kind, err := r.br.ReadByte()
+	if err != nil {
+		return nil, false, err
 	}
-	s.buf = s.buf[:0]
+	if kind == frameIdentify {
+		msg, r.buf, err = readFrame(r.br, r.buf)
+		return msg, true, err
+	}
+	r.br.UnreadByte()
+	r.buf = r.buf[:0]
 	for {
-		chunk, err := s.br.ReadSlice('\n')
-		s.buf = append(s.buf, chunk...)
-		if err == nil {
-			break
+		chunk, err := r.br.ReadSlice('\n')
+		r.buf = append(r.buf, chunk...)
+		if len(r.buf) > maxLineBytes {
+			return nil, false, fmt.Errorf("iotssp: request line exceeds %d bytes", maxLineBytes)
 		}
-		if err == bufio.ErrBufferFull {
-			if len(s.buf) > maxLineBytes {
-				s.err = fmt.Errorf("iotssp: request line exceeds %d bytes", maxLineBytes)
-				return false
-			}
-			continue
+		if err == nil || (err == io.EOF && len(r.buf) > 0) {
+			return trimLine(r.buf), false, nil
 		}
-		if err == io.EOF {
-			if len(s.buf) == 0 {
-				return false // clean end of stream
-			}
-			break // final unterminated line, bufio.Scanner compat
+		if err != bufio.ErrBufferFull {
+			return nil, false, err
 		}
-		s.err = err
-		return false
 	}
-	if len(s.buf) > maxLineBytes {
-		s.err = fmt.Errorf("iotssp: request line exceeds %d bytes", maxLineBytes)
-		return false
-	}
-	s.line = trimLine(s.buf)
-	return true
 }
-
-// Bytes returns the current line, valid until the next Scan.
-func (s *lineScanner) Bytes() []byte { return s.line }
-
-// Err reports the first non-EOF error, as bufio.Scanner does.
-func (s *lineScanner) Err() error { return s.err }
 
 // trimLine strips the trailing newline (and optional carriage return),
 // matching bufio.ScanLines.

@@ -1,22 +1,24 @@
 // Package lineconn is the pipelined line-correlated transport shared by
 // every client in the serving stack: the pooled gateway client
-// (gateway.Pool/FleetPool) and the remote-shard client
-// (iotssp.RemoteShard and the replicated iotssp.ShardGroup) both speak
-// a JSON-lines protocol whose responses may arrive out of order, and
-// each used to carry its own copy of the same subtle connection core.
-// This package owns that core once.
+// (gateway.Pool/FleetPool, speaking binary verdict frames) and the
+// remote-shard client (iotssp.RemoteShard and the replicated
+// iotssp.ShardGroup, speaking JSON lines) both run protocols whose
+// responses may arrive out of order, and each used to carry its own
+// copy of the same subtle connection core. This package owns that core
+// once. Responses are JSON lines unless Options.Decoder supplies a
+// reader for another wire.
 //
 // # The correlation contract
 //
-// A Conn writes request lines onto one persistent TCP connection and
-// counts them: the first line written on a fresh connection is line 1,
-// the next line 2, and so on. The peer echoes each request's line
-// number in its response (the Message constraint's CorrelationLine),
-// and a dedicated read pump routes every decoded response line to the
-// waiter registered under that number — so many requests ride the
-// connection at once and the match stays exact however the peer
-// reorders verdicts, overload errors and cache hits, including two
-// in-flight requests for the same logical key.
+// A Conn writes requests onto one persistent TCP connection and counts
+// them as lines, whatever their encoding: the first request written on
+// a fresh connection is line 1, the next line 2, and so on. The peer
+// echoes each request's line number in its response (the Message
+// constraint's CorrelationLine), and a dedicated read pump routes every
+// decoded response to the waiter registered under that number — so
+// many requests ride the connection at once and the match stays exact
+// however the peer reorders verdicts, overload errors and cache hits,
+// including two in-flight requests for the same logical key.
 //
 // # The generation guard
 //
@@ -253,6 +255,14 @@ type Options[M Message] struct {
 	// run under the connection lock on different fields). Requires
 	// Hello.
 	Inbound func(state any, msg M) (M, error)
+	// Decoder, when non-nil, replaces the JSON-line response decode: it
+	// is called once per connection incarnation and returns the reader
+	// that incarnation's pump decodes every response with — the
+	// message and the bytes it consumed. A binary wire plugs in here
+	// (gateway.Pool's verdict frames); a per-incarnation reader may keep
+	// scratch buffers and lookup tables without locks, since only its
+	// pump calls it.
+	Decoder func() func(*bufio.Reader) (M, int, error)
 }
 
 // Encoder builds one request line (trailing newline included) against
@@ -291,6 +301,7 @@ type Conn[M Message] struct {
 	push     func(M)
 	newState func(M) any
 	inbound  func(state any, msg M) (M, error)
+	decoder  func() func(*bufio.Reader) (M, int, error)
 
 	mu   sync.Mutex
 	conn net.Conn
@@ -328,6 +339,7 @@ func New[M Message](addr string, opts Options[M]) *Conn[M] {
 		push:     opts.Push,
 		newState: opts.NewState,
 		inbound:  opts.Inbound,
+		decoder:  opts.Decoder,
 		waiters:  make(map[uint64]chan result[M]),
 	}
 }
@@ -609,21 +621,20 @@ func (c *Conn[M]) writeLocked(conn net.Conn, body []byte) error {
 // hand over the state the Inbound hook decodes later lines against.
 func (c *Conn[M]) readPump(conn net.Conn, gen uint64, decide chan any) {
 	br := bufio.NewReader(conn)
+	read := readJSONLine[M]
+	if c.decoder != nil {
+		read = c.decoder()
+	}
 	var state any
 	first := decide != nil
 	for {
-		line, err := br.ReadBytes('\n')
+		msg, n, err := read(br)
+		c.counters.bytesRead.Add(uint64(n))
+		if first {
+			c.counters.handshakeRead.Add(uint64(n))
+		}
 		if err != nil {
 			c.fail(conn, fmt.Errorf("lineconn: reading from %s: %w", c.addr, err))
-			return
-		}
-		c.counters.bytesRead.Add(uint64(len(line)))
-		if first {
-			c.counters.handshakeRead.Add(uint64(len(line)))
-		}
-		var msg M
-		if err := json.Unmarshal(line, &msg); err != nil {
-			c.fail(conn, fmt.Errorf("lineconn: decoding response from %s: %w", c.addr, err))
 			return
 		}
 		if !first && c.inbound != nil {
@@ -633,7 +644,7 @@ func (c *Conn[M]) readPump(conn net.Conn, gen uint64, decide chan any) {
 				return
 			}
 		}
-		if !c.deliver(msg, gen, len(line)) {
+		if !c.deliver(msg, gen, n) {
 			return
 		}
 		if first {
@@ -641,6 +652,20 @@ func (c *Conn[M]) readPump(conn net.Conn, gen uint64, decide chan any) {
 			state = <-decide
 		}
 	}
+}
+
+// readJSONLine is the default response decode: one JSON object per
+// '\n'-terminated line.
+func readJSONLine[M Message](br *bufio.Reader) (M, int, error) {
+	var msg M
+	line, err := br.ReadBytes('\n')
+	if err != nil {
+		return msg, len(line), err
+	}
+	if err := json.Unmarshal(line, &msg); err != nil {
+		return msg, len(line), fmt.Errorf("decoding response: %w", err)
+	}
+	return msg, len(line), nil
 }
 
 // deliver routes a response to the waiter for its echoed line number,
