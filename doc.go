@@ -119,9 +119,11 @@
 // from resolving waiters on its replacement, and any transport failure
 // fails every pending waiter fast and redials lazily. Protocols with an
 // opening negotiation (the shard hello) plug in through a handshake
-// hook that owns line 1 of every fresh connection. The transport
-// exposes one canonical counter block — dials, reconnects, bursts,
-// dropped correlations — surfaced verbatim through PoolStats,
+// hook that owns line 1 of every fresh connection. Concurrent
+// round-trips group-commit: each queues its line, and one of them
+// ships everything queued in a single socket write. The transport
+// exposes one canonical counter block — dials, reconnects, writes,
+// bursts, dropped correlations — surfaced verbatim through PoolStats,
 // RemoteShardStats and ShardGroupStats into the experiments' metrics
 // snapshot, and one Retry policy drives every client's jittered
 // exponential backoff from the shared internal/backoff source.

@@ -438,7 +438,14 @@ func (b *Bank) Version() uint64 {
 // invalidation (the IoT Security Service's) work off this vector; with
 // one shard it reduces exactly to the global-version semantics.
 func (b *Bank) Versions() []uint64 {
-	return []uint64{b.version.Load()}
+	return b.AppendVersions(nil)
+}
+
+// AppendVersions appends the version vector to dst and returns the
+// extended slice, so a caller that snapshots per batch can reuse one
+// buffer.
+func (b *Bank) AppendVersions(dst []uint64) []uint64 {
+	return append(dst, b.version.Load())
 }
 
 // ShardOf reports which shard owns an enrolled device-type. A plain

@@ -327,11 +327,17 @@ func (sb *ShardedBank) SetOwner(name string, dst int) error {
 // and not another — which is safe for staleness detection because
 // versions only grow.
 func (sb *ShardedBank) Versions() []uint64 {
-	out := make([]uint64, len(sb.shards))
-	for i, shard := range sb.shards {
-		out[i] = shard.Version()
+	return sb.AppendVersions(make([]uint64, 0, len(sb.shards)))
+}
+
+// AppendVersions appends the version vector to dst and returns the
+// extended slice, so a caller that snapshots per batch can reuse one
+// buffer.
+func (sb *ShardedBank) AppendVersions(dst []uint64) []uint64 {
+	for _, shard := range sb.shards {
+		dst = append(dst, shard.Version())
 	}
-	return out
+	return dst
 }
 
 // Version returns the total enrolment count across shards (the sum of

@@ -66,7 +66,9 @@ type PoolStats struct {
 	// exhausting their retries.
 	Failures uint64 `json:"failures"`
 	// Transport is the pooled connections' shared lineconn counter
-	// block (dials, reconnects, bursts, dropped correlations).
+	// block (dials, reconnects, writes, bursts, dropped correlations):
+	// Requests against Transport.Writes reads how many requests each
+	// socket write carries.
 	Transport lineconn.Stats `json:"transport"`
 }
 
@@ -163,7 +165,10 @@ func (p *Pool) identify(ctx context.Context, mac string, fp *fingerprint.Fingerp
 	if fp == nil {
 		return iotssp.Response{}, fmt.Errorf("gateway: identify %s: %w", mac, errNilFingerprint)
 	}
-	body := iotssp.AppendIdentifyFrame(nil, mac, fp)
+	buf := frameBufs.Get().(*[]byte)
+	defer frameBufs.Put(buf)
+	*buf = iotssp.AppendIdentifyFrame((*buf)[:0], mac, fp)
+	body := *buf
 	pc := p.pick(mac)
 	var lastErr error
 	for attempt := 0; attempt <= p.cfg.MaxRetries; attempt++ {
@@ -203,17 +208,22 @@ func (p *Pool) identify(ctx context.Context, mac string, fp *fingerprint.Fingerp
 	return iotssp.Response{}, fmt.Errorf("gateway: identify %s: %w", mac, lastErr)
 }
 
+// frameBufs recycles identify frames: a round-trip copies its body
+// before it returns, so a frame is free again once identify is done.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // errNilFingerprint is the non-retryable encode failure of the
 // identify paths (everything else about a fingerprint encodes).
 var errNilFingerprint = fmt.Errorf("nil fingerprint")
 
 // IdentifyBatch implements BatchIdentifier: the batch is grouped by
 // each MAC's home connection and every group goes out as one pipelined
-// burst — a single write carrying all the group's request frames — with
-// the multiplexed responses correlated by line echo as usual. Entries
-// that fail retryably (transport errors, service backpressure) fall
-// back to the single-request path, which carries the jittered-backoff
-// retry loop; non-retryable service errors surface positionally.
+// burst — queued together, so one write carries all the group's
+// request frames — with the multiplexed responses correlated by line
+// echo as usual. Entries that fail retryably (transport errors, service
+// backpressure) fall back to the single-request path, which carries the
+// jittered-backoff retry loop; non-retryable service errors surface
+// positionally.
 // resps[i]/errs[i] describe (macs[i], fps[i]).
 func (p *Pool) IdentifyBatch(ctx context.Context, macs []string, fps []*fingerprint.Fingerprint) ([]iotssp.Response, []error) {
 	resps := make([]iotssp.Response, len(macs))

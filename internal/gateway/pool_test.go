@@ -426,3 +426,55 @@ func TestPoolAndLocalServiceShareCacheKeys(t *testing.T) {
 	step("pool frame, first sight", pool, hue, 0, 1)
 	step("local after pool frame", local, hue, 1, 0)
 }
+
+// TestPoolConnectionLimitIsBackpressure: a service at its connection
+// limit refuses a Pool in the Pool's own wire — a retryable verdict
+// frame for its first request — so the Pool records a backpressure
+// retry rather than failing to decode the refusal, and gets through
+// once a slot frees.
+func TestPoolConnectionLimitIsBackpressure(t *testing.T) {
+	probe := probeFor(t, "Aria")
+	srv := iotssp.NewServer(trainedService(t, "Aria"), iotssp.ServerConfig{MaxConns: 1})
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(lis)
+	defer srv.Close()
+	addr := lis.Addr().String()
+
+	holder := NewPool(addr, PoolConfig{Conns: 1, Seed: 31})
+	if _, err := holder.Identify(context.Background(), "02:7a:00:00:00:01", probe.fp); err != nil {
+		t.Fatal(err)
+	}
+
+	refused := NewPool(addr, PoolConfig{Conns: 1, MaxRetries: 1, RetryBackoff: time.Millisecond, Seed: 32})
+	defer refused.Close()
+	_, err = refused.Identify(context.Background(), "02:7a:00:00:00:02", probe.fp)
+	if err == nil {
+		t.Fatal("Identify succeeded past a full server")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "service backpressure") || !strings.Contains(msg, "connection capacity") {
+		t.Errorf("err = %v, want the capacity refusal read as backpressure", err)
+	}
+	if st := refused.Counters(); st.Retries != 1 || st.Transport.DroppedCorrelations != 0 {
+		t.Errorf("refused pool counters %+v, want 1 retry and no dropped correlation", st)
+	}
+	if st := srv.Counters(); st.ConnsRefused != 2 {
+		t.Errorf("conns refused = %d, want 2 (both attempts)", st.ConnsRefused)
+	}
+
+	// Freeing the slot lets the refused pool through.
+	holder.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, err := refused.Identify(context.Background(), "02:7a:00:00:00:03", probe.fp)
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("Identify after the slot freed: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

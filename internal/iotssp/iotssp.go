@@ -217,6 +217,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -413,14 +414,14 @@ const DefaultCacheSize = 4096
 
 // Bank is the identification backend a Service serves from: the plain
 // single-shard core.Bank or the scatter/gather core.ShardedBank.
-// Implementations must be safe for concurrent use; Versions exposes the
-// per-shard enrolment version vector the verdict cache tags entries
-// with, and ShardOf maps an enrolled type to its owning shard so a
+// Implementations must be safe for concurrent use; AppendVersions
+// appends the per-shard enrolment version vector the verdict cache tags
+// entries with, and ShardOf maps an enrolled type to its owning shard so a
 // verdict's cache entry depends only on the shards that produced it.
 type Bank interface {
 	Identify(fp *fingerprint.Fingerprint) core.Result
 	IdentifyBatch(fps []*fingerprint.Fingerprint, workers int) []core.Result
-	Versions() []uint64
+	AppendVersions(dst []uint64) []uint64
 	ShardOf(name string) (int, bool)
 }
 
@@ -541,7 +542,7 @@ func (s *Service) verdict(key uint64, fp *fingerprint.Fingerprint) Response {
 	if s.cache == nil {
 		return s.assemble(s.bank.Identify(fp))
 	}
-	snapshot := s.bank.Versions()
+	snapshot := s.bank.AppendVersions(nil)
 	res, _ := s.cache.do(key, snapshot, func() (core.Result, verdictDeps, bool) {
 		res := s.bank.Identify(fp)
 		return res, s.depsFor(res, snapshot), true
@@ -552,8 +553,9 @@ func (s *Service) verdict(key uint64, fp *fingerprint.Fingerprint) Response {
 // assemble turns an identification result into the wire verdict:
 // vulnerability assessment, isolation level, permitted endpoints and
 // user notification. It runs on every request, cache hits included, so
-// an advisory added to the repository re-levels the next verdict. The
-// endpoint slices are shared with the service and must be treated as
+// an advisory added to the repository re-levels the next verdict. It
+// allocates nothing: the endpoint, advisory and channel slices are
+// shared with the service and the repository and must be treated as
 // immutable.
 func (s *Service) assemble(res core.Result) Response {
 	resp := Response{
@@ -565,19 +567,15 @@ func (s *Service) assemble(res core.Result) Response {
 		return resp
 	}
 	resp.DeviceType = res.Type
-	assessment := s.db.Assess(res.Type)
-	level := assessment.Level()
-	resp.Level = level.String()
-	if level == enforce.Restricted {
+	v := s.db.Verdict(res.Type)
+	resp.Level = v.Level.String()
+	if v.Level == enforce.Restricted {
 		resp.PermittedEndpoints = s.endpoints[res.Type]
-		resp.Vulnerabilities = make([]string, len(assessment.Vulns))
-		for i, v := range assessment.Vulns {
-			resp.Vulnerabilities[i] = v.ID
-		}
+		resp.Vulnerabilities = v.IDs
 	}
-	if notify, channels := assessment.RequiresUserNotification(); notify {
+	if len(v.Channels) > 0 {
 		resp.NotifyUser = true
-		resp.UncontrolledChannels = channels
+		resp.UncontrolledChannels = v.Channels
 	}
 	return resp
 }
@@ -596,7 +594,8 @@ func (s *Service) IdentifyBatch(macs []string, fps []*fingerprint.Fingerprint, w
 			keys[i] = s.key(fp)
 		}
 	}
-	out := s.identifyKeyed(len(fps), keys, func(i int) *fingerprint.Fingerprint { return fps[i] }, workers)
+	var sc flushScratch
+	out := s.identifyKeyed(&sc, len(fps), keys, func(i int) *fingerprint.Fingerprint { return fps[i] }, workers)
 	for i := range out {
 		out[i].MAC = macs[i]
 	}
@@ -606,9 +605,10 @@ func (s *Service) IdentifyBatch(macs []string, fps []*fingerprint.Fingerprint, w
 // identifyMatrices is IdentifyBatch for the server's dispatcher:
 // matrices are checked fingerprint.AppendBinary encodings and keys
 // their cache keys. Only the flights this batch leads are decoded, so a
-// cache hit never builds a Fingerprint.
-func (s *Service) identifyMatrices(keys []uint64, matrices [][]byte, workers int) []Response {
-	return s.identifyKeyed(len(matrices), keys, func(i int) *fingerprint.Fingerprint {
+// cache hit never builds a Fingerprint. The verdicts live in sc and are
+// valid until its next use.
+func (s *Service) identifyMatrices(sc *flushScratch, keys []uint64, matrices [][]byte, workers int) []Response {
+	return s.identifyKeyed(sc, len(matrices), keys, func(i int) *fingerprint.Fingerprint {
 		fp, err := fingerprint.DecodeBinary(matrices[i])
 		if err != nil {
 			// Unreachable: DecodeBinary decodes whatever CheckBinary
@@ -619,11 +619,22 @@ func (s *Service) identifyMatrices(keys []uint64, matrices [][]byte, workers int
 	}, workers)
 }
 
+// flushScratch is what identifyKeyed reuses across the calls of one
+// caller (the server's dispatcher): the verdict slice and the version
+// snapshot. With it, a flush whose every request hits allocates
+// nothing.
+type flushScratch struct {
+	out      []Response
+	snapshot []uint64
+}
+
 // identifyKeyed is the batch verdict path over n requests: keys are
 // their cache keys (nil when caching is disabled) and fp(i) yields the
-// i-th fingerprint, called only when the bank must see it.
-func (s *Service) identifyKeyed(n int, keys []uint64, fp func(int) *fingerprint.Fingerprint, workers int) []Response {
-	out := make([]Response, n)
+// i-th fingerprint, called only when the bank must see it. The
+// verdicts live in sc.
+func (s *Service) identifyKeyed(sc *flushScratch, n int, keys []uint64, fp func(int) *fingerprint.Fingerprint, workers int) []Response {
+	out := slices.Grow(sc.out[:0], n)[:n]
+	sc.out = out
 	if n == 0 {
 		return out
 	}
@@ -638,7 +649,11 @@ func (s *Service) identifyKeyed(n int, keys []uint64, fp func(int) *fingerprint.
 		return out
 	}
 
-	snapshot := s.bank.Versions()
+	// Flights carry the snapshot, and a flight is read only while it is
+	// registered: every flight this call leads finishes before it
+	// returns, so sc's snapshot is free again by its next use.
+	snapshot := s.bank.AppendVersions(sc.snapshot[:0])
+	sc.snapshot = snapshot
 	// lead is one distinct fingerprint this batch must compute, and
 	// every batch index waiting on it.
 	type lead struct {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -161,6 +162,7 @@ type Server struct {
 	subs  map[*connWriter]struct{}
 
 	connsAccepted, connsRefused     atomic.Uint64
+	refusing                        atomic.Int64 // refusals being answered
 	requests, malformed, overloaded atomic.Uint64
 	slowDrops                       atomic.Uint64
 	batches, batchedReqs, maxBatch  atomic.Uint64
@@ -258,15 +260,20 @@ func (s *Server) ServeConn(conn net.Conn) bool {
 	if len(s.conns) >= s.cfg.MaxConns {
 		s.mu.Unlock()
 		s.connsRefused.Add(1)
-		// Backpressure at the accept loop: tell the client to retry
-		// rather than holding a connection slot hostage.
-		refusal, _ := json.Marshal(shardResponse{
-			Error:     fmt.Sprintf("server at connection capacity (%d)", s.cfg.MaxConns),
-			Retryable: true,
-		})
-		conn.SetWriteDeadline(time.Now().Add(time.Second))
-		conn.Write(append(refusal, '\n'))
-		conn.Close()
+		// Backpressure: tell the client to retry rather than holding a
+		// connection slot hostage. The answer waits on the client, so it
+		// runs off the accept loop; at most MaxConns refusals are
+		// answered at once, and past that a refused connection is just
+		// closed.
+		if s.refusing.Add(1) > int64(s.cfg.MaxConns) {
+			s.refusing.Add(-1)
+			conn.Close()
+			return false
+		}
+		go func() {
+			defer s.refusing.Add(-1)
+			s.refuse(conn)
+		}()
 		return false
 	}
 	s.conns[conn] = struct{}{}
@@ -284,6 +291,41 @@ func (s *Server) ServeConn(conn net.Conn) bool {
 		s.handleConn(conn)
 	}()
 	return true
+}
+
+// refusePeek bounds how long a refusal waits for the client's first
+// byte, which picks the wire the refusal is written in.
+const refusePeek = 100 * time.Millisecond
+
+// refuse answers a connection turned away at MaxConns with a retryable
+// error for its line 1, in the wire of the client's first byte: a
+// verdict frame to a client that opened with an identify frame (so
+// gateway.Pool reads it as backpressure), a JSON line otherwise —
+// including to a client that has not spoken within refusePeek. The
+// refusal is followed by a half-close, and the client's unread bytes
+// are drained before the socket closes, so the close cannot turn into
+// a reset that discards the refusal. The whole exchange is bounded by
+// one second.
+func (s *Server) refuse(conn net.Conn) {
+	defer conn.Close()
+	msg := fmt.Sprintf("server at connection capacity (%d)", s.cfg.MaxConns)
+	var first [1]byte
+	conn.SetReadDeadline(time.Now().Add(refusePeek))
+	_, err := io.ReadFull(conn, first[:])
+	conn.SetDeadline(time.Now().Add(time.Second))
+	var out []byte
+	if err == nil && first[0] == frameIdentify {
+		out = AppendVerdictFrame(nil, &Response{Line: 1, Error: msg, Retryable: true})
+	} else {
+		out, _ = json.Marshal(shardResponse{Line: 1, Error: msg, Retryable: true})
+		out = append(out, '\n')
+	}
+	if _, err := conn.Write(out); err != nil {
+		return
+	}
+	if hc, ok := conn.(interface{ CloseWrite() error }); ok && hc.CloseWrite() == nil {
+		io.Copy(io.Discard, conn)
+	}
 }
 
 // connWriter is a connection's write pump: responses are queued on ch
@@ -500,14 +542,17 @@ func (s *Server) answerLine(w *connWriter, line uint64, msg []byte) bool {
 // BatchSize), and flushes through the service. A lone request leaves at
 // once; under load, requests that queue while a batch is in the bank
 // form the next one, so batches grow with load and no timer is needed.
-// The batch and the keys/matrices columns it is split into are reused
-// across flushes; batch and matrices are cleared after each, so no
-// request or connection is retained past its flush.
+// The batch, the keys/matrices columns it is split into and the
+// service's verdict scratch are reused across flushes, so a flush whose
+// every request hits the cache allocates nothing; batch and matrices
+// are cleared after each, so no request or connection is retained past
+// its flush.
 func (s *Server) dispatch() {
 	defer s.dwg.Done()
 	batch := make([]dispatchItem, 0, s.cfg.BatchSize)
 	keys := make([]uint64, 0, s.cfg.BatchSize)
 	matrices := make([][]byte, 0, s.cfg.BatchSize)
+	var scratch flushScratch
 	for {
 		first, ok := <-s.queue
 		if !ok {
@@ -533,7 +578,7 @@ func (s *Server) dispatch() {
 			keys = append(keys, item.key)
 			matrices = append(matrices, item.matrix)
 		}
-		s.processBatch(batch, keys, matrices)
+		s.processBatch(&scratch, batch, keys, matrices)
 		clear(batch)
 		clear(matrices)
 		if !open {
@@ -543,9 +588,9 @@ func (s *Server) dispatch() {
 }
 
 // processBatch identifies one flush worth of requests — keys and
-// matrices are the batch's columns — and routes each verdict back to
-// its connection.
-func (s *Server) processBatch(batch []dispatchItem, keys []uint64, matrices [][]byte) {
+// matrices are the batch's columns, sc the dispatcher's verdict
+// scratch — and routes each verdict back to its connection.
+func (s *Server) processBatch(sc *flushScratch, batch []dispatchItem, keys []uint64, matrices [][]byte) {
 	s.batches.Add(1)
 	s.batchedReqs.Add(uint64(len(batch)))
 	for {
@@ -554,7 +599,7 @@ func (s *Server) processBatch(batch []dispatchItem, keys []uint64, matrices [][]
 			break
 		}
 	}
-	resps := s.svc.identifyMatrices(keys, matrices, s.cfg.Workers)
+	resps := s.svc.identifyMatrices(sc, keys, matrices, s.cfg.Workers)
 	for i, item := range batch {
 		resps[i].Line = item.line
 		item.out.send(resps[i])

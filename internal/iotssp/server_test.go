@@ -143,7 +143,7 @@ func (b *gatedBank) IdentifyBatch(fps []*fingerprint.Fingerprint, _ int) []core.
 	return make([]core.Result, len(fps))
 }
 
-func (b *gatedBank) Versions() []uint64 { return []uint64{0} }
+func (b *gatedBank) AppendVersions(dst []uint64) []uint64 { return append(dst, 0) }
 
 func (b *gatedBank) ShardOf(string) (int, bool) { return 0, false }
 
@@ -531,5 +531,52 @@ func TestVerdictHelloGrantsNothing(t *testing.T) {
 	}
 	if resp := readReply(t, br); resp.Line != 2 || resp.DeviceType != "HueBridge" {
 		t.Fatalf("identify after the hello = %+v", resp)
+	}
+}
+
+// TestDispatchAllHitFlushAllocatesNothing pins the warm path's
+// allocation budget: once every print of a flush is cached, the
+// dispatcher's flush — cache probes, verdict assembly for trusted and
+// restricted types alike, and the hand-off to the connection's write
+// pump — allocates nothing.
+func TestDispatchAllHitFlushAllocatesNothing(t *testing.T) {
+	svc, ds := testService(t)
+	srv := NewServer(svc, ServerConfig{})
+	defer srv.Close()
+	w := &connWriter{srv: srv, ch: make(chan reply, 64)}
+	var batch []dispatchItem
+	var keys []uint64
+	var matrices [][]byte
+	for _, name := range []string{"Aria", "HueBridge", "EdimaxCam", "SmarterCoffee", "WeMoSwitch"} {
+		for _, fp := range ds[name][:2] {
+			m := fingerprint.AppendBinary(nil, fp)
+			key := svc.keyBytes(m)
+			batch = append(batch, dispatchItem{key: key, matrix: m, line: uint64(len(batch) + 1), out: w})
+			keys = append(keys, key)
+			matrices = append(matrices, m)
+		}
+	}
+	var sc flushScratch
+	flush := func() {
+		srv.processBatch(&sc, batch, keys, matrices)
+		for range batch {
+			<-w.ch
+		}
+	}
+	flush() // the misses fill the cache
+	restricted := 0
+	for _, r := range srv.svc.identifyMatrices(&sc, keys, matrices, 1) {
+		if r.Level == "restricted" {
+			restricted++
+		}
+	}
+	if restricted == 0 {
+		t.Fatal("no restricted verdict in the flush: the advisory path goes unmeasured")
+	}
+	if got := testing.AllocsPerRun(50, flush); got != 0 {
+		t.Errorf("an all-hit flush of %d requests allocates %.1f times, want 0", len(batch), got)
+	}
+	if st := svc.CacheStats(); st.Misses > uint64(len(batch)) {
+		t.Errorf("cache misses = %d past the warm-up flush", st.Misses)
 	}
 }

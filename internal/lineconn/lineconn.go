@@ -30,6 +30,36 @@
 // waiter table (the delivery is counted as a dropped correlation and
 // the stale pump exits).
 //
+// # Group commit
+//
+// Round-trips do not write the socket themselves. Each registers its
+// waiter and appends its request line to the incarnation's out buffer
+// under the connection lock, so line order stays wire order (the order
+// a stateful encoder assumed when it ran). The round-trip that finds no
+// write in progress becomes the flusher: it drops the lock and, when
+// other round-trips are in flight, yields once, so callers that are
+// already runnable — the replies one server read just woke — queue
+// their lines behind it. It then ships the whole buffer in one write,
+// and keeps swapping and writing until it finds the buffer empty. The
+// other round-trips just wait for their replies. The yield is what
+// makes the commit a group: without it the woken callers run one by
+// one and each finds the previous one's write already done. A request
+// that travels alone has nobody to wait for and skips the yield, which
+// would hand the processor to unrelated work and wake an idle one: a
+// cost in latency that buys nothing.
+//
+// A failed write severs the connection like any other transport
+// failure, failing every queued waiter; a sever also discards the
+// queued bytes and clears the flusher's claim, so no byte of a dead
+// incarnation's queue can reach the next connection. A flusher whose
+// connection was severed while it was in the kernel touches nothing
+// when it returns: the next incarnation's buffer and flusher are not
+// its own.
+//
+// A successful round-trip allocates nothing of its own: its reply
+// channel and its timer come from a per-Conn pool and go back to it
+// stopped and drained.
+//
 // # Drop/fail semantics
 //
 // A transport failure — write error, read error, undecodable response
@@ -58,8 +88,8 @@
 // connection incarnation IS the state's generation, so a severed
 // connection can never encode against state the peer no longer holds —
 // and RoundTripEnc's encoder callback runs against that state under the
-// connection lock, atomically with the write that ships its output;
-// Options.Inbound decodes responses against the same state on the read
+// connection lock, atomically with queueing its output (so encode order
+// is wire order); Options.Inbound decodes responses against the same state on the read
 // pump. Every line travels plain, handshake included. Handshake bytes,
 // push bytes and dictionary hit/miss/reference-byte tallies are counted
 // separately so steady-state bytes/verdict can be measured without the
@@ -78,6 +108,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,8 +129,8 @@ var ErrClosed = errors.New("lineconn: connection closed")
 
 // Stats is a snapshot of a transport's canonical counters. Every client
 // built on lineconn surfaces exactly this block (json-tagged for the
-// experiments' metrics snapshot), so dials, reconnects, bursts and
-// dropped correlations mean the same thing in PoolStats,
+// experiments' metrics snapshot), so dials, reconnects, writes, bursts
+// and dropped correlations mean the same thing in PoolStats,
 // RemoteShardStats and ShardGroupStats.
 type Stats struct {
 	// Dials counts connection establishments, first dials and redials
@@ -108,9 +139,15 @@ type Stats struct {
 	// Reconnects counts the subset of Dials that replaced a previously
 	// established connection.
 	Reconnects uint64 `json:"reconnects"`
-	// Bursts counts pipelined multi-request writes (RoundTripBatch
-	// calls that reached the socket); BurstRequests the request lines
-	// they carried.
+	// Writes counts socket writes that carried request lines
+	// (handshakes excluded). Group commit ships together every line
+	// queued while the previous write was in the kernel, so requests
+	// divided by Writes is how many lines a write carried.
+	Writes uint64 `json:"writes"`
+	// Bursts counts RoundTripBatch calls that queued request lines;
+	// BurstRequests the lines they queued. A burst's lines are queued
+	// together, so one write carries them all, possibly beside other
+	// round-trips' lines.
 	Bursts        uint64 `json:"bursts"`
 	BurstRequests uint64 `json:"burst_requests"`
 	// DroppedCorrelations counts response lines discarded instead of
@@ -148,10 +185,11 @@ type Stats struct {
 // shard's pipelined links) so the client's stats describe its whole
 // transport.
 type Counters struct {
-	dials, reconnects, bursts, burstReqs, dropped atomic.Uint64
-	bytesWritten, bytesRead, pushes               atomic.Uint64
-	handshakeWritten, handshakeRead, pushRead     atomic.Uint64
-	dictHits, dictMisses, dictRefBytes            atomic.Uint64
+	dials, reconnects, writes, bursts, burstReqs atomic.Uint64
+	dropped                                      atomic.Uint64
+	bytesWritten, bytesRead, pushes              atomic.Uint64
+	handshakeWritten, handshakeRead, pushRead    atomic.Uint64
+	dictHits, dictMisses, dictRefBytes           atomic.Uint64
 }
 
 // NewCounters creates an empty counter set.
@@ -171,6 +209,7 @@ func (c *Counters) Snapshot() Stats {
 	return Stats{
 		Dials:                 c.dials.Load(),
 		Reconnects:            c.reconnects.Load(),
+		Writes:                c.writes.Load(),
 		Bursts:                c.bursts.Load(),
 		BurstRequests:         c.burstReqs.Load(),
 		DroppedCorrelations:   c.dropped.Load(),
@@ -268,10 +307,10 @@ type Options[M Message] struct {
 // Encoder builds one request line (trailing newline included) against
 // the connection incarnation's codec state — nil when the connection is
 // stateless. Encoders run under the connection lock, atomically with
-// the write that ships their output: they must be fast, must not call
-// back into the Conn, and must not commit state mutations except for
-// output they successfully return (an error return must leave the state
-// untouched, since nothing will be written).
+// queueing their output for the write that ships it: they must be
+// fast, must not call back into the Conn, and must not commit state
+// mutations except for output they successfully return (an error return
+// must leave the state untouched, since nothing will be written).
 type Encoder func(state any) ([]byte, error)
 
 // Sizes reports one round-trip's byte counts: the request line written
@@ -323,6 +362,88 @@ type Conn[M Message] struct {
 	// state is the current incarnation's codec state, built by NewState
 	// from its handshake reply.
 	state any
+	// out holds the request lines queued on the current incarnation and
+	// not yet handed to a write; writing is set while a flusher owns the
+	// socket's write side. spare is the buffer the last write emptied,
+	// swapped in for out by the next one. dropLocked resets out and
+	// writing with the incarnation.
+	out, spare []byte
+	writing    bool
+
+	// free recycles waiters (reply channel and timer) across
+	// round-trips.
+	free sync.Pool
+}
+
+// maxSpare caps the write buffer a Conn keeps between writes, so one
+// huge request (a bank snapshot) does not pin its size for the
+// connection's life.
+const maxSpare = 1 << 20
+
+// waiter is one request line's reply slot: the channel its response
+// (or its failure) arrives on, exactly once per registration, and the
+// timer bounding the wait.
+type waiter[M Message] struct {
+	ch    chan result[M]
+	timer *time.Timer
+}
+
+// errDeadline marks a round-trip whose own deadline expired.
+var errDeadline = errors.New("deadline exceeded")
+
+// await waits for w's reply until deadline or until ctx is done. The
+// timer is stopped and drained on every return but the deadline one
+// (which consumed its tick), so a recycled waiter starts clean.
+// Stopping an asynchronous timer channel (go 1.22 semantics) can race
+// its send: a tick that lands after the drain is caught here instead —
+// one that arrives before the deadline re-arms the timer rather than
+// failing the round-trip.
+func (w *waiter[M]) await(ctx context.Context, deadline time.Time) (result[M], error) {
+	if w.timer == nil {
+		w.timer = time.NewTimer(time.Until(deadline))
+	} else {
+		w.disarm()
+		w.timer.Reset(time.Until(deadline))
+	}
+	for {
+		select {
+		case res := <-w.ch:
+			w.disarm()
+			return res, nil
+		case <-ctx.Done():
+			w.disarm()
+			return result[M]{}, ctx.Err()
+		case <-w.timer.C:
+			if d := time.Until(deadline); d > 0 {
+				w.timer.Reset(d) // a stale tick from the timer's last use
+				continue
+			}
+			select {
+			case res := <-w.ch: // a reply that is already here wins
+				return res, nil
+			default:
+				return result[M]{}, errDeadline
+			}
+		}
+	}
+}
+
+// disarm stops w's timer and drains a tick it already sent.
+func (w *waiter[M]) disarm() {
+	if !w.timer.Stop() {
+		select {
+		case <-w.timer.C:
+		default:
+		}
+	}
+}
+
+// getWaiter returns a recycled waiter, or a new one.
+func (c *Conn[M]) getWaiter() *waiter[M] {
+	if w, ok := c.free.Get().(*waiter[M]); ok {
+		return w
+	}
+	return &waiter[M]{ch: make(chan result[M], 1)}
 }
 
 // New creates a connection to addr (host:port). Nothing is dialed until
@@ -471,21 +592,27 @@ func (c *Conn[M]) ensureConnLocked(ctx context.Context, deadline time.Time) erro
 	return nil
 }
 
-// RoundTrip writes one request line (body must include its trailing
+// RoundTrip sends one request line (body must include its trailing
 // newline) and waits for the correlated response, at most timeout (or
 // ctx's earlier deadline). A missed deadline severs the connection —
 // the peer or the link is wedged, and every pipelined request should
-// fail fast rather than each waiting out its own timer.
+// fail fast rather than each waiting out its own timer. body is copied
+// before RoundTrip returns.
 func (c *Conn[M]) RoundTrip(ctx context.Context, body []byte, timeout time.Duration) (M, error) {
-	msg, _, err := c.RoundTripEnc(ctx, func(any) ([]byte, error) { return body, nil }, timeout)
+	msg, _, err := c.roundTrip(ctx, nil, body, timeout)
 	return msg, err
 }
 
 // RoundTripEnc is RoundTrip with the request line produced by an
 // Encoder against the connection's codec state (see Encoder for the
 // contract), reporting the payload Sizes alongside the response. An
-// encoder error aborts the call before anything is written.
+// encoder error aborts the call before anything is queued.
 func (c *Conn[M]) RoundTripEnc(ctx context.Context, enc Encoder, timeout time.Duration) (M, Sizes, error) {
+	return c.roundTrip(ctx, enc, nil, timeout)
+}
+
+// roundTrip is RoundTrip when enc is nil, RoundTripEnc otherwise.
+func (c *Conn[M]) roundTrip(ctx context.Context, enc Encoder, body []byte, timeout time.Duration) (M, Sizes, error) {
 	var zero M
 	deadline := deadlineFor(ctx, timeout)
 
@@ -499,42 +626,37 @@ func (c *Conn[M]) RoundTripEnc(ctx context.Context, enc Encoder, timeout time.Du
 		return zero, Sizes{}, err
 	}
 	conn := c.conn
-	body, err := enc(c.state)
-	if err != nil {
-		c.mu.Unlock()
-		return zero, Sizes{}, err
+	if enc != nil {
+		var err error
+		if body, err = enc(c.state); err != nil {
+			c.mu.Unlock()
+			return zero, Sizes{}, err
+		}
 	}
-	ch := make(chan result[M], 1)
+	w := c.getWaiter()
 	c.lines++
-	c.waiters[c.lines] = ch
-	conn.SetWriteDeadline(deadline)
-	if err := c.writeLocked(conn, body); err != nil {
-		werr := fmt.Errorf("lineconn: writing to %s: %w", c.addr, err)
-		c.dropLocked(conn, werr)
-		c.mu.Unlock()
-		return zero, Sizes{Wrote: len(body)}, werr
-	}
-	c.mu.Unlock()
+	c.waiters[c.lines] = w.ch
+	c.out = append(c.out, body...)
+	c.commitLocked(conn, deadline, 1)
 
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
-	select {
-	case res := <-ch:
-		return res.msg, Sizes{Wrote: len(body), Read: res.n}, res.err
-	case <-ctx.Done():
-		c.fail(conn, ctx.Err())
-		return zero, Sizes{Wrote: len(body)}, ctx.Err()
-	case <-timer.C:
-		err := fmt.Errorf("lineconn: %s: deadline exceeded", c.addr)
+	res, err := w.await(ctx, deadline)
+	if err != nil {
+		if err == errDeadline {
+			err = fmt.Errorf("lineconn: %s: deadline exceeded", c.addr)
+		}
 		c.fail(conn, err)
-		return zero, Sizes{Wrote: len(body)}, err
+		<-w.ch // the sever failed the waiter, if its reply had not landed
+	} else {
+		err = res.err
 	}
+	c.free.Put(w)
+	return res.msg, Sizes{Wrote: len(body), Read: res.n}, err
 }
 
-// RoundTripBatch writes a burst of request lines in one pipelined write
-// and waits for all their correlated responses. msgs[j]/errs[j]
-// describe bodies[j]; a transport failure mid-burst fails the affected
-// entries (the caller decides whether to retry them individually).
+// RoundTripBatch queues a burst of request lines together and waits
+// for all their correlated responses. msgs[j]/errs[j] describe
+// bodies[j]; a transport failure mid-burst fails the affected entries
+// (the caller decides whether to retry them individually).
 func (c *Conn[M]) RoundTripBatch(ctx context.Context, bodies [][]byte, timeout time.Duration) ([]M, []error) {
 	msgs := make([]M, len(bodies))
 	errs := make([]error, len(bodies))
@@ -556,60 +678,88 @@ func (c *Conn[M]) RoundTripBatch(ctx context.Context, bodies [][]byte, timeout t
 		return msgs, errs
 	}
 	conn := c.conn
-	chans := make([]chan result[M], len(bodies))
-	var burst []byte
+	ws := make([]*waiter[M], len(bodies))
 	for j, body := range bodies {
-		chans[j] = make(chan result[M], 1)
+		ws[j] = c.getWaiter()
 		c.lines++
-		c.waiters[c.lines] = chans[j]
-		burst = append(burst, body...)
+		c.waiters[c.lines] = ws[j].ch
+		c.out = append(c.out, body...)
 	}
-	if len(bodies) > 0 {
-		c.counters.bursts.Add(1)
-		c.counters.burstReqs.Add(uint64(len(bodies)))
-		conn.SetWriteDeadline(deadline)
-		if err := c.writeLocked(conn, burst); err != nil {
-			// dropLocked fails every registered waiter, ours included; the
-			// wait loop below collects those failures positionally.
-			c.dropLocked(conn, fmt.Errorf("lineconn: writing burst to %s: %w", c.addr, err))
-		}
+	if len(bodies) == 0 {
+		c.mu.Unlock()
+		return msgs, errs
 	}
-	c.mu.Unlock()
+	c.counters.bursts.Add(1)
+	c.counters.burstReqs.Add(uint64(len(bodies)))
+	c.commitLocked(conn, deadline, len(bodies))
 
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
 	severed := false
-	for j, ch := range chans {
-		select {
-		case res := <-ch:
-			msgs[j], errs[j] = res.msg, res.err
-		case <-ctx.Done():
-			if !severed {
-				severed = true
-				c.fail(conn, ctx.Err())
+	for j, w := range ws {
+		var res result[M]
+		if severed {
+			res = <-w.ch // the sever failed every waiter
+		} else if r, err := w.await(ctx, deadline); err == nil {
+			res = r
+		} else {
+			severed = true
+			if err == errDeadline {
+				err = fmt.Errorf("lineconn: %s: burst deadline exceeded", c.addr)
 			}
-			res := <-ch // fail delivered an error to every waiter
-			msgs[j], errs[j] = res.msg, res.err
-		case <-timer.C:
-			if !severed {
-				severed = true
-				c.fail(conn, fmt.Errorf("lineconn: %s: burst deadline exceeded", c.addr))
-			}
-			res := <-ch
-			msgs[j], errs[j] = res.msg, res.err
+			c.fail(conn, err)
+			res = <-w.ch
 		}
+		msgs[j], errs[j] = res.msg, res.err
+		c.free.Put(w)
 	}
 	return msgs, errs
 }
 
-// writeLocked ships one already-encoded payload onto conn and counts
-// its bytes on success. Callers hold mu with conn current.
-func (c *Conn[M]) writeLocked(conn net.Conn, body []byte) error {
-	if _, err := conn.Write(body); err != nil {
-		return err
+// commitLocked is the group commit (see the package doc). The caller
+// holds mu, has just queued its own lines (own of them) on conn's out
+// buffer, and leaves with mu released: either another round-trip is
+// already writing and will ship the lines, or this one becomes the
+// flusher and writes until the buffer is empty. Write errors sever the
+// connection, which fails every queued waiter, the caller's included.
+func (c *Conn[M]) commitLocked(conn net.Conn, deadline time.Time, own int) {
+	if c.writing {
+		c.mu.Unlock()
+		return
 	}
-	c.counters.bytesWritten.Add(uint64(len(body)))
-	return nil
+	c.writing = true
+	others := len(c.waiters) > own
+	c.mu.Unlock()
+	if others {
+		// Replies to the other round-trips in flight wake callers that
+		// are about to queue: let them, so one write carries them all.
+		runtime.Gosched()
+	}
+	c.mu.Lock()
+	for c.conn == conn && len(c.out) > 0 {
+		buf := c.out
+		c.out, c.spare = c.spare[:0], nil
+		c.mu.Unlock()
+		conn.SetWriteDeadline(deadline)
+		_, err := conn.Write(buf)
+		c.mu.Lock()
+		if err == nil {
+			c.counters.writes.Add(1)
+			c.counters.bytesWritten.Add(uint64(len(buf)))
+		}
+		if c.conn != conn {
+			break // severed meanwhile: out and writing are the next incarnation's
+		}
+		if err != nil {
+			c.dropLocked(conn, fmt.Errorf("lineconn: writing to %s: %w", c.addr, err))
+			break
+		}
+		if cap(buf) <= maxSpare {
+			c.spare = buf[:0]
+		}
+	}
+	if c.conn == conn {
+		c.writing = false
+	}
+	c.mu.Unlock()
 }
 
 // readPump decodes response lines and hands each to its waiter until
@@ -717,6 +867,8 @@ func (c *Conn[M]) dropLocked(conn net.Conn, err error) {
 	conn.Close()
 	c.conn = nil
 	c.state = nil
+	c.out = c.out[:0]
+	c.writing = false
 	waiters := c.waiters
 	c.waiters = make(map[uint64]chan result[M])
 	for _, ch := range waiters {

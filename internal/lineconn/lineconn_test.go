@@ -297,6 +297,10 @@ func TestRoundTripBatchSingleBurst(t *testing.T) {
 	if st.Bursts != 1 || st.BurstRequests != 3 {
 		t.Errorf("burst counters = %+v, want 1 burst of 3", st)
 	}
+	// Uncontended, the burst's lines leave together.
+	if st.Writes != 1 {
+		t.Errorf("writes = %d, want the burst in exactly 1 write", st.Writes)
+	}
 }
 
 func TestRoundTripBatchFailsAllOnSever(t *testing.T) {
@@ -350,6 +354,9 @@ func TestHandshakeRunsAsLineOne(t *testing.T) {
 	}
 	if msg.Line != 2 {
 		t.Errorf("first request landed on line %d, want 2 (the handshake owns line 1)", msg.Line)
+	}
+	if st := c.counters.Snapshot(); st.Writes != 1 {
+		t.Errorf("writes = %d, want 1 (handshakes are not counted)", st.Writes)
 	}
 	mu.Lock()
 	defer mu.Unlock()

@@ -74,19 +74,33 @@ func (a Assessment) Level() enforce.IsolationLevel {
 	}
 }
 
+// Verdict is the part of an assessment a verdict carries: the
+// isolation level, the advisory IDs and the channels that require user
+// notification (RequiresUserNotification's). The repository keeps one
+// per known type, rebuilt whenever the type's advisories change, so
+// reading it copies nothing: its slices are shared and must be treated
+// as immutable.
+type Verdict struct {
+	Level    enforce.IsolationLevel
+	IDs      []string
+	Channels []string
+}
+
 // DB is a vulnerability repository keyed by device-type. Safe for
 // concurrent use.
 type DB struct {
-	mu      sync.RWMutex
-	entries map[string][]Vulnerability
-	known   map[string]bool
+	mu       sync.RWMutex
+	entries  map[string][]Vulnerability
+	known    map[string]bool
+	verdicts map[string]Verdict
 }
 
 // New returns an empty repository.
 func New() *DB {
 	return &DB{
-		entries: make(map[string][]Vulnerability),
-		known:   make(map[string]bool),
+		entries:  make(map[string][]Vulnerability),
+		known:    make(map[string]bool),
+		verdicts: make(map[string]Verdict),
 	}
 }
 
@@ -94,7 +108,10 @@ func New() *DB {
 func (db *DB) AddType(deviceType string) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.known[deviceType] = true
+	if !db.known[deviceType] {
+		db.known[deviceType] = true
+		db.verdicts[deviceType] = Verdict{Level: enforce.Trusted}
+	}
 }
 
 // Add records an advisory for a device-type, registering the type.
@@ -102,7 +119,31 @@ func (db *DB) Add(deviceType string, v Vulnerability) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.known[deviceType] = true
-	db.entries[deviceType] = append(db.entries[deviceType], v)
+	vulns := append(db.entries[deviceType], v)
+	db.entries[deviceType] = vulns
+	// Build fresh slices: readers may hold the previous verdict's.
+	a := Assessment{DeviceType: deviceType, Known: true, Vulns: vulns}
+	verdict := Verdict{Level: a.Level(), IDs: make([]string, len(vulns))}
+	for i, v := range vulns {
+		verdict.IDs[i] = v.ID
+	}
+	_, verdict.Channels = a.RequiresUserNotification()
+	db.verdicts[deviceType] = verdict
+}
+
+// Verdict returns the type's verdict digest without copying it: strict
+// for a type the repository does not know, and for every type when db
+// is nil (serving without a repository).
+func (db *DB) Verdict(deviceType string) Verdict {
+	if db == nil {
+		return Verdict{Level: enforce.Strict}
+	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if v, ok := db.verdicts[deviceType]; ok {
+		return v
+	}
+	return Verdict{Level: enforce.Strict}
 }
 
 // Assess looks up the advisories for a device-type.

@@ -2,6 +2,7 @@ package vulndb
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/devices"
@@ -149,5 +150,44 @@ func TestSeededHasUserNotificationCase(t *testing.T) {
 	}
 	if !found {
 		t.Error("seeded repository has no §III-C3 user-notification case")
+	}
+}
+
+// TestVerdictMatchesAssessment: the kept verdict digest agrees with a
+// fresh Assess for every seeded type and an unknown one, follows an
+// advisory added later (without touching a digest already handed out),
+// and a nil repository levels everything strict.
+func TestVerdictMatchesAssessment(t *testing.T) {
+	db := Seeded()
+	check := func(typ string) {
+		t.Helper()
+		a := db.Assess(typ)
+		v := db.Verdict(typ)
+		var ids []string
+		for _, vuln := range a.Vulns {
+			ids = append(ids, vuln.ID)
+		}
+		_, channels := a.RequiresUserNotification()
+		if v.Level != a.Level() || !reflect.DeepEqual(v.IDs, ids) || !reflect.DeepEqual(v.Channels, channels) {
+			t.Errorf("%s: verdict %+v, assessment gives level %v, ids %v, channels %v", typ, v, a.Level(), ids, channels)
+		}
+	}
+	for _, typ := range append(db.Types(), "MysteryDevice") {
+		check(typ)
+	}
+
+	before := db.Verdict("HueBridge")
+	db.Add("HueBridge", Vulnerability{ID: "IOTDB-TEST-1", UncontrolledChannel: "zigbee"})
+	check("HueBridge")
+	if after := db.Verdict("HueBridge"); after.Level != enforce.Restricted {
+		t.Errorf("HueBridge after an advisory: %+v, want restricted", after)
+	}
+	if before.Level != enforce.Trusted || before.IDs != nil {
+		t.Errorf("a digest handed out before the advisory changed: %+v", before)
+	}
+
+	var none *DB
+	if v := none.Verdict("HueBridge"); v.Level != enforce.Strict {
+		t.Errorf("nil repository: %+v, want strict", v)
 	}
 }
