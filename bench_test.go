@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/controlplane"
 	"repro/internal/core"
 	"repro/internal/dataplane"
 	"repro/internal/devices"
@@ -619,64 +618,6 @@ func BenchmarkThroughputRemoteShard(b *testing.B) {
 	}
 }
 
-// groupBankFixture caches a replicated logical bank: two shards trained
-// as one partition, shard 1 served by two shard replicas behind an
-// iotssp.ShardGroup.
-type groupBankFixture struct {
-	mixed *core.ShardedBank
-	group *iotssp.ShardGroup
-}
-
-var groupFixture *groupBankFixture
-
-func getGroupBank(b *testing.B) *groupBankFixture {
-	b.Helper()
-	if groupFixture != nil {
-		return groupFixture
-	}
-	sb := getShardedBank(b, 2)
-	// Reads are load-spread on the premise that every member hosts a
-	// bit-identical bank; serving one bank behind two replicas satisfies
-	// it without retraining (the bench never enrolls).
-	addrs := make([]string, 2)
-	for i := range addrs {
-		replica := iotssp.NewShardReplica(sb.Shard(1).(*core.Bank), iotssp.ServerConfig{})
-		if err := replica.Start(); err != nil {
-			b.Fatal(err)
-		}
-		addrs[i] = replica.Addr()
-	}
-	group := iotssp.NewShardGroup(addrs, iotssp.ShardGroupConfig{Shard: iotssp.RemoteShardConfig{Seed: 1}})
-	mixed, err := core.NewShardedBankFrom(core.Config{Forest: ml.ForestConfig{Trees: 100}, Seed: 1},
-		[]core.Shard{sb.Shard(0), group})
-	if err != nil {
-		b.Fatal(err)
-	}
-	groupFixture = &groupBankFixture{mixed: mixed, group: group}
-	return groupFixture
-}
-
-// BenchmarkThroughputShardGroup measures the replicated logical bank:
-// scatter/gather IdentifyBatch where one of the two shards is a
-// two-member iotssp.ShardGroup with round-robin read routing. The gap
-// to BenchmarkThroughputRemoteShard is the group's routing overhead;
-// the payoff it buys is the zero-latency member restart drilled by
-// sentinel-eval -experiment replicated.
-func BenchmarkThroughputShardGroup(b *testing.B) {
-	fx := getFixture(b)
-	gx := getGroupBank(b)
-	probes := throughputProbes(fx, 4*len(fx.probes))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gx.mixed.IdentifyBatch(probes, 0)
-	}
-	b.ReportMetric(float64(len(probes)*b.N)/b.Elapsed().Seconds(), "fp/s")
-	if st := gx.group.Counters(); st.Failures > 0 {
-		b.Fatalf("shard group failures during bench: %+v", st)
-	}
-}
-
 // BenchmarkThroughputDistributedService measures the verdict service
 // fronting the distributed bank with a warm cache: the common fleet
 // case where the wire hop is fully amortized behind cache hits.
@@ -792,98 +733,7 @@ func BenchmarkDataplane(b *testing.B) {
 	b.ReportMetric(float64(len(frames)*b.N)/b.Elapsed().Seconds(), "pkt/s")
 }
 
-// BenchmarkRebalance measures one round-trip staged migration through
-// the control plane: a device type moved between two local partitions
-// and back (train-on-target, health-gate, flip-route, drain-source,
-// twice), so the topology is identical at every iteration boundary.
-// The dominant cost is minting the moved type's forest on the target
-// shard; the flip itself is an O(1) owner swap.
-func BenchmarkRebalance(b *testing.B) {
-	env := devices.DefaultEnv()
-	ds, err := devices.GenerateDataset(env, 1, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	names := devices.Names()[:6]
-	train := make(map[string][]*fingerprint.Fingerprint, len(names))
-	for _, name := range names {
-		train[name] = ds[name]
-	}
-	topo := controlplane.Topology{Partitions: []controlplane.PartitionSpec{
-		{Types: names[:3], Local: true},
-		{Types: names[3:], Local: true},
-	}}
-	cl, err := controlplane.Assemble(controlplane.ClusterConfig{
-		Core:      core.BankConfig{Forest: ml.ForestConfig{Trees: 25}, Seed: 1},
-		CacheSize: -1,
-	}, topo, train)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-	moved := cl.Bank().ShardTypes(0)[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := cl.MigrateType(moved, 1); err != nil {
-			b.Fatal(err)
-		}
-		if err := cl.MigrateType(moved, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(2*float64(b.N)/b.Elapsed().Seconds(), "migrations/s")
-}
-
 // --- Compact forests: snapshots, quantization, wire cost -----------------
-
-// BenchmarkSnapshotMint compares the two ways the control plane can mint
-// a replacement member bank for a replicated partition: replaying the
-// partition's enrolment history (retraining every forest) versus
-// restoring a state-transfer snapshot taken from a live member. The two
-// are asserted bit-identical by the rebalance experiment and the
-// controlplane tests; the gap here is what snapshot minting buys a
-// membership roll.
-func BenchmarkSnapshotMint(b *testing.B) {
-	env := devices.DefaultEnv()
-	ds, err := devices.GenerateDataset(env, 1, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	names := devices.Names()[:6]
-	train := make(map[string][]*fingerprint.Fingerprint, len(names))
-	for _, name := range names {
-		train[name] = ds[name]
-	}
-	topo := controlplane.Topology{Partitions: []controlplane.PartitionSpec{
-		{Types: names[:3], Local: true},
-		{Types: names[3:], Members: 2},
-	}}
-	cl, err := controlplane.Assemble(controlplane.ClusterConfig{
-		Core:      core.BankConfig{Forest: ml.ForestConfig{Trees: 25}, Seed: 1},
-		CacheSize: -1,
-	}, topo, train)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-	for _, tc := range []struct {
-		name string
-		mint controlplane.MintStrategy
-	}{
-		{"replay", controlplane.MintReplay},
-		{"snapshot", controlplane.MintSnapshot},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := cl.MintReplacement(1, tc.mint); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkQuantizedClassify measures stage-one classification through
 // the exact flat layout versus the float32-quantized one, on a

@@ -46,19 +46,6 @@ func TestRunDistributedExperimentSmoke(t *testing.T) {
 	}
 }
 
-// TestRunReplicatedExperimentSmoke drives the replicated-shard-group
-// experiment end to end through the CLI entry point at a reduced size,
-// including the GOMAXPROCS-gated p99 assertion default.
-func TestRunReplicatedExperimentSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("replicated experiment in -short mode")
-	}
-	err := run([]string{"-experiment", "replicated", "-runs", "10", "-trees", "25", "-shards", "2", "-replicas", "2"})
-	if err != nil {
-		t.Fatalf("replicated experiment: %v", err)
-	}
-}
-
 // TestRunServiceExperimentSmoke drives the multi-gateway load
 // experiment — the per-request baseline and the batched, cached service
 // — end to end through the CLI entry point at a reduced size.
@@ -68,18 +55,5 @@ func TestRunServiceExperimentSmoke(t *testing.T) {
 	}
 	if err := run([]string{"-experiment", "service", "-runs", "10", "-trees", "25"}); err != nil {
 		t.Fatalf("service experiment: %v", err)
-	}
-}
-
-// TestRunRebalanceExperimentSmoke drives the live-topology experiment
-// end to end through the CLI entry point at a reduced size. The p99
-// gate is off: the smoke run checks the drill's verdicts, not timing.
-func TestRunRebalanceExperimentSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("rebalance experiment in -short mode")
-	}
-	err := run([]string{"-experiment", "rebalance", "-runs", "10", "-trees", "25", "-replicas", "2", "-max-p99-ratio", "0"})
-	if err != nil {
-		t.Fatalf("rebalance experiment: %v", err)
 	}
 }

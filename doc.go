@@ -84,8 +84,8 @@
 // The load experiment (experiments.RunService) replays a multi-gateway
 // fleet workload over TCP and reports throughput against the
 // per-request baseline, cache hit rate, latency percentiles and a
-// single JSON metrics snapshot. It and the four serving drills below
-// (fleet, distributed, replicated, rebalance) share one replay harness:
+// single JSON metrics snapshot. It and the two serving drills below
+// (fleet, distributed) share one replay harness:
 // one workload builder, one closed-loop phase runner over gateway
 // pools that records verdicts in request order, counts lost requests
 // and fires each drill from the request that crosses its threshold,
@@ -112,19 +112,18 @@
 //
 // Every wire client rides one transport. internal/lineconn owns the
 // pipelined line-correlated connection that gateway.Pool (and so
-// FleetPool), iotssp.RemoteShard and iotssp.ShardGroup each used to
-// hand-roll: request lines are counted per
-// connection, responses correlate to waiters by the server's line echo,
-// a generation guard keeps responses buffered from a severed connection
-// from resolving waiters on its replacement, and any transport failure
-// fails every pending waiter fast and redials lazily. Protocols with an
-// opening negotiation (the shard hello) plug in through a handshake
-// hook that owns line 1 of every fresh connection. Concurrent
-// round-trips group-commit: each queues its line, and one of them
-// ships everything queued in a single socket write. The transport
-// exposes one canonical counter block — dials, reconnects, writes,
-// bursts, dropped correlations — surfaced verbatim through PoolStats,
-// RemoteShardStats and ShardGroupStats into the experiments' metrics
+// FleetPool) and iotssp.RemoteShard each used to hand-roll: request
+// lines are counted per connection, responses correlate to waiters by
+// the server's line echo, a generation guard keeps responses buffered
+// from a severed connection from resolving waiters on its replacement,
+// and any transport failure fails every pending waiter fast and redials
+// lazily. Protocols with an opening negotiation (the shard hello) plug
+// in through a handshake hook that owns line 1 of every fresh
+// connection. Concurrent round-trips group-commit: each queues its
+// line, and one of them ships everything queued in a single socket
+// write. The transport exposes one canonical counter block — dials,
+// reconnects, writes, bursts, dropped correlations — surfaced verbatim
+// through PoolStats and RemoteShardStats into the experiments' metrics
 // snapshot, and one Retry policy drives every client's jittered
 // exponential backoff from the shared internal/backoff source.
 //
@@ -150,55 +149,27 @@
 // verdicts, and invalidates exactly the dependent cache entries on a
 // remote enrolment.
 //
-// Remote shards replicate. iotssp.ShardGroup serves one partition from
-// N identically trained shard servers behind a single health-aware
-// core.Shard — the FleetPool machinery one layer down, built on the
-// same backoff.Breaker: reads round-robin across admitted members and
-// fail over transparently, consecutive failures eject a member,
-// probing re-admission brings a revived one back — so a shard-server
-// restart costs zero added latency instead of stalling every in-flight
-// scatter in a retry burst. Enrolments fan out to every member and the
-// group's version reconciles to the maximum observed, so the verdict
-// cache sees exactly one bump and invalidates the dependent entries
-// exactly once. The replicated experiment
-// (experiments.RunReplicatedShards, sentinel-eval -experiment
-// replicated) drills it: bit-equal verdicts against the single-replica
-// reference, a mid-run member kill+revive with zero lost verdicts and
-// p99 within 2x of the no-kill run (gated on GOMAXPROCS), and the
-// counter-verified fan-out invalidation.
-//
-// The serving topology is owned by a control plane. A
+// The serving topology is fixed when a control plane assembles it. A
 // controlplane.Topology is a declarative spec — partitions of the
-// device-type universe, each local or remote with a replica count —
-// and controlplane.Assemble turns it plus a training set into a
-// running Cluster: trained partition banks behind shard replicas,
-// RemoteShard clients or ShardGroups, one logical ShardedBank, and the
-// verdict frontends. Every managed piece satisfies the same Component
+// device-type universe, each local or served by one shard server — and
+// controlplane.Assemble turns it plus a training set into a running
+// Cluster: trained partition banks, a shard replica and RemoteShard
+// client per remote partition, one logical ShardedBank, and the
+// verdict frontends. New device-types enrol through the logical bank
+// (Cluster.Bank().Enroll) while verdicts keep flowing; no partition is
+// replicated and no type moves between partitions, as in the paper's
+// single IoT Security Service. Whole-bank availability comes from
+// replicating the verdict service (iotssp.Fleet behind
+// gateway.FleetPool). Every managed piece satisfies the same Component
 // contract (Stats() json.RawMessage, Healthy() bool, Close() error),
 // so cluster health is a conjunction and metrics snapshots are a
 // uniform []stats.Snapshot of tagged counter blocks rather than
-// per-kind struct fields. Topology changes are staged rollouts that
-// never drop a verdict: MigrateType relocates a device-type through
-// train-on-target, health-gate, flip-route (ShardedBank.SetOwner keeps
-// the type's global enrolment position) and drain-source, whose single
-// version bump invalidates exactly the dependent cached verdicts once;
-// ReplaceMember rolls a ShardGroup member by minting a bit-identical
-// replacement — by default a state-transfer snapshot from a live
-// member, falling back to replaying the partition's recorded enrolment
-// history when a peer predates the snapshot verbs — gating it on the
-// group's served types and reconciled version before the old member
-// detaches. Constructors across the stack are uniform —
+// per-kind struct fields. Constructors across the stack are uniform —
 // iotssp.NewServer(svc, ServerConfig) and iotssp.NewService(bank,
 // ServiceConfig) subsume the former config-less/cache variants — and
 // the layer configs carry intention-revealing aliases
 // (core.BankConfig, gateway.GatewayConfig, dataplane.PipelineConfig)
-// so call sites composing several layers stay readable. The rebalance
-// experiment (experiments.RunRebalance, sentinel-eval -experiment
-// rebalance) drills a live mid-run rebalance: two type migrations and
-// a rolling member replacement under load, zero lost verdicts, every
-// verdict bit-equal to the initial- or final-topology baseline, p99
-// within 2x of the steady run (GOMAXPROCS-gated), and the
-// counter-verified exactly-once invalidation audit.
+// so call sites composing several layers stay readable.
 //
 // Trained forests are compact, serializable state. The flattened
 // serving layout optionally quantizes (ml.FlatConfig: float32
@@ -210,20 +181,16 @@
 // (core.SnapshotsEqual): restore rejects config mismatches and
 // truncation, never disturbs state on error, and restored banks enroll
 // future types bit-identically to the original (per-enrolment derived
-// training seeds). The wire carries it: OpSnapshot/OpRestore state
-// transfer, delta-packed classify batches, and OpDelta version bumps
-// that shard servers push to every connection that said hello —
-// version caches and shard-scoped cache invalidation move with zero
-// polling round-trips. The control plane mints ShardGroup replacement
-// members by snapshot transfer instead of replay (MintStrategy;
-// RepairMember replays a diverged member's missing types back in), the
-// transports count bytes on the wire (lineconn.Stats.BytesWritten/
-// BytesRead), and the serving experiments report measured
-// bytes/verdict (MetricsSnapshot.ComputeBytesPerVerdict) —
-// BenchmarkSnapshotMint, BenchmarkQuantizedClassify and
-// BenchmarkBytesPerVerdict hold the regression line in BENCH_ci.json,
-// and a CI fuzz-smoke job hammers every serialization codec's decoder
-// with corrupt bytes.
+// training seeds). The shard wire carries delta-packed classify batches
+// and OpDelta version bumps that shard servers push to every connection
+// that said hello — version caches and shard-scoped cache invalidation
+// move with zero polling round-trips. The transports count bytes on the
+// wire (lineconn.Stats.BytesWritten/BytesRead), and the serving
+// experiments report measured bytes/verdict
+// (MetricsSnapshot.ComputeBytesPerVerdict) — BenchmarkQuantizedClassify
+// and BenchmarkBytesPerVerdict hold the regression line in
+// BENCH_ci.json, and a CI fuzz-smoke job hammers every serialization
+// codec's decoder with corrupt bytes.
 //
 // Every wire is plain JSON lines, one generation per tier. The gateway
 // ↔ verdict-server leg is stateless, as the paper's service requires:
@@ -238,22 +205,20 @@
 // written lines mutate the pair) and per-direction device-type name
 // interning. Dictionary generation equals connection incarnation: any
 // decode failure answers a non-retryable error and severs, both ends
-// rebuild empty, so reconnects — including mid-run shard kills and
-// control plane member rolls — can never decode against state the peer
-// no longer holds. The hello is a strict match: a peer whose reply
-// names the wrong mode, another iotssp.ProtocolVersion, or no grant
-// for the asked dictionary is refused at connect, never silently
-// downgraded. iotssp.WireMode (WireOff or WireDict) threads the ask
-// through RemoteShard and ShardGroup (whose failover re-encodes per
-// member connection); the distributed and replicated experiments
-// replay a wire-off twin phase, assert bit-equal verdicts, and fail
-// unless the measured steady-state bytes/verdict gain reaches 5x
-// (sentinel-eval -wire dict, -min-wire-gain; handshake, push and
-// state-transfer bytes are carved out so the gain is steady-state
-// classify cost, not amortized setup). BenchmarkDictClassify and the
-// dict BytesPerVerdict case hold the codec's line in BENCH_ci.json,
-// FuzzUnpackRef and FuzzUnpack smoke the decoders, and FuzzShardOp
-// feeds arbitrary lines to the shard verbs.
+// rebuild empty, so reconnects — including mid-run shard kills — can
+// never decode against state the peer no longer holds. The hello is a
+// strict match: a peer whose reply names the wrong mode, another
+// iotssp.ProtocolVersion, or no grant for the asked dictionary is
+// refused at connect, never silently downgraded. iotssp.WireMode
+// (WireOff or WireDict) threads the ask through RemoteShard; the
+// distributed experiment replays a wire-off twin phase, asserts
+// bit-equal verdicts, and fails unless the measured steady-state
+// bytes/verdict gain reaches 5x (sentinel-eval -wire dict,
+// -min-wire-gain; handshake, push and state-transfer bytes are carved
+// out so the gain is steady-state classify cost, not amortized setup).
+// BenchmarkDictClassify and the dict BytesPerVerdict case hold the
+// codec's line in BENCH_ci.json, FuzzUnpackRef and FuzzUnpack smoke the
+// decoders, and FuzzShardOp feeds arbitrary lines to the shard verbs.
 //
 // Stage one is a fused classification engine. Every enrolled forest is
 // fused into one QuickScorer index (ml.ForestSet; Lucchese et al.,

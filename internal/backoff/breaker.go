@@ -34,8 +34,7 @@ type BreakerState struct {
 
 // Breaker tracks one remote peer's health for a failover router: it is
 // the consecutive-failure ejection / probing re-admission machinery
-// shared by gateway.FleetPool (per service replica) and
-// iotssp.ShardGroup (per shard-group member). A healthy peer admits
+// gateway.FleetPool keeps per service replica. A healthy peer admits
 // every request; FailureThreshold consecutive failures eject it; after
 // a jittered, exponentially growing probe backoff a single request is
 // let through as a probe, and a success re-admits the peer. At most one

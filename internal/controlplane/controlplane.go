@@ -1,28 +1,28 @@
-// Package controlplane coordinates the serving topology of a
-// distributed IoT Security Service deployment: which partition of the
-// classifier bank lives where, how each partition is replicated, and
-// how the topology changes while verdicts keep flowing.
+// Package controlplane assembles the serving topology of a distributed
+// IoT Security Service deployment: which partition of the classifier
+// bank lives where, and the verdict frontends above it.
 //
 // # Declarative topology, assembled clusters
 //
 // A Topology is a declarative spec: an ordered list of PartitionSpecs,
 // each naming the device-types a partition owns and whether it is
-// served in-process (Local) or behind the shard wire protocol with
-// Members replicated shard servers. Assemble turns (ClusterConfig,
-// Topology, training set) into a running Cluster: every partition's
-// bank is trained, remote partitions are hosted behind restartable
-// shard replicas and reached through a RemoteShard client (one member)
-// or a health-aware ShardGroup (several), the partitions are joined
-// into one logical core.ShardedBank, and Frontends verdict servers are
+// served in-process (Local) or by one shard server behind the shard
+// wire protocol. Assemble turns (ClusterConfig, Topology, training
+// set) into a running Cluster: every partition's bank is trained,
+// remote partitions are hosted behind a restartable shard replica and
+// reached through a RemoteShard client, the partitions are joined into
+// one logical core.ShardedBank, and Frontends verdict servers are
 // started over a shared iotssp.Service. The hand-rolled wiring the
 // serving experiments used to repeat — train, shard, serve, client,
-// front — is this one call.
+// front — is this one call. The topology is fixed from then on: a new
+// device-type enrols through Cluster.Bank().Enroll, which routes it to
+// the least-loaded partition while verdicts keep flowing.
 //
 // # The Component contract
 //
 // Every managed piece of a cluster — verdict frontends, shard-server
-// replicas, remote-shard clients, shard groups, and the gateway-side
-// pools above them — exposes the same minimal operational surface:
+// replicas, remote-shard clients, and the gateway-side pools above
+// them — exposes the same minimal operational surface:
 //
 //	Stats() json.RawMessage   // counters, in the uniform stats currency
 //	Healthy() bool            // is this piece currently serving?
@@ -33,49 +33,6 @@
 // enumeration anywhere: Snapshots collects every managed component's
 // counters as tagged internal/stats.Snapshot values, and Healthy is
 // the conjunction of the members'.
-//
-// # Staged rollouts
-//
-// Topology changes are staged so the data plane never observes a
-// half-moved type. MigrateType relocates one device-type between
-// shards (local to remote or any other pairing) through a fixed state
-// machine:
-//
-//	train-on-target  the type's recorded training prints are enrolled
-//	                 on the destination shard. An "already enrolled"
-//	                 answer reconciles against the shard's type list
-//	                 (ack-lost replay must converge, not fail). During
-//	                 this window both shards accept the type; the
-//	                 ShardedBank merge dedups the double-accept.
-//	health-gate      the destination must be healthy and report the
-//	                 type enrolled before the route may flip; a failed
-//	                 gate rolls the target enrolment back and aborts
-//	                 with the topology unchanged.
-//	flip-route       ShardedBank.SetOwner atomically re-routes
-//	                 discrimination and cache dependency tagging to the
-//	                 destination, keeping the type's global enrolment
-//	                 position (the merge order bit-equality rests on).
-//	drain-source     the source shard retires the type (Bank.Remove's
-//	                 tombstone semantics: racing discriminations still
-//	                 score it). The source's version bump is the one
-//	                 existing per-shard invalidation signal, so cached
-//	                 verdicts that depended on the moved type
-//	                 invalidate exactly once.
-//
-// ReplaceMember rolls one member of a replicated partition: a
-// replacement bank is minted by replaying the partition's recorded
-// enrolment history (initial training plus every enroll/remove event,
-// in order — bit-identical to the incumbents, which a union retrain
-// would not be), hosted on a fresh shard replica, health-gated against
-// the group's served type list and reconciled version, joined via
-// AddMember, and only then is the old member detached and closed. The
-// group's version floor keeps the reconciled version monotonic across
-// the swap, so verdict caches never see time move backwards.
-//
-// Both rollouts serialize on the cluster's topology lock, together
-// with Enroll's history recording: a replacement racing an enrolment
-// orders cleanly — the enrolment either lands in the minted replay or
-// fans out to the new member after it joins.
 package controlplane
 
 import (
@@ -83,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -109,7 +65,6 @@ var (
 	_ Component = (*iotssp.Server)(nil)
 	_ Component = (*iotssp.Replica)(nil)
 	_ Component = (*iotssp.RemoteShard)(nil)
-	_ Component = (*iotssp.ShardGroup)(nil)
 	_ Component = (*gateway.Pool)(nil)
 	_ Component = (*gateway.FleetPool)(nil)
 )
@@ -121,13 +76,9 @@ type PartitionSpec struct {
 	// bank the partition of the sorted name universe must be the
 	// round-robin deal (see RoundRobin).
 	Types []string
-	// Local serves the partition in-process. Remote partitions are
-	// hosted behind shard-serving replicas on loopback.
+	// Local serves the partition in-process. A remote partition is
+	// hosted behind one shard-serving replica on loopback.
 	Local bool
-	// Members is a remote partition's replica count: 1 (or 0) serves it
-	// through a single RemoteShard client, 2+ through a health-aware
-	// ShardGroup whose membership the control plane can roll.
-	Members int
 }
 
 // Topology is the declarative serving spec a Cluster realizes.
@@ -159,12 +110,8 @@ type ClusterConfig struct {
 	Core core.BankConfig
 	// Server tunes every server — verdict frontends and shard replicas.
 	Server iotssp.ServerConfig
-	// Shard tunes the RemoteShard client of single-member remote
-	// partitions.
+	// Shard tunes the RemoteShard client of every remote partition.
 	Shard iotssp.RemoteShardConfig
-	// Group tunes the ShardGroup of multi-member remote partitions
-	// (including its own member-client tuning in Group.Shard).
-	Group iotssp.ShardGroupConfig
 	// CacheSize sizes the service verdict cache (0 selects the default,
 	// negative disables caching).
 	CacheSize int
@@ -177,37 +124,16 @@ type ClusterConfig struct {
 	Endpoints map[string][]string
 }
 
-// bankEvent is one recorded post-assembly mutation of a partition's
-// enrolment history. Replaying the initial training plus the events in
-// order mints a bank bit-identical to the partition's incumbents.
-type bankEvent struct {
-	remove bool
-	name   string
-	prints []*fingerprint.Fingerprint
-}
-
 // partition is one realized PartitionSpec.
 type partition struct {
 	spec  PartitionSpec
+	bank  *core.Bank
 	shard core.Shard
-	// comp is the partition's wire client (RemoteShard or ShardGroup);
-	// nil for local partitions, which have no failure domain of their
-	// own.
-	comp Component
-	// group is non-nil for multi-member partitions (the mutable-
-	// membership handle ReplaceMember rolls).
-	group *iotssp.ShardGroup
-	// members are the shard-server replicas hosting a remote partition,
-	// with their banks (for divergence checks and drills).
-	members     []*iotssp.Replica
-	memberBanks []*core.Bank
-	// base and events are the partition's enrolment history. baseOrder
-	// is the initial training's enrolment order (the sorted base names),
-	// computed once at assembly: every mint replays the same cached
-	// order instead of re-deriving it per roll.
-	base      map[string][]*fingerprint.Fingerprint
-	baseOrder []string
-	events    []bankEvent
+	// replica hosts a remote partition's bank and comp is its wire
+	// client; both are nil for local partitions, which have no failure
+	// domain of their own.
+	replica *iotssp.Replica
+	comp    Component
 }
 
 // managed is one Component registered for Snapshots/Healthy, with the
@@ -219,10 +145,7 @@ type managed struct {
 
 // Cluster is a running realization of a Topology: trained partition
 // banks behind their serving machinery, one logical ShardedBank, and
-// the verdict frontends. Reads flow through the data plane untouched;
-// the Cluster's own methods are the control plane — enrolment with
-// history recording, live type migration, and rolling member
-// replacement — all serialized on one topology lock.
+// the verdict frontends.
 type Cluster struct {
 	cfg  ClusterConfig
 	bank *core.ShardedBank
@@ -231,12 +154,6 @@ type Cluster struct {
 	fronts []*iotssp.Replica
 	parts  []*partition
 	comps  []managed
-
-	// mu serializes topology mutations and enrolment-history recording.
-	mu sync.Mutex
-	// prints records every enrolled type's training fingerprints — the
-	// payload train-on-target replays during a migration.
-	prints map[string][]*fingerprint.Fingerprint
 }
 
 // Assemble trains and starts a cluster realizing the topology over the
@@ -250,16 +167,14 @@ func Assemble(cfg ClusterConfig, topo Topology, training map[string][]*fingerpri
 	if cfg.Frontends < 1 {
 		cfg.Frontends = 1
 	}
-	c := &Cluster{
-		cfg:    cfg,
-		prints: make(map[string][]*fingerprint.Fingerprint),
-	}
+	c := &Cluster{cfg: cfg}
 	seen := make(map[string]int)
+	trainings := make([]map[string][]*fingerprint.Fingerprint, len(topo.Partitions))
 	for p, spec := range topo.Partitions {
 		if len(spec.Types) == 0 {
 			return nil, fmt.Errorf("controlplane: partition %d owns no types", p)
 		}
-		part := &partition{spec: spec, base: make(map[string][]*fingerprint.Fingerprint, len(spec.Types))}
+		trainings[p] = make(map[string][]*fingerprint.Fingerprint, len(spec.Types))
 		for _, name := range spec.Types {
 			if prev, dup := seen[name]; dup {
 				return nil, fmt.Errorf("controlplane: device-type %q assigned to partitions %d and %d", name, prev, p)
@@ -269,51 +184,22 @@ func Assemble(cfg ClusterConfig, topo Topology, training map[string][]*fingerpri
 			if !ok || len(prints) == 0 {
 				return nil, fmt.Errorf("controlplane: partition %d names %q, which has no training fingerprints", p, name)
 			}
-			part.base[name] = prints
-			c.prints[name] = append([]*fingerprint.Fingerprint(nil), prints...)
+			trainings[p][name] = prints
 		}
-		part.baseOrder = append([]string(nil), spec.Types...)
-		sort.Strings(part.baseOrder)
-		c.parts = append(c.parts, part)
+		c.parts = append(c.parts, &partition{spec: spec})
 	}
 
-	// Train every partition bank concurrently — remote partitions train
-	// one bank per member (identical history, so identical banks), which
-	// is how TrainSharded-equivalent shards and their replicas are
-	// minted without retraining whole partitions.
-	type trainJob struct {
-		part   *partition
-		banks  []*core.Bank
-		member int
-	}
-	var jobs []*trainJob
-	for _, part := range c.parts {
-		n := 1
-		if !part.spec.Local {
-			n = part.spec.Members
-			if n < 1 {
-				n = 1
-			}
-		}
-		banks := make([]*core.Bank, n)
-		for j := 0; j < n; j++ {
-			jobs = append(jobs, &trainJob{part: part, banks: banks, member: j})
-		}
-		part.memberBanks = banks
-	}
+	// Train every partition bank concurrently, each on its own types
+	// alone — which is how TrainSharded-equivalent shards are minted
+	// without training the whole bank.
 	var wg sync.WaitGroup
-	errs := make([]error, len(jobs))
-	for i, job := range jobs {
+	errs := make([]error, len(c.parts))
+	for p, part := range c.parts {
 		wg.Add(1)
-		go func(i int, job *trainJob) {
+		go func(p int, part *partition) {
 			defer wg.Done()
-			bank, err := core.TrainOrdered(cfg.Core, job.part.baseOrder, job.part.base)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			job.banks[job.member] = bank
-		}(i, job)
+			part.bank, errs[p] = core.Train(cfg.Core, trainings[p])
+		}(p, part)
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
@@ -321,34 +207,22 @@ func Assemble(cfg ClusterConfig, topo Topology, training map[string][]*fingerpri
 	}
 
 	// Host each partition: local banks serve in-process; remote ones go
-	// behind shard replicas and a wire client.
+	// behind a shard replica and a wire client.
 	for p, part := range c.parts {
 		if part.spec.Local {
-			part.shard = part.memberBanks[0]
-			part.members = nil
+			part.shard = part.bank
 			continue
 		}
-		addrs := make([]string, len(part.memberBanks))
-		part.members = make([]*iotssp.Replica, len(part.memberBanks))
-		for j, bank := range part.memberBanks {
-			rep := iotssp.NewShardReplica(bank, cfg.Server)
-			if err := rep.Start(); err != nil {
-				c.Close()
-				return nil, fmt.Errorf("controlplane: starting partition %d member %d: %w", p, j, err)
-			}
-			part.members[j] = rep
-			addrs[j] = rep.Addr()
-			c.comps = append(c.comps, managed{kind: "server", comp: rep})
+		rep := iotssp.NewShardReplica(part.bank, cfg.Server)
+		if err := rep.Start(); err != nil {
+			c.Close()
+			return nil, fmt.Errorf("controlplane: starting partition %d: %w", p, err)
 		}
-		if len(addrs) == 1 {
-			rs := iotssp.NewRemoteShard(addrs[0], cfg.Shard)
-			part.shard, part.comp = rs, rs
-			c.comps = append(c.comps, managed{kind: "remote_shard", comp: rs})
-		} else {
-			g := iotssp.NewShardGroup(addrs, cfg.Group)
-			part.shard, part.comp, part.group = g, g, g
-			c.comps = append(c.comps, managed{kind: "shard_group", comp: g})
-		}
+		part.replica = rep
+		c.comps = append(c.comps, managed{kind: "server", comp: rep})
+		rs := iotssp.NewRemoteShard(rep.Addr(), cfg.Shard)
+		part.shard, part.comp = rs, rs
+		c.comps = append(c.comps, managed{kind: "remote_shard", comp: rs})
 	}
 
 	shards := make([]core.Shard, len(c.parts))
@@ -418,25 +292,23 @@ func (c *Cluster) Addrs() []string {
 // Partitions returns the partition count.
 func (c *Cluster) Partitions() int { return len(c.parts) }
 
-// Members returns partition p's shard-replica count (0 for local
-// partitions).
-func (c *Cluster) Members(p int) int { return len(c.parts[p].members) }
+// Member returns partition p's shard replica (for targeted
+// kill/revive drills on remote partitions); nil for local partitions.
+func (c *Cluster) Member(p int) *iotssp.Replica { return c.parts[p].replica }
 
-// Member returns partition p's j-th shard replica (for targeted
-// kill/revive drills on remote partitions).
-func (c *Cluster) Member(p, j int) *iotssp.Replica { return c.parts[p].members[j] }
-
-// MemberBank returns the bank behind partition p's j-th member (local
-// partitions expose their single bank at j = 0), for divergence checks.
-func (c *Cluster) MemberBank(p, j int) *core.Bank { return c.parts[p].memberBanks[j] }
-
-// Group returns partition p's ShardGroup handle, nil unless the
-// partition is served by a multi-member group.
-func (c *Cluster) Group(p int) *iotssp.ShardGroup { return c.parts[p].group }
+// MemberBank returns the bank behind partition p's member, for
+// divergence checks. Every partition is served by exactly one bank, at
+// j = 0.
+func (c *Cluster) MemberBank(p, j int) *core.Bank {
+	if j != 0 {
+		panic(fmt.Sprintf("controlplane: partition %d has one member, not member %d", p, j))
+	}
+	return c.parts[p].bank
+}
 
 // Snapshots collects every managed component's counters in the uniform
-// stats currency: shard-replica and frontend servers, remote-shard
-// clients and shard groups, in assembly order.
+// stats currency: shard-replica and frontend servers and remote-shard
+// clients, in assembly order.
 func (c *Cluster) Snapshots() []stats.Snapshot {
 	out := make([]stats.Snapshot, len(c.comps))
 	for i, m := range c.comps {
@@ -455,32 +327,6 @@ func (c *Cluster) Healthy() bool {
 	return true
 }
 
-// Describe renders the serving topology: each partition's placement,
-// membership and owned types, then the frontends.
-func (c *Cluster) Describe() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var sb strings.Builder
-	for p, part := range c.parts {
-		types := part.shard.Types()
-		switch {
-		case part.spec.Local:
-			fmt.Fprintf(&sb, "partition %d: local, types %v\n", p, types)
-		case part.group != nil:
-			addrs := make([]string, len(part.members))
-			for j, rep := range part.members {
-				addrs[j] = rep.Addr()
-			}
-			fmt.Fprintf(&sb, "partition %d: shard group of %d members (%s), types %v\n",
-				p, len(part.members), strings.Join(addrs, ", "), types)
-		default:
-			fmt.Fprintf(&sb, "partition %d: remote shard at %s, types %v\n", p, part.members[0].Addr(), types)
-		}
-	}
-	fmt.Fprintf(&sb, "frontends: %d (%s)\n", len(c.fronts), strings.Join(c.Addrs(), ", "))
-	return sb.String()
-}
-
 // Close releases the cluster: frontends first (stop admitting), then
 // the wire clients, then the shard replicas. All errors are joined.
 func (c *Cluster) Close() error {
@@ -492,8 +338,8 @@ func (c *Cluster) Close() error {
 		if part.comp != nil {
 			errs = append(errs, part.comp.Close())
 		}
-		for _, rep := range part.members {
-			errs = append(errs, rep.Close())
+		if part.replica != nil {
+			errs = append(errs, part.replica.Close())
 		}
 	}
 	return errors.Join(errs...)

@@ -1,9 +1,7 @@
 package controlplane
 
 import (
-	"reflect"
-	"sort"
-	"sync"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -88,202 +86,52 @@ func splitDeps(deps [][]int, shards ...int) (dependent, independent int) {
 	return dependent, independent
 }
 
-// TestTopologyMigrateAckLostReplay drills the ack-lost replay path of a
-// staged migration: the train-on-target step was delivered but its ack
-// was lost, so the control plane replays the whole rollout against a
-// destination that already serves the type. The replay must converge —
-// not fail, not double-enroll — and the cache must still see exactly
-// one invalidation signal: the source drain. The pre-delivered target
-// enrolment bumped the target's version before any verdict was cached,
-// so only source-dependent entries may drop.
-func TestTopologyMigrateAckLostReplay(t *testing.T) {
-	train, probeByType, names := topologyData(t, 6, 5)
+// TestAssembleEnrollInvalidatesOwningPartition enrols a new type
+// through the logical bank of an assembled cluster. The partitions tie
+// on load, so the type lands on the lower-indexed one, served by a
+// shard server. The verdict cache drops exactly the entries that
+// depended on that partition: bystander verdicts owned by the local
+// partition keep serving.
+func TestAssembleEnrollInvalidatesOwningPartition(t *testing.T) {
+	train, probeByType, names := topologyData(t, 8, 5)
 	cl, err := Assemble(ClusterConfig{Core: tinyCoreConfig(), CacheSize: 64, DB: vulndb.Seeded()}, Topology{Partitions: []PartitionSpec{
-		{Types: names[0:2], Local: true},
-		{Types: names[2:4], Members: 1},
-		{Types: names[4:6], Local: true},
+		{Types: names[0:4]},
+		{Types: names[4:8], Local: true},
 	}}, train)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 
-	moved := names[0]
-	// First delivery of train-on-target: the wire call landed, the ack
-	// did not, so the coordinator never recorded it.
-	if err := cl.parts[1].shard.Enroll(moved, cl.prints[moved]); err != nil {
-		t.Fatalf("pre-delivering train-on-target: %v", err)
-	}
-
-	probes := make([]*fingerprint.Fingerprint, 0, 7)
+	probes := make([]*fingerprint.Fingerprint, 0, 9)
 	for _, name := range names {
 		probes = append(probes, probeByType[name])
 	}
-	probes = append(probes, probeByType[devices.Names()[6]]) // unknown device
+	probes = append(probes, probeByType[devices.Names()[9]]) // unknown device
 	deps := warmAndClassify(t, cl, probes)
 	st0 := cl.Service().CacheStats()
 
-	if err := cl.MigrateType(moved, 1); err != nil {
-		t.Fatalf("replayed migration did not converge: %v", err)
-	}
-	if s, ok := cl.Bank().ShardOf(moved); !ok || s != 1 {
-		t.Fatalf("ShardOf(%q) = %d,%v after migration, want 1,true", moved, s, ok)
-	}
-	for _, typ := range cl.parts[0].shard.Types() {
-		if typ == moved {
-			t.Fatalf("source shard still serves %q after drain", moved)
-		}
-	}
-	served := 0
-	for _, typ := range cl.parts[1].shard.Types() {
-		if typ == moved {
-			served++
-		}
-	}
-	if served != 1 {
-		t.Fatalf("target serves %q %d times, want exactly once", moved, served)
-	}
-
-	// Only the source drain bumped a version: exactly the shard-0
-	// dependent entries (and unknown verdicts) recompute, once.
-	dependent, independent := splitDeps(deps, 0)
-	for _, fp := range probes {
-		cl.Service().Identify("02:aa:00:00:00:02", fp)
-	}
-	st1 := cl.Service().CacheStats()
-	if got := st1.Invalidations - st0.Invalidations; got != uint64(dependent) {
-		t.Errorf("invalidations = %d, want exactly %d (one drain bump)", got, dependent)
-	}
-	if got := st1.Misses - st0.Misses; got != uint64(dependent) {
-		t.Errorf("misses = %d, want %d", got, dependent)
-	}
-	if got := st1.Hits - st0.Hits; got != uint64(independent) {
-		t.Errorf("hits = %d, want %d (bystander verdicts must survive)", got, independent)
-	}
-}
-
-// TestTopologyMigrateLastTypeOff migrates a partition's only type away:
-// the emptied shard must keep serving (empty classification answers,
-// verdicts still flow) and, being least loaded, must be the landing
-// spot of the next enrolment.
-func TestTopologyMigrateLastTypeOff(t *testing.T) {
-	train, probeByType, names := topologyData(t, 4, 5)
-	cl, err := Assemble(ClusterConfig{Core: tinyCoreConfig(), CacheSize: 64, DB: vulndb.Seeded()}, Topology{Partitions: []PartitionSpec{
-		{Types: names[0:1], Local: true},
-		{Types: names[1:4], Local: true},
-	}}, train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	moved := names[0]
-	if err := cl.MigrateType(moved, 1); err != nil {
-		t.Fatalf("migrating the last type off: %v", err)
-	}
-	if got := cl.Bank().ShardTypes(0); len(got) != 0 {
-		t.Fatalf("emptied shard still owns %v", got)
-	}
-
-	// The emptied shard keeps serving: known and unknown probes resolve.
-	if resp := cl.Service().Identify("02:aa:00:00:01:01", probeByType[moved]); resp.Error != "" || !resp.Known {
-		t.Fatalf("moved type no longer identifies: known=%v err=%q", resp.Known, resp.Error)
-	}
-	if resp := cl.Service().Identify("02:aa:00:00:01:02", probeByType[devices.Names()[5]]); resp.Error != "" {
-		t.Fatalf("out-of-catalog probe through the emptied topology: %q", resp.Error)
-	}
-
-	// Least-loaded placement: the next enrolment refills the empty shard.
-	canary := devices.Names()[4]
+	canary := devices.Names()[8]
 	ds, err := devices.GenerateDataset(devices.DefaultEnv(), 7, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Enroll(canary, ds[canary]); err != nil {
+	if err := cl.Bank().Enroll(canary, ds[canary]); err != nil {
 		t.Fatal(err)
 	}
 	if s, ok := cl.Bank().ShardOf(canary); !ok || s != 0 {
-		t.Fatalf("canary enrolled into shard %d,%v, want the emptied shard 0", s, ok)
+		t.Fatalf("canary enrolled into shard %d,%v, want the remote partition 0", s, ok)
 	}
-}
-
-// TestTopologyReplaceRacingEnroll races a rolling member replacement
-// against a concurrent enrolment into the same replicated partition.
-// The two serialize on the topology lock in either order: the enrolment
-// lands in the minted replay or fans out to the joined member, the
-// group's members converge to identical type lists and versions, and a
-// second replacement afterwards (replaying the enrolment from history)
-// is invisible to the verdict cache — zero extra invalidations.
-func TestTopologyReplaceRacingEnroll(t *testing.T) {
-	train, probeByType, names := topologyData(t, 6, 5)
-	cl, err := Assemble(ClusterConfig{Core: tinyCoreConfig(), CacheSize: 64, DB: vulndb.Seeded()}, Topology{Partitions: []PartitionSpec{
-		{Types: names[0:4], Local: true},
-		{Types: names[4:6], Members: 2},
-	}}, train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if cl.Group(1) == nil {
-		t.Fatal("partition 1 is not a shard group")
+	if got := cl.MemberBank(0, 0).Types(); !slices.Contains(got, canary) {
+		t.Fatalf("remote partition's bank serves %v, want %q among them", got, canary)
 	}
 
-	probes := make([]*fingerprint.Fingerprint, 0, 7)
-	for _, name := range names {
-		probes = append(probes, probeByType[name])
+	dependent, independent := splitDeps(deps, 0)
+	if dependent == 0 || independent == 0 {
+		t.Fatalf("probes split %d dependent, %d independent; the drill needs both", dependent, independent)
 	}
-	probes = append(probes, probeByType[devices.Names()[7]]) // unknown device
-	deps := warmAndClassify(t, cl, probes)
-	st0 := cl.Service().CacheStats()
-
-	canary := devices.Names()[6] // partition 1 is least loaded: 2 < 4 types
-	ds, err := devices.GenerateDataset(devices.DefaultEnv(), 7, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	var enrollErr, replaceErr error
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		enrollErr = cl.Enroll(canary, ds[canary][:5])
-	}()
-	go func() {
-		defer wg.Done()
-		replaceErr = cl.ReplaceMember(1, 0)
-	}()
-	wg.Wait()
-	if enrollErr != nil || replaceErr != nil {
-		t.Fatalf("racing rollouts failed: enroll=%v replace=%v", enrollErr, replaceErr)
-	}
-	if s, ok := cl.Bank().ShardOf(canary); !ok || s != 1 {
-		t.Fatalf("canary enrolled into shard %d,%v, want the group partition 1", s, ok)
-	}
-
-	// Both members converge: identical type lists, identical versions,
-	// matching the group's reconciled view.
-	var lists [][]string
-	for j := 0; j < cl.Members(1); j++ {
-		types := cl.MemberBank(1, j).Types()
-		sort.Strings(types)
-		lists = append(lists, types)
-		if got, want := cl.MemberBank(1, j).Version(), cl.Bank().Versions()[1]; got != want {
-			t.Errorf("member %d version = %d, want the group's reconciled %d", j, got, want)
-		}
-	}
-	if !reflect.DeepEqual(lists[0], lists[1]) {
-		t.Fatalf("members diverged: %v vs %v", lists[0], lists[1])
-	}
-	if !cl.Healthy() {
-		t.Fatal("cluster unhealthy after the race")
-	}
-
-	// Exactly one invalidation signal: the enrolment's version bump on
-	// partition 1. The member replacement minted a bit-equal bank, so it
-	// adds nothing.
-	dependent, independent := splitDeps(deps, 1)
 	for _, fp := range probes {
-		cl.Service().Identify("02:aa:00:00:02:01", fp)
+		cl.Service().Identify("02:aa:00:00:00:02", fp)
 	}
 	st1 := cl.Service().CacheStats()
 	if got := st1.Invalidations - st0.Invalidations; got != uint64(dependent) {
@@ -292,19 +140,26 @@ func TestTopologyReplaceRacingEnroll(t *testing.T) {
 	if got := st1.Hits - st0.Hits; got != uint64(independent) {
 		t.Errorf("hits = %d, want %d (bystander verdicts must survive)", got, independent)
 	}
+}
 
-	// A second replacement replays history (now including the canary)
-	// and must be cache-invisible.
-	if err := cl.ReplaceMember(1, 1); err != nil {
-		t.Fatalf("post-race replacement: %v", err)
-	}
-	st2pre := cl.Service().CacheStats()
-	for _, fp := range probes {
-		cl.Service().Identify("02:aa:00:00:02:02", fp)
-	}
-	st2 := cl.Service().CacheStats()
-	if st2.Invalidations != st2pre.Invalidations || st2.Misses != st2pre.Misses {
-		t.Errorf("member replacement disturbed the cache: %+v -> %+v", st2pre, st2)
+// TestAssembleRejectsBadTopologies: an empty topology, an empty
+// partition, a type dealt to two partitions and a type without
+// training prints are refused before anything trains or starts.
+func TestAssembleRejectsBadTopologies(t *testing.T) {
+	train, _, names := topologyData(t, 2, 2)
+	for _, tc := range []struct {
+		name string
+		topo Topology
+	}{
+		{"no partitions", Topology{}},
+		{"empty partition", Topology{Partitions: []PartitionSpec{{Types: names, Local: true}, {Local: true}}}},
+		{"shared type", Topology{Partitions: []PartitionSpec{{Types: names, Local: true}, {Types: names[:1]}}}},
+		{"untrained type", Topology{Partitions: []PartitionSpec{{Types: append(names, "Ghost"), Local: true}}}},
+	} {
+		if cl, err := Assemble(ClusterConfig{Core: tinyCoreConfig()}, tc.topo, train); err == nil {
+			cl.Close()
+			t.Errorf("%s: Assemble accepted the topology", tc.name)
+		}
 	}
 }
 
@@ -316,8 +171,8 @@ func TestComponentContract(t *testing.T) {
 	train, _, names := topologyData(t, 4, 4)
 	cl, err := Assemble(ClusterConfig{Core: tinyCoreConfig(), CacheSize: -1, DB: vulndb.Seeded()}, Topology{Partitions: []PartitionSpec{
 		{Types: names[0:2], Local: true},
-		{Types: names[2:3], Members: 1},
-		{Types: names[3:4], Members: 2},
+		{Types: names[2:3]},
+		{Types: names[3:4]},
 	}}, train)
 	if err != nil {
 		t.Fatal(err)
@@ -331,24 +186,27 @@ func TestComponentContract(t *testing.T) {
 		}
 		kinds[snap.Kind]++
 	}
-	// 3 shard replicas + 1 frontend, one remote-shard client, one group.
-	if kinds["server"] != 4 || kinds["remote_shard"] != 1 || kinds["shard_group"] != 1 {
+	// 2 shard replicas + 1 frontend, one remote-shard client each.
+	if kinds["server"] != 3 || kinds["remote_shard"] != 2 {
 		t.Fatalf("snapshot kinds = %v", kinds)
 	}
 	if !cl.Healthy() {
 		t.Fatal("assembled cluster reports unhealthy")
 	}
-	if err := cl.Member(1, 0).Stop(); err != nil {
+	if cl.Member(0) != nil {
+		t.Fatal("local partition reports a shard replica")
+	}
+	if err := cl.Member(1).Stop(); err != nil {
 		t.Fatal(err)
 	}
 	if cl.Healthy() {
 		t.Fatal("cluster healthy with a stopped shard replica")
 	}
-	if err := cl.Member(1, 0).Start(); err != nil {
+	if err := cl.Member(1).Start(); err != nil {
 		t.Fatal(err)
 	}
-	var comp Component = cl.Group(2)
+	var comp Component = cl.Bank().Shard(2).(Component)
 	if !comp.Healthy() {
-		t.Fatal("shard group unhealthy through the Component interface")
+		t.Fatal("remote shard unhealthy through the Component interface")
 	}
 }

@@ -299,22 +299,9 @@ func Train(cfg Config, trainingSet map[string][]*fingerprint.Fingerprint) (*Bank
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	return TrainOrdered(cfg, names, trainingSet)
-}
-
-// TrainOrdered is Train with the enrolment order given explicitly:
-// types enroll in the order of names (each of which must key
-// trainingSet). Callers that replay a recorded enrolment history — the
-// control plane minting a replacement shard member — pass their cached
-// order instead of paying a re-sort per replay.
-func TrainOrdered(cfg Config, names []string, trainingSet map[string][]*fingerprint.Fingerprint) (*Bank, error) {
 	b := NewBank(cfg)
 	for _, name := range names {
-		prints, ok := trainingSet[name]
-		if !ok {
-			return nil, fmt.Errorf("core: training order names %q but the training set lacks it", name)
-		}
-		if err := b.addType(name, prints); err != nil {
+		if err := b.addType(name, trainingSet[name]); err != nil {
 			return nil, err
 		}
 	}
@@ -395,9 +382,8 @@ func (b *Bank) Enroll(name string, prints []*fingerprint.Fingerprint) error {
 // reference prints are retained as a tombstone: a discrimination racing
 // the removal (it accepted the type against the pre-removal bank)
 // still scores the candidate identically instead of silently skipping
-// it — the drain-source step of a live migration depends on exactly
-// that window being seamless. Re-enrolling the name replaces the
-// tombstone; removing it again is an error.
+// it. Re-enrolling the name replaces the tombstone; removing it again
+// is an error.
 func (b *Bank) Remove(name string) error {
 	b.rw.Lock()
 	defer b.rw.Unlock()

@@ -100,35 +100,6 @@ func TestIdentifyEditOnly(t *testing.T) {
 	}
 }
 
-// TestSetOwnerValidation: the flip-route step rejects unknown types and
-// out-of-range destinations, and a legal flip is visible through
-// ShardOf immediately.
-func TestSetOwnerValidation(t *testing.T) {
-	train, _ := shardTrainingSet(t, 4, 8)
-	sb, err := TrainSharded(smallConfig(), 2, train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sb.SetOwner("ghost", 0); err == nil {
-		t.Error("SetOwner accepted an unenrolled type")
-	}
-	name := sb.Types()[0]
-	if err := sb.SetOwner(name, -1); err == nil {
-		t.Error("SetOwner accepted shard -1")
-	}
-	if err := sb.SetOwner(name, sb.Shards()); err == nil {
-		t.Error("SetOwner accepted an out-of-range shard")
-	}
-	src, _ := sb.ShardOf(name)
-	dst := (src + 1) % sb.Shards()
-	if err := sb.SetOwner(name, dst); err != nil {
-		t.Fatalf("SetOwner(%s, %d): %v", name, dst, err)
-	}
-	if got, _ := sb.ShardOf(name); got != dst {
-		t.Errorf("ShardOf(%s) = %d after flip, want %d", name, got, dst)
-	}
-}
-
 // TestSortStrings covers the snapshot codec's canonical-order helper,
 // whose ordering every snapshot byte-equality guarantee rests on.
 func TestSortStrings(t *testing.T) {

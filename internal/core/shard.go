@@ -42,29 +42,14 @@ type Shard interface {
 	Enroll(name string, prints []*fingerprint.Fingerprint) error
 	// Remove retires a device-type from this shard: it stops accepting
 	// fingerprints and leaves Types, but its reference prints stay as a
-	// drain tombstone so an in-flight discrimination that accepted the
-	// type still scores it (Bank.Remove's semantics — the control
-	// plane's drain-source step depends on this window being seamless).
+	// tombstone so a discrimination that accepted the type before the
+	// Remove landed still scores it (Bank.Remove's semantics).
 	Remove(name string) error
 	// Version is the shard's enrolment version (grows by one per Enroll
 	// or Remove).
 	Version() uint64
 	// Types lists the enrolled device-types in shard enrolment order.
 	Types() []string
-	// Snapshot serializes the shard's full trained state (classifiers,
-	// reference stores, tombstones, version) into the versioned bank
-	// snapshot encoding. The encoding is canonical: shards with identical
-	// state produce identical bytes.
-	Snapshot() ([]byte, error)
-	// Restore replaces the shard's entire state with a snapshot's,
-	// atomically with respect to concurrent identifications. Restoring a
-	// snapshot taken under a different identification config is an error
-	// (it would silently fork the replica). Remote implementations speak
-	// the snapshot wire verbs, which ride the protocol hello: a peer too
-	// old to negotiate them fails Restore with a non-retryable error and
-	// the caller (the control plane's member minting) falls back to
-	// history replay.
-	Restore(snapshot []byte) error
 }
 
 // distanceCounter is the optional Shard refinement the timing
@@ -296,27 +281,6 @@ func (sb *ShardedBank) ShardOf(name string) (int, bool) {
 	defer sb.mu.RUnlock()
 	s, ok := sb.owner[name]
 	return s, ok
-}
-
-// SetOwner atomically re-routes an enrolled device-type to another
-// shard: discrimination and cache-dependency tagging follow the new
-// owner from this call on, while the type keeps its global enrolment
-// position (the merge order the bit-equality contract rests on). This
-// is the flip-route step of a live migration — the caller (the control
-// plane) must have enrolled the type on the destination shard first and
-// drains the source afterwards; SetOwner itself only moves the routing
-// metadata.
-func (sb *ShardedBank) SetOwner(name string, dst int) error {
-	if dst < 0 || dst >= len(sb.shards) {
-		return fmt.Errorf("core: shard %d out of range (have %d shards)", dst, len(sb.shards))
-	}
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	if _, ok := sb.owner[name]; !ok {
-		return fmt.Errorf("core: device-type %q not enrolled", name)
-	}
-	sb.owner[name] = dst
-	return nil
 }
 
 // Versions returns the per-shard enrolment version vector. Each
@@ -613,10 +577,10 @@ func (sb *ShardedBank) IdentifyBatch(fps []*fingerprint.Fingerprint, workers int
 // mergeAccepts merges per-shard accept lists into one list in global
 // enrolment order. Types enrolled concurrently with the scatter (absent
 // from pos) keep shard-local order after the known ones. A type
-// accepted by two shards at once — the train-on-target window of a live
-// migration, when source and target both hold its classifier — merges
-// to a single occurrence, so the migration window cannot turn a clean
-// single-accept into a spurious discrimination. The accept sets are
+// accepted by two shards at once — a remote enrolment that landed but
+// whose ack was lost, retried onto another shard — merges to a single
+// occurrence, so it cannot turn a clean single-accept into a spurious
+// discrimination. The accept sets are
 // tiny (almost always 0–3 names), so duplicate detection is a linear
 // scan of the merged list rather than a map allocation on the hot path.
 func (sb *ShardedBank) mergeAccepts(perShard [][]string) []string {

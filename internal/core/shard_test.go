@@ -271,11 +271,9 @@ func (o opaqueShard) Discriminate(f *fingerprint.Fingerprint, candidates []strin
 func (o opaqueShard) Enroll(name string, prints []*fingerprint.Fingerprint) error {
 	return o.b.Enroll(name, prints)
 }
-func (o opaqueShard) Remove(name string) error      { return o.b.Remove(name) }
-func (o opaqueShard) Version() uint64               { return o.b.Version() }
-func (o opaqueShard) Types() []string               { return o.b.Types() }
-func (o opaqueShard) Snapshot() ([]byte, error)     { return o.b.Snapshot() }
-func (o opaqueShard) Restore(snapshot []byte) error { return o.b.Restore(snapshot) }
+func (o opaqueShard) Remove(name string) error { return o.b.Remove(name) }
+func (o opaqueShard) Version() uint64          { return o.b.Version() }
+func (o opaqueShard) Types() []string          { return o.b.Types() }
 
 // TestShardedDistanceComputationsSkipsOpaqueShards: shards that cannot
 // report edit-distance counts (remote ones) contribute zero, the rest

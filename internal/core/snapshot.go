@@ -17,8 +17,7 @@ import (
 // training ordinal. A restored bank answers every identification
 // bit-identically to the source, and because classifier training
 // derives its randomness from (seed, ordinal) rather than a consumed
-// stream, its future enrolments are bit-identical too: state transfer
-// replaces history replay without forking the replica. Decoding
+// stream, its future enrolments are bit-identical too. Decoding
 // validates every length and index and returns errors, never panics,
 // on corrupt input (FuzzSnapshotRestore holds it to that).
 
@@ -35,9 +34,8 @@ const (
 const maxSnapshotItems = 1 << 20
 
 // Snapshot serializes the bank's trained state. The encoding is stable:
-// two banks with identical state produce identical bytes, which is what
-// lets the control plane assert a snapshot-minted member bit-identical
-// to a replay-minted one by comparing snapshots.
+// two banks with identical state produce identical bytes, so banks
+// compare bit-identical by comparing snapshots.
 func (b *Bank) Snapshot() ([]byte, error) {
 	b.rw.RLock()
 	defer b.rw.RUnlock()

@@ -151,7 +151,7 @@ func RunDistributed(cfg DistributedConfig) (*DistributedResult, error) {
 	// Phase 1 — all-local baseline. Training is deterministic in
 	// (config, data), so the two clusters' verdicts must agree
 	// bit-for-bit.
-	baseCl, err := controlplane.Assemble(cfg.cluster(-1), topology(w.train, cfg.Shards, -1, 0), w.train)
+	baseCl, err := controlplane.Assemble(cfg.cluster(-1), topology(w.train, cfg.Shards, -1), w.train)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +174,7 @@ func RunDistributed(cfg DistributedConfig) (*DistributedResult, error) {
 			Seed:         seed,
 			Wire:         wire,
 		}
-		return controlplane.Assemble(cc, topology(w.train, cfg.Shards, remoteIdx, 1), w.train)
+		return controlplane.Assemble(cc, topology(w.train, cfg.Shards, remoteIdx), w.train)
 	}
 
 	// Phase 2 — the mixed local/remote cluster, with the shard restart
@@ -188,7 +188,7 @@ func RunDistributed(cfg DistributedConfig) (*DistributedResult, error) {
 		return nil, fmt.Errorf("mixed bank reassembled order %v, want %v", got, baseTypes)
 	}
 
-	shardRep := cl.Member(remoteIdx, 0)
+	shardRep := cl.Member(remoteIdx)
 	ph := replay(wirePools(cl.Addr(), cfg.Load, cfg.Seed), w, cfg.InFlight, drill{after: cfg.Requests / 3, fn: func() {
 		res.ShardKilled = true
 		shardRep.Stop()

@@ -154,7 +154,7 @@ func checkShardScopedInvalidation(svc *iotssp.Service, cl *controlplane.Cluster,
 	}
 	st0 := svc.CacheStats()
 
-	if err := cl.Enroll(canary, w.canaryPrints); err != nil {
+	if err := cl.Bank().Enroll(canary, w.canaryPrints); err != nil {
 		return 0, 0, 0, fmt.Errorf("enrolling canary %q: %w", canary, err)
 	}
 	shard, ok := bank.ShardOf(canary)
@@ -236,7 +236,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	}
 
 	// Phase 1 — single-backend baseline (PR 2 service mode).
-	baseCl, err := controlplane.Assemble(cfg.cluster(cfg.CacheSize), topology(w.train, 1, -1, 0), w.train)
+	baseCl, err := controlplane.Assemble(cfg.cluster(cfg.CacheSize), topology(w.train, 1, -1), w.train)
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +256,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	// revived two-thirds in.
 	fleetCfg := cfg.cluster(cfg.CacheSize)
 	fleetCfg.Frontends = cfg.Backends
-	cl, err := controlplane.Assemble(fleetCfg, topology(w.train, cfg.Shards, -1, 0), w.train)
+	cl, err := controlplane.Assemble(fleetCfg, topology(w.train, cfg.Shards, -1), w.train)
 	if err != nil {
 		return nil, err
 	}

@@ -154,19 +154,15 @@ func (w *workload) distinctProbes() []*fingerprint.Fingerprint {
 
 // topology deals the training set's types round-robin over shards
 // partitions. Partition remote (-1 for none) is served across the wire
-// by members shard servers; the rest stay in-process.
-func topology(train map[string][]*fingerprint.Fingerprint, shards, remote, members int) controlplane.Topology {
+// by one shard server; the rest stay in-process.
+func topology(train map[string][]*fingerprint.Fingerprint, shards, remote int) controlplane.Topology {
 	names := make([]string, 0, len(train))
 	for name := range train {
 		names = append(names, name)
 	}
 	parts := make([]controlplane.PartitionSpec, 0, shards)
 	for s, types := range controlplane.RoundRobin(names, shards) {
-		spec := controlplane.PartitionSpec{Types: types, Local: s != remote}
-		if s == remote {
-			spec.Members = members
-		}
-		parts = append(parts, spec)
+		parts = append(parts, controlplane.PartitionSpec{Types: types, Local: s != remote})
 	}
 	return controlplane.Topology{Partitions: parts}
 }
@@ -301,16 +297,12 @@ func replay[C gateway.Identifier](clients []C, w *workload, inFlight int, drills
 	return p
 }
 
-// mismatches counts the verdicts bit-equal to none of refs' verdicts at
-// the same request index.
-func (p *phase) mismatches(refs ...*phase) int {
+// mismatches counts the verdicts that differ from ref's verdict at the
+// same request index.
+func (p *phase) mismatches(ref *phase) int {
 	n := 0
 	for i, v := range p.verdicts {
-		match := false
-		for _, ref := range refs {
-			match = match || verdictsEqual(v, ref.verdicts[i])
-		}
-		if !match {
+		if !verdictsEqual(v, ref.verdicts[i]) {
 			n++
 		}
 	}
@@ -405,22 +397,5 @@ func (c WireCost) render(sb *strings.Builder) {
 	if c.Wire != iotssp.WireOff && c.WireGain > 0 {
 		fmt.Fprintf(sb, "wire compression (%s): %.1fx fewer bytes/verdict than the plain wire (%.1f vs %.1f), dict hit rate %.1f%%\n",
 			c.Wire, c.WireGain, c.BytesPerVerdict, c.BytesPerVerdictOff, 100*c.DictHitRate)
-	}
-}
-
-// groupConfig is the shard-group tuning of the replicated and rebalance
-// experiments. Group members fail over, they don't ride outages: one
-// cheap local retry per member, then the next replica answers. The
-// probe backoff is short so a revived member rejoins within the run.
-func groupConfig(seed int64, wire iotssp.WireMode) iotssp.ShardGroupConfig {
-	return iotssp.ShardGroupConfig{
-		Shard: iotssp.RemoteShardConfig{
-			MaxRetries:   1,
-			RetryBackoff: 200 * time.Microsecond,
-			MaxBackoff:   time.Millisecond,
-			Seed:         seed,
-			Wire:         wire,
-		},
-		ProbeBackoff: 20 * time.Millisecond,
 	}
 }

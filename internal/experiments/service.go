@@ -155,7 +155,7 @@ func RunService(cfg ServiceConfig) (*ServiceResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	topo := topology(w.train, 1, -1, 0)
+	topo := topology(w.train, 1, -1)
 
 	res := &ServiceResult{
 		EnrolledTypes: cfg.Types,

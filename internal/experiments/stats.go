@@ -9,8 +9,8 @@ import (
 
 // MetricsSnapshot is the single JSON stats blob a serving experiment
 // reports: every managed component's counters — servers, caches,
-// gateway pools, remote shards, shard groups — as uniformly tagged
-// snapshots in assembly order. Experiments append whatever Components
+// gateway pools, remote shards — as uniformly tagged snapshots in
+// assembly order. Experiments append whatever Components
 // they ran (via controlplane.Cluster.Snapshots and each client pool's
 // Snapshot) instead of hand-assembling per-kind slices, so a new
 // component kind needs no new field here. One coherent snapshot instead
@@ -24,9 +24,8 @@ type MetricsSnapshot struct {
 	Components []stats.Snapshot `json:"components"`
 	// ShardWireBytes is the shard-plane steady-state wire traffic the
 	// run recorded — both directions of every remote-shard client
-	// transport, standalone and inside shard groups, minus the
-	// handshake, push and state-transfer bytes broken out into
-	// ShardControlBytes — and BytesPerVerdict that steady-state traffic
+	// transport, minus the handshake, push and state-transfer bytes
+	// broken out into ShardControlBytes — and BytesPerVerdict that steady-state traffic
 	// divided by the verdicts served. All are filled by
 	// ComputeBytesPerVerdict; they are measured off the lineconn byte
 	// counters, so codec changes (delta-packed batches, dictionary
@@ -52,13 +51,17 @@ type MetricsSnapshot struct {
 // counters out of the captured components into a per-verdict wire
 // cost, records it on the snapshot, and returns it. Handshake bytes,
 // server-pushed delta-stream bytes and state-transfer payloads
-// (enroll/snapshot/restore/meta) are carved out into ShardControlBytes
-// first, so the per-verdict number prices exactly the steady-state
-// classify traffic a fleet pays per request. Zero verdicts (or a run
-// with no shard-plane components) reports zero.
+// (enroll/meta) are carved out into ShardControlBytes first, so the
+// per-verdict number prices exactly the steady-state classify traffic
+// a fleet pays per request. Zero verdicts (or a run with no
+// shard-plane components) reports zero.
 func (m *MetricsSnapshot) ComputeBytesPerVerdict(verdicts int) float64 {
 	var steady, control, hits, misses uint64
-	fold := func(rs iotssp.RemoteShardStats) {
+	for _, c := range m.Components {
+		var rs iotssp.RemoteShardStats
+		if c.Kind != "remote_shard" || json.Unmarshal(c.Data, &rs) != nil {
+			continue
+		}
 		all := rs.Transport.BytesWritten + rs.Transport.BytesRead
 		carve := rs.Transport.HandshakeBytesWritten + rs.Transport.HandshakeBytesRead +
 			rs.Transport.PushBytesRead + rs.StateBytes
@@ -66,22 +69,6 @@ func (m *MetricsSnapshot) ComputeBytesPerVerdict(verdicts int) float64 {
 		control += carve
 		hits += rs.Transport.DictHits
 		misses += rs.Transport.DictMisses
-	}
-	for _, c := range m.Components {
-		switch c.Kind {
-		case "remote_shard":
-			var rs iotssp.RemoteShardStats
-			if json.Unmarshal(c.Data, &rs) == nil {
-				fold(rs)
-			}
-		case "shard_group":
-			var g iotssp.ShardGroupStats
-			if json.Unmarshal(c.Data, &g) == nil {
-				for _, mem := range g.Members {
-					fold(mem.Shard)
-				}
-			}
-		}
 	}
 	m.ShardWireBytes = steady
 	m.ShardControlBytes = control

@@ -87,8 +87,7 @@ func (s FleetPoolStats) Snapshot() stats.Snapshot {
 
 // fleetBackend is one replica endpoint: its connection pool plus its
 // health breaker (the consecutive-failure ejection / probing
-// re-admission machinery shared with iotssp.ShardGroup through
-// internal/backoff).
+// re-admission machinery of internal/backoff).
 type fleetBackend struct {
 	addr    string
 	pool    *Pool
@@ -101,6 +100,11 @@ type fleetBackend struct {
 type ringPoint struct {
 	hash    uint64
 	backend int
+	// order is the failover order of a MAC homed at this point: the
+	// distinct backends in ring order from here on. The ring never
+	// changes after NewFleetPool, so it is computed once and shared
+	// read-only by every request.
+	order []int
 }
 
 // FleetPool routes identifications across a replicated IoT Security
@@ -162,6 +166,20 @@ func NewFleetPool(addrs []string, cfg FleetPoolConfig) *FleetPool {
 		}
 	}
 	sort.Slice(f.ring, func(i, j int) bool { return f.ring[i].hash < f.ring[j].hash })
+	orders := make([]int, 0, len(f.ring)*len(addrs))
+	seen := make([]bool, len(addrs))
+	for i := range f.ring {
+		start := len(orders)
+		clear(seen)
+		for k := 0; k < len(f.ring) && len(orders)-start < len(addrs); k++ {
+			p := f.ring[(i+k)%len(f.ring)]
+			if !seen[p.backend] {
+				seen[p.backend] = true
+				orders = append(orders, p.backend)
+			}
+		}
+		f.ring[i].order = orders[start:len(orders):len(orders)]
+	}
 	return f
 }
 
@@ -207,20 +225,14 @@ func (f *FleetPool) Healthy() bool {
 // backend (first ring point at or after the MAC's hash), then the
 // remaining backends in ring order — the same walk an ejection-time
 // rebalance takes, so failover lands requests exactly where the ring
-// would re-home them.
+// would re-home them. The slice is shared: callers must not modify it.
 func (f *FleetPool) order(mac string) []int {
+	if len(f.ring) == 0 {
+		return nil
+	}
 	h := fingerprint.Mix64(fingerprint.HashString(mac))
 	i := sort.Search(len(f.ring), func(j int) bool { return f.ring[j].hash >= h })
-	out := make([]int, 0, len(f.backends))
-	seen := make([]bool, len(f.backends))
-	for k := 0; k < len(f.ring) && len(out) < len(f.backends); k++ {
-		p := f.ring[(i+k)%len(f.ring)]
-		if !seen[p.backend] {
-			seen[p.backend] = true
-			out = append(out, p.backend)
-		}
-	}
-	return out
+	return f.ring[i%len(f.ring)].order
 }
 
 // home returns the MAC's home backend index (the routing target when

@@ -3,9 +3,12 @@ package gateway
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
+	"repro/internal/fingerprint"
 	"repro/internal/iotssp"
 )
 
@@ -51,6 +54,31 @@ func TestFleetPoolDeterministicRoutingAcrossRestarts(t *testing.T) {
 		if ha, hb := a.home(mac), b.home(mac); ha != hb {
 			t.Fatalf("MAC %s routes to %d on one pool, %d on a rebuilt one", mac, ha, hb)
 		}
+	}
+}
+
+// TestFleetPoolOrderPrecomputed: a MAC's failover order is the ring
+// walk from its home point — each backend once, in ring order — and
+// looking it up allocates nothing.
+func TestFleetPoolOrderPrecomputed(t *testing.T) {
+	addrs := []string{"10.0.0.1:7001", "10.0.0.2:7001", "10.0.0.3:7001"}
+	f := NewFleetPool(addrs, FleetPoolConfig{})
+	defer f.Close()
+	for _, mac := range fleetMACs(300) {
+		h := fingerprint.Mix64(fingerprint.HashString(mac))
+		i := sort.Search(len(f.ring), func(j int) bool { return f.ring[j].hash >= h })
+		var want []int
+		for k := 0; len(want) < len(addrs); k++ {
+			if b := f.ring[(i+k)%len(f.ring)].backend; !slices.Contains(want, b) {
+				want = append(want, b)
+			}
+		}
+		if got := f.order(mac); !slices.Equal(got, want) {
+			t.Fatalf("order(%s) = %v, want the ring walk %v", mac, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { f.order("02:9a:00:00:00:01") }); n != 0 {
+		t.Errorf("order allocates %.1f times per call, want 0", n)
 	}
 }
 

@@ -50,8 +50,6 @@
 //	enroll             shard    type and packed training prints; trains
 //	                            off the read pump, answers out of order
 //	remove             shard    type: retires its classifier
-//	snapshot, restore  shard    the bank's canonical trained state
-//	                            (core.Bank.Snapshot), out or in
 //	delta              shard    a push, no line echo: the new version
 //	                            and the changed type names
 //
@@ -175,17 +173,13 @@
 // stamps, and the delta lines its hello subscribed to, into a local
 // version cache, so Versions() on the logical bank stays a handful of
 // atomic loads and a remote enrolment invalidates exactly the
-// dependent verdict-cache entries without polling. The control plane
-// mints replacement group members by snapshot transfer — O(snapshot
-// bytes) instead of replaying and retraining the partition's enrolment
-// history — and the snapshot's canonical encoding makes bit-identity a
-// byte compare (core.SnapshotsEqual). Identify frames that reach a
-// shard endpoint get a clean retryable verdict-frame refusal naming
-// the mode (never a malformed-line reply); shard verbs against a
-// verdict endpoint fail non-retryably the same way. A shard served behind a Replica
-// (NewShardReplica) restarts in place, and RemoteShard's
-// reconnect/retry with jittered backoff carries in-flight scatters
-// across the outage.
+// dependent verdict-cache entries without polling. Identify frames
+// that reach a shard endpoint get a clean retryable verdict-frame
+// refusal naming the mode (never a malformed-line reply); shard verbs
+// against a verdict endpoint fail non-retryably the same way. A shard
+// served behind a Replica (NewShardReplica) restarts in place, and
+// RemoteShard's reconnect/retry with jittered backoff carries
+// in-flight scatters across the outage.
 //
 // RemoteShard's pipelined links ride internal/lineconn, the shared
 // line-correlated transport (line-echo correlation, connection-
@@ -193,24 +187,6 @@
 // gateway.Pool rides too; the hello plugs in through the transport's
 // handshake hook, so a mode or version mismatch fails the dial instead
 // of surfacing mid-pipeline.
-//
-// # Replicated shard groups
-//
-// One partition can be served by several shard servers hosting
-// bit-identical banks. ShardGroup composes N such members into a
-// single health-aware core.Shard: reads (classify/discriminate/meta)
-// round-robin across admitted members and fail over transparently when
-// one dies mid-flight; consecutive failures eject a member from
-// routing and a probing re-admission with jittered doubling backoff
-// brings a revived one back — so a shard-server restart costs zero
-// added latency for the logical bank above, instead of every in-flight
-// scatter riding a single RemoteShard's deep retry loop until the
-// server returns. Enrolments fan out to every member (each replica
-// trains the type, keeping reads equivalent wherever they land) and
-// the group's Version reconciles to the maximum member stamp, so a
-// fan-out enrolment bumps the logical shard's version exactly once and
-// the verdict cache invalidates its dependents exactly once, never
-// once per replica.
 package iotssp
 
 import (
@@ -249,13 +225,6 @@ const (
 	// the classifier is dropped, the prints stay for racing
 	// discriminations, the version bumps once).
 	OpRemove = "remove"
-	// OpSnapshot asks a shard server for its bank's serialized trained
-	// state. The control plane mints replacement group members by
-	// transferring it instead of replaying enrolment history.
-	OpSnapshot = "snapshot"
-	// OpRestore replaces a shard server's bank state with a transferred
-	// snapshot.
-	OpRestore = "restore"
 	// OpDelta is a server-initiated push (no line echo), sent to every
 	// connection that said hello when the shard's state changes: it
 	// carries the new version and the changed type names, so the

@@ -32,8 +32,7 @@ type RemoteShardConfig struct {
 	// shard is load-bearing state, not a stateless replica — crossing a
 	// shard restart matters more than failing fast — so the default is a
 	// deep 20 (with the backoff cap that rides out multi-second
-	// restarts). A ShardGroup member overrides this down: the group
-	// fails over to a healthy replica instead of riding the outage.
+	// restarts).
 	MaxRetries int
 	// RetryBackoff is the base backoff before the first retry; doubled
 	// (and jittered to 50–150%) each further retry up to MaxBackoff.
@@ -90,7 +89,7 @@ type RemoteShardStats struct {
 	// of without a round-trip.
 	DeltasReceived uint64 `json:"deltas_received"`
 	// StateBytes counts the payload bytes of state-transfer and control
-	// operations (enroll, snapshot, restore, meta) in both directions.
+	// operations (enroll, meta) in both directions.
 	// Steady-state classify cost is the transport's byte counters minus
 	// this, the handshake bytes and the push bytes — the carve-out that
 	// keeps bytes-per-verdict honest.
@@ -304,7 +303,7 @@ func (rs *RemoteShard) do(req shardRequest, timeout time.Duration) (shardRespons
 // steady-state classification — its payload bytes land in StateBytes.
 func stateOp(op string) bool {
 	switch op {
-	case OpEnroll, OpSnapshot, OpRestore, OpMeta:
+	case OpEnroll, OpMeta:
 		return true
 	}
 	return false
@@ -384,9 +383,7 @@ func (rs *RemoteShard) ClassifyBatch(fps []*fingerprint.Fingerprint, workers int
 // feature values, so per-column deltas are mostly zero and the batch
 // shrinks by roughly a third. The delta body is built once and
 // replayed across attempts; the dictionary body is rebuilt per attempt
-// against that connection's own dictionary. A ShardGroup calls this
-// per member, so a failover re-encodes the batch against the member
-// (and dictionary incarnation) it actually lands on.
+// against that connection's own dictionary.
 func (rs *RemoteShard) classifyEncoder(fps []*fingerprint.Fingerprint) lineconn.Encoder {
 	var deltaBody []byte
 	return func(state any) ([]byte, error) {
@@ -513,34 +510,6 @@ func (rs *RemoteShard) Enroll(name string, prints []*fingerprint.Fingerprint) er
 func (rs *RemoteShard) Remove(name string) error {
 	_, err := rs.do(shardRequest{Op: OpRemove, Type: name}, rs.cfg.Timeout)
 	return err
-}
-
-// Snapshot implements core.Shard: it asks the shard server for its
-// bank's serialized trained state (OpSnapshot). A failed transfer is
-// the signal the control plane's member minting takes to fall back to
-// history replay.
-func (rs *RemoteShard) Snapshot() ([]byte, error) {
-	resp, err := rs.do(shardRequest{Op: OpSnapshot}, rs.cfg.EnrollTimeout)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Snapshot, nil
-}
-
-// Restore implements core.Shard: the snapshot ships to the shard server
-// (OpRestore), which swaps its bank's state atomically.
-// The enrolment timeout applies — a snapshot is the big transfer of the
-// protocol, though still orders of magnitude cheaper than the training
-// it replaces.
-func (rs *RemoteShard) Restore(snapshot []byte) error {
-	resp, err := rs.do(shardRequest{Op: OpRestore, Snapshot: snapshot}, rs.cfg.EnrollTimeout)
-	if err != nil {
-		return err
-	}
-	// A restore is the one operation that can rewind the shard's version;
-	// the otherwise-monotonic cache must follow the authoritative reset.
-	rs.version.Store(resp.Version)
-	return nil
 }
 
 // Version implements core.Shard from the local cache of the last

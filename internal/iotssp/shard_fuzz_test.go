@@ -16,7 +16,7 @@ import (
 func FuzzShardOp(f *testing.F) {
 	fix := getShardFixture(f)
 	bank := freshShardedBank(f).Shard(0).(*core.Bank)
-	pristine, err := bank.Snapshot() // undoes a fuzzed remove or restore
+	pristine, err := bank.Snapshot() // undoes a fuzzed remove
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func FuzzShardOp(f *testing.F) {
 		case resp.Error == "" && resp.Op != req.Op:
 			t.Fatalf("op %q answered without an error or its op: %+v", req.Op, resp)
 		}
-		if req.Op == OpRemove || req.Op == OpRestore {
+		if req.Op == OpRemove {
 			if err := bank.Restore(pristine); err != nil {
 				t.Fatal(err)
 			}

@@ -405,3 +405,128 @@ func TestShardServerErrorPaths(t *testing.T) {
 	}
 	srv.Close()
 }
+
+// TestClassifyEncodings: classify batches travel delta-packed (or
+// dictionary-coded, on a dictionary connection); an empty or unknown
+// encoding is refused non-retryably.
+func TestClassifyEncodings(t *testing.T) {
+	fix := getShardFixture(t)
+	replica := startShardReplica(t, freshShardedBank(t).Shard(0).(*core.Bank))
+
+	packed, err := fingerprint.PackDelta(fix.probes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := rawLine(t, replica.Addr(), `{"op":"classify","enc":"delta","batch":["`+packed+`"]}`); m["error"] != nil {
+		t.Fatalf("delta batch = %v", m)
+	}
+	for _, enc := range []string{"", "zstd"} {
+		m := rawLine(t, replica.Addr(), `{"op":"classify","enc":"`+enc+`","batch":["`+packed+`"]}`)
+		if m["error"] == nil || m["retryable"] == true {
+			t.Fatalf("batch encoding %q = %v, want a non-retryable refusal", enc, m)
+		}
+	}
+}
+
+// TestDeltaStreamPushesVersion: a subscribed verdict front learns of a
+// remote enrolment from the server's pushed version bump alone — its
+// own request counter must not move while the cached version catches
+// up, proving no classify or meta round-trip was spent.
+func TestDeltaStreamPushesVersion(t *testing.T) {
+	fix := getShardFixture(t)
+	bank := freshShardedBank(t).Shard(0).(*core.Bank)
+	replica := startShardReplica(t, bank)
+
+	front := NewRemoteShard(replica.Addr(), RemoteShardConfig{Seed: 61})
+	defer front.Close()
+	// Prime the connection (the hello subscribes it on the first dial).
+	if got, want := front.Types(), bank.Types(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("front types %v, want %v", got, want)
+	}
+	v0 := front.Version()
+	requests0 := front.Counters().Requests
+
+	// A second client enrolls through the server; the front must observe
+	// the bump purely from the pushed delta line.
+	writer := NewRemoteShard(replica.Addr(), RemoteShardConfig{Seed: 67})
+	defer writer.Close()
+	if err := writer.Enroll(fix.spareName, fix.sparePrints); err != nil {
+		t.Fatal(err)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for front.Version() == v0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("front never observed the pushed version bump (still %d)", v0)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if got := front.Version(); got != v0+1 {
+		t.Fatalf("front version after push = %d, want %d", got, v0+1)
+	}
+	st := front.Counters()
+	if st.Requests != requests0 {
+		t.Fatalf("front spent %d round-trips learning of the enrolment, want 0 (delta stream)", st.Requests-requests0)
+	}
+	if st.DeltasReceived == 0 {
+		t.Fatal("front counted no received deltas")
+	}
+	if st.Transport.Pushes == 0 {
+		t.Fatal("transport counted no pushed lines")
+	}
+}
+
+// TestShardServerRefusesStateTransferOps: the shard wire has no
+// snapshot or restore verb. Both lines are answered as unknown ops,
+// non-retryably, on a connection that keeps serving, and a restore
+// carrying a valid snapshot leaves the hosted bank untouched.
+func TestShardServerRefusesStateTransferOps(t *testing.T) {
+	getShardFixture(t)
+	bank := freshShardedBank(t).Shard(0).(*core.Bank)
+	snap, err := bank.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bank.Remove(bank.Types()[0]); err != nil {
+		t.Fatal(err)
+	}
+	version, types := bank.Version(), bank.Types()
+	replica := startShardReplica(t, bank)
+
+	conn, err := net.Dial("tcp", replica.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	restore, _ := json.Marshal(map[string]any{"op": "restore", "snapshot": snap})
+	lines := []string{`{"op":"snapshot"}`, string(restore), `{"op":"meta"}`}
+	if _, err := conn.Write([]byte(strings.Join(lines, "\n") + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	replies := make(map[float64]map[string]any, len(lines))
+	for range lines {
+		reply, err := br.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("connection stopped serving after %d replies: %v", len(replies), err)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(reply, &m); err != nil {
+			t.Fatalf("reply %q: %v", reply, err)
+		}
+		replies[m["line"].(float64)] = m
+	}
+	for i, op := range []string{"snapshot", "restore"} {
+		m := replies[float64(i+1)]
+		if msg, _ := m["error"].(string); !strings.Contains(msg, `unknown shard op "`+op+`"`) || m["retryable"] == true {
+			t.Errorf("%s = %v, want a non-retryable unknown-op refusal", op, m)
+		}
+	}
+	if m := replies[3]; m["error"] != nil {
+		t.Errorf("meta after the refusals = %v", m)
+	}
+	if bank.Version() != version || !reflect.DeepEqual(bank.Types(), types) {
+		t.Errorf("bank moved to version %d types %v, want %d %v", bank.Version(), bank.Types(), version, types)
+	}
+}

@@ -27,7 +27,7 @@ const (
 // JSON form.
 type shardRequest struct {
 	// Op is the verb: OpHello, OpMeta, OpClassify, OpDiscriminate,
-	// OpEnroll, OpRemove, OpSnapshot or OpRestore.
+	// OpEnroll or OpRemove.
 	Op string `json:"op"`
 	// Dict is the OpHello dictionary ask: Dict > 0 requests a
 	// per-connection fingerprint dictionary of that capacity.
@@ -48,9 +48,6 @@ type shardRequest struct {
 	// fingerprints (OpEnroll). OpRemove sends Type alone.
 	Type   string   `json:"type,omitempty"`
 	Prints []string `json:"prints,omitempty"`
-	// Snapshot is the serialized bank state to load (OpRestore; JSON
-	// carries it base64-encoded).
-	Snapshot []byte `json:"snapshot,omitempty"`
 }
 
 // shardResponse is the shard protocol's reply line. Every reply echoes
@@ -75,9 +72,6 @@ type shardResponse struct {
 	// Best and Scores carry OpDiscriminate results.
 	Best   string             `json:"best,omitempty"`
 	Scores map[string]float64 `json:"scores,omitempty"`
-	// Snapshot carries OpSnapshot's serialized bank state (base64 on the
-	// wire).
-	Snapshot []byte `json:"snapshot,omitempty"`
 	// Error/Retryable follow the verdict wire's error contract:
 	// malformed shard requests are never retryable, backpressure and
 	// mode mismatches a failover can fix are.
@@ -91,10 +85,9 @@ func (r shardResponse) CorrelationLine() uint64 { return r.Line }
 
 // NewShardServer wraps one in-process classifier-bank shard for network
 // serving: the returned server speaks the shard verbs (hello, meta,
-// classify, discriminate, enroll, remove, snapshot, restore) and pushes
-// OpDelta version bumps to every connection that said hello, so a
-// core.ShardedBank in another process can address this bank through an
-// iotssp.RemoteShard. The admission spine is shared with verdict mode —
+// classify, discriminate, enroll, remove) and pushes OpDelta version
+// bumps to every connection that said hello, so a core.ShardedBank in
+// another process can address this bank through an iotssp.RemoteShard. The admission spine is shared with verdict mode —
 // bounded accept loop, MaxConns refusals, per-connection read/write
 // pumps, slow-client drops — but there is no micro-batching dispatcher:
 // shard clients already batch (a whole scatter flush arrives as one
@@ -332,26 +325,6 @@ func (s *Server) serveShardOp(req shardRequest, line uint64, cw *connWire) shard
 		}
 		s.notifyDelta([]string{req.Type})
 		return shardResponse{Op: OpRemove, Line: line, Version: s.shard.Version()}
-	case OpSnapshot:
-		s.requests.Add(1)
-		snap, err := s.shard.Snapshot()
-		if err != nil {
-			return shardResponse{Line: line, Error: fmt.Sprintf("line %d: %v", line, err), Version: s.shard.Version()}
-		}
-		return shardResponse{Op: OpSnapshot, Line: line, Snapshot: snap, Version: s.shard.Version()}
-	case OpRestore:
-		s.requests.Add(1)
-		if len(req.Snapshot) == 0 {
-			s.malformed.Add(1)
-			return shardResponse{Line: line, Error: fmt.Sprintf("line %d: restore with empty snapshot", line)}
-		}
-		if err := s.shard.Restore(req.Snapshot); err != nil {
-			return shardResponse{Line: line, Error: fmt.Sprintf("line %d: %v", line, err), Version: s.shard.Version()}
-		}
-		// A restore can move the whole type list at once; push the full
-		// new list so subscribers' caches track it.
-		s.notifyDelta(s.shard.Types())
-		return shardResponse{Op: OpRestore, Line: line, Version: s.shard.Version()}
 	}
 	s.malformed.Add(1)
 	return shardResponse{Line: line, Error: fmt.Sprintf("line %d: unknown shard op %q (protocol v%d)", line, req.Op, ProtocolVersion)}

@@ -143,19 +143,19 @@ func TestRemoteShardStrictHello(t *testing.T) {
 				t.Errorf("failures %d, dict hits %d misses %d; want 1, 0, 0",
 					st.Failures, st.Transport.DictHits, st.Transport.DictMisses)
 			}
-			if _, err := remote.Snapshot(); err == nil || !strings.Contains(err.Error(), tc.mention) {
-				t.Errorf("snapshot error %v does not name the mismatch (%q)", err, tc.mention)
+			if err := remote.Remove(fix.spareName); err == nil || !strings.Contains(err.Error(), tc.mention) {
+				t.Errorf("remove error %v does not name the mismatch (%q)", err, tc.mention)
 			}
 		})
 	}
 }
 
-// TestRemoteShardWireDictReconnectAndRestore: a shard restart resets
-// both ends' dictionaries coherently (the classify that rides the
-// retries across the revival stays bit-equal and the fresh connections
-// re-seed the dictionary), and Snapshot/Restore work over the dict
-// connection with the version cache following the restore's rewind.
-func TestRemoteShardWireDictReconnectAndRestore(t *testing.T) {
+// TestRemoteShardWireDictReconnect: a shard restart resets both ends'
+// dictionaries coherently (the classify that rides the retries across
+// the revival stays bit-equal and the fresh connections re-seed the
+// dictionary), and an enrolment over the dict connection moves the
+// version cache by one.
+func TestRemoteShardWireDictReconnect(t *testing.T) {
 	fix := getShardFixture(t)
 	served := freshShardedBank(t)
 	local := served.Shard(0).(*core.Bank)
@@ -193,27 +193,12 @@ func TestRemoteShardWireDictReconnectAndRestore(t *testing.T) {
 		t.Errorf("fresh connection did not re-seed the dictionary: misses %d -> %d", seeded, st.DictMisses)
 	}
 
-	// Snapshot, mutate, restore: the dict connection carries the state
-	// transfer and the version cache follows the authoritative rewind.
-	snap, err := remote.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
 	v0 := remote.Version()
 	if err := remote.Enroll(fix.spareName, fix.sparePrints); err != nil {
 		t.Fatal(err)
 	}
 	if got := remote.Version(); got != v0+1 {
 		t.Fatalf("version after enroll = %d, want %d", got, v0+1)
-	}
-	if err := remote.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if got := remote.Version(); got != v0 {
-		t.Fatalf("version after restore = %d, want the rewound %d", got, v0)
-	}
-	if got := remote.ClassifyBatch(fix.probes, 0); !reflect.DeepEqual(got, want) {
-		t.Fatal("post-restore dict classify mismatch")
 	}
 }
 

@@ -1,11 +1,10 @@
 // Package lineconn is the pipelined line-correlated transport shared by
 // every client in the serving stack: the pooled gateway client
 // (gateway.Pool/FleetPool, speaking binary verdict frames) and the
-// remote-shard client (iotssp.RemoteShard and the replicated
-// iotssp.ShardGroup, speaking JSON lines) both run protocols whose
-// responses may arrive out of order, and each used to carry its own
-// copy of the same subtle connection core. This package owns that core
-// once. Responses are JSON lines unless Options.Decoder supplies a
+// remote-shard client (iotssp.RemoteShard, speaking JSON lines) both
+// run protocols whose responses may arrive out of order, and each used
+// to carry its own copy of the same subtle connection core. This
+// package owns that core once. Responses are JSON lines unless Options.Decoder supplies a
 // reader for another wire.
 //
 // # The correlation contract
@@ -130,8 +129,8 @@ var ErrClosed = errors.New("lineconn: connection closed")
 // Stats is a snapshot of a transport's canonical counters. Every client
 // built on lineconn surfaces exactly this block (json-tagged for the
 // experiments' metrics snapshot), so dials, reconnects, writes, bursts
-// and dropped correlations mean the same thing in PoolStats,
-// RemoteShardStats and ShardGroupStats.
+// and dropped correlations mean the same thing in PoolStats and
+// RemoteShardStats.
 type Stats struct {
 	// Dials counts connection establishments, first dials and redials
 	// alike (each includes the handshake when one is configured).

@@ -1,6 +1,6 @@
 // Package stats defines the uniform snapshot currency every serving
 // component trades in. Each component's typed counter block (a
-// ServerStats, PoolStats, ShardGroupStats, …) converts itself into one
+// ServerStats, PoolStats, RemoteShardStats, …) converts itself into one
 // Snapshot — a kind tag plus the counters marshalled as raw JSON — so
 // aggregators (the control plane's component registry, the experiments'
 // MetricsSnapshot) carry a flat []Snapshot instead of enumerating one

@@ -161,6 +161,12 @@ func (db *DB) Assess(deviceType string) Assessment {
 func (db *DB) Types() []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	return db.typesLocked()
+}
+
+// typesLocked is Types for callers that already hold db.mu: a second
+// read lock would deadlock against a writer queued between the two.
+func (db *DB) typesLocked() []string {
 	out := make([]string, 0, len(db.known))
 	for t := range db.known {
 		out = append(out, t)
@@ -185,7 +191,7 @@ type dump struct {
 // Save writes the repository as JSON.
 func (db *DB) Save(w io.Writer) error {
 	db.mu.RLock()
-	d := dump{Types: db.Types(), Entries: make(map[string][]Vulnerability, len(db.entries))}
+	d := dump{Types: db.typesLocked(), Entries: make(map[string][]Vulnerability, len(db.entries))}
 	for t, vs := range db.entries {
 		d.Entries[t] = append([]Vulnerability(nil), vs...)
 	}

@@ -2,8 +2,11 @@ package vulndb
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/devices"
 	"repro/internal/enforce"
@@ -190,4 +193,45 @@ func TestVerdictMatchesAssessment(t *testing.T) {
 	if v := none.Verdict("HueBridge"); v.Level != enforce.Strict {
 		t.Errorf("nil repository: %+v, want strict", v)
 	}
+}
+
+// TestSaveBesideWriter runs Save while a writer keeps registering
+// types. Save must snapshot the repository under the one read lock it
+// takes: a second read lock taken inside it would deadlock against a
+// writer queued between the two.
+func TestSaveBesideWriter(t *testing.T) {
+	db := Seeded()
+	stop := make(chan struct{})
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				db.AddType(fmt.Sprintf("type-%d", i%64))
+			}
+		}
+	}()
+	saved := make(chan error, 1)
+	go func() {
+		for i := 0; i < 2000; i++ {
+			if err := db.Save(io.Discard); err != nil {
+				saved <- err
+				return
+			}
+		}
+		saved <- nil
+	}()
+	select {
+	case err := <-saved:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("Save deadlocked beside a writer")
+	}
+	close(stop)
+	<-writerDone
 }
